@@ -8,7 +8,7 @@ baselines and standard Byzantine attacks.
 
 __version__ = "0.1.0"
 
-from .aggregators import MethodConfig
+from .aggregators import FedAdp, FedAvg, MeritFed, SgdFull, SgdIdeal, Tawt
 from .clients import AttackSpec
 from .engine import ExperimentSpec, run_experiment
 from .simplex_opt import MdConfig, entropic_md_step, solve_weights
@@ -17,8 +17,13 @@ __all__ = [
     "__version__",
     "AttackSpec",
     "ExperimentSpec",
+    "FedAdp",
+    "FedAvg",
     "MdConfig",
-    "MethodConfig",
+    "MeritFed",
+    "SgdFull",
+    "SgdIdeal",
+    "Tawt",
     "entropic_md_step",
     "run_experiment",
     "solve_weights",

@@ -1,102 +1,112 @@
 """Aggregation-weight rules and the shared model update.
 
-Six rules map a round's client gradients (plus per-method state) to a weight
-vector on the simplex: merit-based solving of the validation objective,
-uniform averaging, oracle averaging over the clients known to share the
-target distribution, angle-based weighting through a Gompertz mapping,
-a one-step multiplicative cosine-similarity heuristic, and uniform random
-client sampling.
+Each compared method is one rule object: merit-based solving of the
+validation objective (`MeritFed`), uniform averaging (`SgdFull`), oracle
+averaging over the clients known to share the target distribution
+(`SgdIdeal`), angle-based weighting through a Gompertz mapping (`FedAdp`),
+a one-step multiplicative cosine-similarity heuristic (`Tawt`), and uniform
+random client sampling (`FedAvg`). A rule holds its label, its model step,
+its own constants and its own cross-round state; `weights` maps one round's
+client gradients to a weight vector on the simplex. The similarity rules
+take client 0, which always belongs to the target group, as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import dataclasses
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UndefinedAngleError
+from . import streams
+from .errors import ConfigError, UndefinedAngleError
 from .simplex_opt import (
     MdConfig,
     WeightObjective,
     check_weights,
+    checked_gradient_set,
     entropic_md_step,
     solve_weights,
     uniform_weights,
 )
 
-KIND_MERITFED = "meritfed"
-KIND_SGD_FULL = "sgd-full"
-KIND_SGD_IDEAL = "sgd-ideal"
-KIND_FEDADP = "fedadp"
-KIND_TAWT = "tawt"
-KIND_FEDAVG = "fedavg"
-
-TAWT_MODE_COSINE = "cosine"
-TAWT_MODE_ANGLE = "angle"
-
-FEDADP_SMOOTH_NONE = "none"
-FEDADP_SMOOTH_RUNNING = "running-mean"
-
 
 @dataclass
-class MethodConfig:
-    """One compared method: rule kind plus its constants.
+class Rule:
+    """One compared method; label is its name in metric output (e.g. fedavg-5).
 
-    label is the method's name in metric output (e.g. meritfed-md, fedavg-5).
+    Each rule defines weights(x, gradients, oracle, stream_for), returning the
+    round's weight vector and, for solver rules, the solver-accuracy proxy
+    (None otherwise); stream_for(tag) opens the method's stream `tag` for the
+    current round.
     """
 
-    kind: str
     label: str
     model_step: float
-    md: Optional[MdConfig] = None  # meritfed
-    ideal_indices: Optional[tuple[int, ...]] = None  # sgd-ideal
-    fedadp_alpha: float = 5.0
-    fedadp_smoothing: str = FEDADP_SMOOTH_RUNNING
-    tawt_step: float = 1.0
-    tawt_scale: float = 1.0
-    tawt_mode: str = TAWT_MODE_COSINE
-    sample_count: int = 0  # fedavg
+
+    # Whether the convergence bounds are claimed for this rule under attack.
+    bound_holds_under_attack: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.model_step <= 0.0:
             raise ConfigError(f"{self.label}: model step must be positive")
-        if self.kind == KIND_MERITFED and self.md is None:
-            raise ConfigError(f"{self.label}: merit-based method needs solver settings")
-        if self.kind == KIND_SGD_IDEAL and not self.ideal_indices:
-            raise ConfigError(f"{self.label}: oracle averaging needs a nonempty client set")
-        if self.kind == KIND_FEDAVG and self.sample_count < 1:
-            raise ConfigError(f"{self.label}: sampled averaging needs sample_count >= 1")
-        if self.tawt_mode not in (TAWT_MODE_COSINE, TAWT_MODE_ANGLE):
-            raise ConfigError(f"{self.label}: unknown similarity mode {self.tawt_mode!r}")
-        if self.fedadp_smoothing not in (FEDADP_SMOOTH_NONE, FEDADP_SMOOTH_RUNNING):
-            raise ConfigError(f"{self.label}: unknown smoothing {self.fedadp_smoothing!r}")
+
+    def check(self, n_clients: int, validation_rows: int) -> None:
+        """Reject, before round 0, a run this rule cannot serve."""
 
 
 @dataclass
-class MethodState:
-    """Cross-round state owned by one method within one run."""
+class MeritFed(Rule):
+    """Merit-based weights: solve the validation objective over the simplex."""
 
-    tawt_weights: Optional[np.ndarray] = None
-    fedadp_angles: Optional[np.ndarray] = None
-    fedadp_rounds: int = 0
+    md: MdConfig
+    bound_holds_under_attack: ClassVar[bool] = True
+
+    def check(self, n_clients: int, validation_rows: int) -> None:
+        if self.md.minibatch > validation_rows:
+            raise ConfigError(
+                f"{self.label}: solver minibatch {self.md.minibatch} exceeds the "
+                f"{validation_rows} rows of the validation set"
+            )
+
+    def weights(self, x, gradients, oracle, stream_for):
+        md = dataclasses.replace(self.md, rng=stream_for(streams.MD))
+        objective = WeightObjective(
+            x=x, gradients=gradients, model_step=self.model_step, loss_oracle=oracle
+        )
+        return solve_weights(objective, md)
 
 
-def weights_sgd_full(n: int) -> np.ndarray:
+@dataclass
+class SgdFull(Rule):
     """Uniform averaging over all clients."""
-    return uniform_weights(n)
+
+    def weights(self, x, gradients, oracle, stream_for):
+        return uniform_weights(gradients.shape[0]), None
 
 
-def weights_sgd_ideal(ideal_indices, n: int) -> np.ndarray:
+@dataclass
+class SgdIdeal(Rule):
     """Uniform averaging over the known target-distribution clients only."""
-    indices = np.asarray(sorted(set(int(i) for i in ideal_indices)), dtype=int)
-    if indices.size == 0:
-        raise ConfigError("oracle averaging needs a nonempty client set")
-    if indices.min() < 0 or indices.max() >= n:
-        raise ConfigError(f"client set {indices.tolist()} out of range for n={n}")
-    w = np.zeros(n)
-    w[indices] = 1.0 / indices.size
-    return w
+
+    ideal_indices: tuple[int, ...]
+    bound_holds_under_attack: ClassVar[bool] = True
+
+    def check(self, n_clients: int, validation_rows: int) -> None:
+        if not self.ideal_indices:
+            raise ConfigError(f"{self.label}: oracle averaging needs a nonempty client set")
+        if min(self.ideal_indices) < 0 or max(self.ideal_indices) >= n_clients:
+            raise ConfigError(
+                f"{self.label}: client set {list(self.ideal_indices)} out of range "
+                f"for n={n_clients}"
+            )
+
+    def weights(self, x, gradients, oracle, stream_for):
+        indices = np.asarray(sorted(set(int(i) for i in self.ideal_indices)), dtype=int)
+        w = np.zeros(gradients.shape[0])
+        w[indices] = 1.0 / indices.size
+        return w, None
 
 
 def angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -116,97 +126,77 @@ def gompertz_map(xi: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * (1.0 - np.exp(-np.exp(-alpha * np.asarray(xi, dtype=float))))
 
 
-def weights_fedadp(
-    gradients: np.ndarray,
-    target_index: int,
-    state: MethodState,
-    alpha: float = 5.0,
-    smoothing: str = FEDADP_SMOOTH_RUNNING,
-) -> np.ndarray:
+def _angles_to_reference(gradients: np.ndarray) -> np.ndarray:
+    return np.array([angle(gradients[0], g) for g in gradients])
+
+
+@dataclass
+class FedAdp(Rule):
     """Angle-based weights: Gompertz-mapped angles to the target gradient, softmaxed.
 
-    With running-mean smoothing the per-client angle is averaged over rounds
-    before the mapping.
+    The per-client angle is averaged over the rounds so far before the
+    mapping, so the first round uses the raw angles.
     """
-    gradients = np.asarray(gradients, dtype=float)
-    n = gradients.shape[0]
-    reference = gradients[target_index]
-    angles = np.array([angle(reference, gradients[i]) for i in range(n)])
-    if smoothing == FEDADP_SMOOTH_RUNNING:
-        t = state.fedadp_rounds + 1
-        if state.fedadp_angles is None:
-            state.fedadp_angles = angles
+
+    alpha: float = 5.0
+    _mean_angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _rounds: int = field(default=0, init=False, repr=False, compare=False)
+
+    def weights(self, x, gradients, oracle, stream_for):
+        angles = _angles_to_reference(gradients)
+        t = self._rounds + 1
+        if self._mean_angles is None:
+            self._mean_angles = angles
         else:
-            state.fedadp_angles = ((t - 1) * state.fedadp_angles + angles) / t
-        state.fedadp_rounds = t
-        smoothed = state.fedadp_angles
-    else:
-        smoothed = angles
-    scores = gompertz_map(smoothed, alpha)
-    scores = scores - scores.max()
-    expd = np.exp(scores)
-    return expd / expd.sum()
+            self._mean_angles = ((t - 1) * self._mean_angles + angles) / t
+        self._rounds = t
+        scores = gompertz_map(self._mean_angles, self.alpha)
+        expd = np.exp(scores - scores.max())
+        return expd / expd.sum(), None
 
 
-def weights_tawt(
-    gradients: np.ndarray,
-    target_index: int,
-    state: MethodState,
-    step: float,
-    scale: float = 1.0,
-    mode: str = TAWT_MODE_COSINE,
-) -> np.ndarray:
-    """One multiplicative step driven by similarity to the target gradient.
+@dataclass
+class Tawt(Rule):
+    """One multiplicative step per round on -cos(angle to the target gradient).
 
-    The per-client pseudo-gradient is -scale * cos(angle) in cosine mode, or
-    +scale * angle in angle mode (both penalize disagreement with the target).
     Weights persist across rounds, starting uniform.
     """
-    gradients = np.asarray(gradients, dtype=float)
-    n = gradients.shape[0]
-    if state.tawt_weights is None:
-        state.tawt_weights = uniform_weights(n)
-    reference = gradients[target_index]
-    angles = np.array([angle(reference, gradients[i]) for i in range(n)])
-    if mode == TAWT_MODE_COSINE:
-        pseudo = -scale * np.cos(angles)
-    else:
-        pseudo = scale * angles
-    state.tawt_weights = entropic_md_step(state.tawt_weights, pseudo, step)
-    return state.tawt_weights
+
+    step_size: float
+    _current: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    def weights(self, x, gradients, oracle, stream_for):
+        if self._current is None:
+            self._current = uniform_weights(gradients.shape[0])
+        pseudo = -np.cos(_angles_to_reference(gradients))
+        self._current = entropic_md_step(self._current, pseudo, self.step_size)
+        return self._current, None
 
 
-def weights_fedavg_sampled(n: int, sample_count: int, rng: np.random.Generator) -> np.ndarray:
+@dataclass
+class FedAvg(Rule):
     """Uniform weights over a uniformly random subset of sample_count clients."""
-    if not 1 <= sample_count <= n:
-        raise ConfigError(f"sample count {sample_count} out of range for n={n}")
-    chosen = rng.choice(n, size=sample_count, replace=False)
-    w = np.zeros(n)
-    w[chosen] = 1.0 / sample_count
-    return w
 
+    sample_count: int
 
-def weights_meritfed(
-    x: np.ndarray,
-    gradients: np.ndarray,
-    model_step: float,
-    md: MdConfig,
-    oracle,
-) -> tuple[np.ndarray, float]:
-    """Merit-based weights: solve the validation objective over the simplex."""
-    objective = WeightObjective(x=x, gradients=gradients, model_step=model_step, loss_oracle=oracle)
-    return solve_weights(objective, md)
+    def check(self, n_clients: int, validation_rows: int) -> None:
+        if not 1 <= self.sample_count <= n_clients:
+            raise ConfigError(
+                f"{self.label}: sample count {self.sample_count} out of range for n={n_clients}"
+            )
+
+    def weights(self, x, gradients, oracle, stream_for):
+        n = gradients.shape[0]
+        chosen = stream_for(streams.METHOD).choice(n, size=self.sample_count, replace=False)
+        w = np.zeros(n)
+        w[chosen] = 1.0 / self.sample_count
+        return w, None
 
 
 def apply_update(
     x: np.ndarray, gradients: np.ndarray, w: np.ndarray, model_step: float
 ) -> np.ndarray:
     """Model update x - model_step * sum_i w_i g_i, in fixed client order."""
-    x = np.asarray(x, dtype=float)
-    gradients = np.asarray(gradients, dtype=float)
-    if gradients.ndim != 2 or gradients.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"gradient set shape {gradients.shape} does not match point dimension {x.shape[0]}"
-        )
+    x, gradients = checked_gradient_set(x, gradients)
     w = check_weights(w, n=gradients.shape[0])
     return x - model_step * (w @ gradients)

@@ -22,109 +22,29 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
-from .aggregators import (
-    FEDADP_SMOOTH_RUNNING,
-    KIND_FEDADP,
-    KIND_FEDAVG,
-    KIND_MERITFED,
-    KIND_SGD_FULL,
-    KIND_SGD_IDEAL,
-    KIND_TAWT,
-    TAWT_MODE_COSINE,
-    MethodConfig,
-)
+from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
 from .clients import ATTACK_KINDS, AttackSpec
-from .engine import TASK_MEAN, TASK_SOFTMAX, ExperimentSpec, run_experiment
+from .engine import (
+    TASK_MEAN,
+    TASK_SOFTMAX,
+    ConvergenceRow,
+    ExperimentSpec,
+    RoundMetrics,
+    run_experiment,
+)
 from .errors import ConfigError, MeritFedError
 from .simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
-from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN
+from .tasks import MODE_EXTRA
 
 OUT_DIR_ENV = "MERITFED_OUT_DIR"
 DEFAULT_OUT_DIR = "runs"
 
 ATTACK_NONE = "none"
-
-METRICS_COLUMNS = (
-    "seed",
-    "round",
-    "method",
-    "dist_sq",
-    "loss_gap",
-    "grad_norm_sq",
-    "val_loss",
-    "accuracy",
-    "delta",
-)
-WEIGHTS_COLUMNS = ("seed", "round", "method", "client_index", "weight")
-THEOREM_COLUMNS = (
-    "seed",
-    "method",
-    "rounds",
-    "group_size",
-    "sigma_sq",
-    "delta_bar",
-    "delta_estimator",
-    "initial_gap",
-    "avg_grad_norm_sq",
-    "noncvx_rhs",
-    "noncvx_holds",
-    "final_gap",
-    "pl_rhs",
-    "pl_holds",
-    "step_size_ok",
-    "applies",
-)
-
-# Configuration schema: key -> (python type, default used only by presets).
-# Every key is required in a preset-free config file.
-CONFIG_SCHEMA = {
-    "task": str,
-    "dim": int,
-    "group1_count": int,
-    "group2_count": int,
-    "group3_count": int,
-    "byzantine_count": int,
-    "attack_kind": str,
-    "attack_sigma": float,
-    "attack_epsilon": float,
-    "attack_z": float,
-    "attack_shift_sign": int,
-    "group2_shift": float,
-    "shard_size": int,
-    "batch_size": int,
-    "model_step": float,
-    "rounds": int,
-    "validation_size": int,
-    "validation_mode": str,
-    "exact_gradients": bool,
-    "weight_log_every": int,
-    "mixing_alpha": float,
-    "n_classes": int,
-    "test_size": int,
-    "methods": tuple,
-    "md_steps": int,
-    "md_lr": float,
-    "md_smoothing": float,
-    "smd_minibatch": int,
-    "fedadp_alpha": float,
-    "tawt_step": float,
-    "seeds": int,
-    "base_seed": int,
-}
-
-METHOD_LABELS_FIXED = (
-    "meritfed-md",
-    "meritfed-smd",
-    "meritfed-zo",
-    "sgd-full",
-    "sgd-ideal",
-    "fedadp",
-    "tawt",
-)
 
 
 @dataclass
@@ -164,6 +84,24 @@ class RunConfig:
     seeds: int
     base_seed: int
     preset: Optional[str] = None
+
+
+# Configuration schema: key -> python type, one key per RunConfig field.
+# Every key is required in a preset-free config file.
+CONFIG_SCHEMA = {
+    key: kind for key, kind in typing.get_type_hints(RunConfig).items() if key != "preset"
+}
+
+
+def _columns(record_type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(record_type))
+
+
+# CSV columns: the seed, then the record's fields in order; the metrics
+# field round_index is written as the column round.
+METRICS_COLUMNS = ("seed", "round") + _columns(RoundMetrics)[1:]
+WEIGHTS_COLUMNS = ("seed", "round", "method", "client_index", "weight")
+THEOREM_COLUMNS = ("seed",) + _columns(ConvergenceRow)
 
 
 def _mean_preset(group2_shift: float, md_lr: float) -> dict:
@@ -360,14 +298,7 @@ def emit_config(config: RunConfig) -> str:
         lines.append(f"preset = {config.preset}")
     for key, kind in CONFIG_SCHEMA.items():
         value = getattr(config, key)
-        if kind is bool:
-            text = "true" if value else "false"
-        elif kind is float:
-            text = format(value, ".17g")
-        elif kind is tuple:
-            text = ",".join(value)
-        else:
-            text = str(value)
+        text = ",".join(value) if kind is tuple else _format_cell(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -382,58 +313,45 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("byzantine_count > 0 requires an attack_kind")
     if config.attack_shift_sign not in (-1, 1):
         raise ConfigError(f"attack_shift_sign must be -1 or 1, got {config.attack_shift_sign}")
-    for label in config.methods:
-        _method_from_label(label, config)  # raises on unknown labels
     build_experiment(config)  # full engine-side validation
 
 
-def _method_from_label(label: str, config: RunConfig) -> MethodConfig:
+def _method_from_label(label: str, config: RunConfig) -> Rule:
     step = config.model_step
-    if label == "meritfed-md" or label == "meritfed-smd" or label == "meritfed-zo":
+    if label.startswith("fedavg-"):
+        try:
+            count = int(label[len("fedavg-"):])
+        except ValueError:
+            raise ConfigError(f"bad fedavg sample count in method label {label!r}") from None
+        return FedAvg(label, step, sample_count=count)
+
+    def meritfed(estimator: str, minibatch: int) -> MeritFed:
         # Solver step sizes are quoted per unit of model step, so the
         # simplex objective sees the same geometry at any model step.
         md = MdConfig(
             step_size=config.md_lr / step,
             step_count=config.md_steps,
-            estimator=ESTIMATOR_ZO if label == "meritfed-zo" else ESTIMATOR_EXACT,
+            estimator=estimator,
             smoothing=config.md_smoothing,
-            minibatch=config.smd_minibatch if label == "meritfed-smd" else 0,
+            minibatch=minibatch,
         )
-        return MethodConfig(kind=KIND_MERITFED, label=label, model_step=step, md=md)
-    if label == "sgd-full":
-        return MethodConfig(kind=KIND_SGD_FULL, label=label, model_step=step)
-    if label == "sgd-ideal":
-        return MethodConfig(
-            kind=KIND_SGD_IDEAL,
-            label=label,
-            model_step=step,
-            ideal_indices=tuple(range(config.group1_count)),
-        )
-    if label == "fedadp":
-        return MethodConfig(
-            kind=KIND_FEDADP,
-            label=label,
-            model_step=step,
-            fedadp_alpha=config.fedadp_alpha,
-            fedadp_smoothing=FEDADP_SMOOTH_RUNNING,
-        )
-    if label == "tawt":
-        return MethodConfig(
-            kind=KIND_TAWT,
-            label=label,
-            model_step=step,
-            tawt_step=config.tawt_step if config.tawt_step > 0 else config.md_lr,
-            tawt_mode=TAWT_MODE_COSINE,
-        )
-    if label.startswith("fedavg-"):
-        suffix = label[len("fedavg-"):]
-        try:
-            count = int(suffix)
-        except ValueError:
-            raise ConfigError(f"bad fedavg sample count in method label {label!r}") from None
-        return MethodConfig(kind=KIND_FEDAVG, label=label, model_step=step, sample_count=count)
-    known = ", ".join(METHOD_LABELS_FIXED + ("fedavg-<k>",))
-    raise ConfigError(f"unknown method label {label!r}; known: {known}")
+        return MeritFed(label, step, md=md)
+
+    rules = {
+        "meritfed-md": lambda: meritfed(ESTIMATOR_EXACT, 0),
+        "meritfed-smd": lambda: meritfed(ESTIMATOR_EXACT, config.smd_minibatch),
+        "meritfed-zo": lambda: meritfed(ESTIMATOR_ZO, 0),
+        "sgd-full": lambda: SgdFull(label, step),
+        "sgd-ideal": lambda: SgdIdeal(label, step, ideal_indices=tuple(range(config.group1_count))),
+        "fedadp": lambda: FedAdp(label, step, alpha=config.fedadp_alpha),
+        "tawt": lambda: Tawt(
+            label, step, step_size=config.tawt_step if config.tawt_step > 0 else config.md_lr
+        ),
+    }
+    if label not in rules:
+        known = ", ".join(list(rules) + ["fedavg-<k>"])
+        raise ConfigError(f"unknown method label {label!r}; known: {known}")
+    return rules[label]()
 
 
 def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
@@ -457,7 +375,6 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
         group2_shift=config.group2_shift,
         shard_size=config.shard_size,
         batch_size=config.batch_size,
-        model_step=config.model_step,
         rounds=config.rounds,
         validation_size=config.validation_size,
         validation_mode=config.validation_mode,
@@ -486,54 +403,19 @@ def _seed_payload(config: RunConfig, master_seed: int) -> dict:
     """Run one seed and flatten everything the writers need (picklable)."""
     spec = build_experiment(config, master_seed=master_seed)
     result = run_experiment(spec)
-    metrics_rows = [
-        (
-            master_seed,
-            m.round_index,
-            m.method,
-            m.dist_sq,
-            m.loss_gap,
-            m.grad_norm_sq,
-            m.val_loss,
-            m.accuracy,
-            m.delta,
-        )
-        for m in result.metrics
-    ]
     weight_rows = [
         (master_seed, round_index, method, client, float(value))
         for round_index, method, vector in result.weight_rows
         for client, value in enumerate(vector)
-    ]
-    theorem_rows = [
-        (
-            master_seed,
-            row.method,
-            row.rounds,
-            row.group_size,
-            row.sigma_sq,
-            row.delta_bar,
-            row.delta_estimator,
-            row.initial_gap,
-            row.avg_grad_norm_sq,
-            row.noncvx_rhs,
-            row.noncvx_holds,
-            row.final_gap,
-            row.pl_rhs,
-            row.pl_holds,
-            row.step_size_ok,
-            row.applies,
-        )
-        for row in result.convergence
     ]
     direction = (
         None if result.mixture_direction is None else [float(v) for v in result.mixture_direction]
     )
     return {
         "seed": master_seed,
-        "metrics": metrics_rows,
+        "metrics": [(master_seed,) + dataclasses.astuple(m) for m in result.metrics],
         "weights": weight_rows,
-        "theorem": theorem_rows,
+        "theorem": [(master_seed,) + dataclasses.astuple(row) for row in result.convergence],
         "mixture_direction": direction,
     }
 
@@ -631,17 +513,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             config = dataclasses.replace(config, base_seed=args.seed)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    except ConfigError as exc:
+    except MeritFedError as exc:
+        # Anything raised while reading and checking the config, including
+        # solver settings that MdConfig rejects, is a config error.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
     try:
         run_config(config, out_dir, workers=args.workers)
-    except MeritFedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MeritFedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote metrics.csv, weights.csv, theorem.csv, manifest.json to {out_dir}")

@@ -1,10 +1,11 @@
 """Per-round client messages: honest stochastic gradients and attacks.
 
-Honest clients sample a batch from their shard and send the task gradient.
-Byzantine clients either corrupt their own honestly computed gradient
-(bit-flip, random-noise) or collude using the round's honest messages
-(inner-product manipulation, mean-shift). Collusion rules run once per round
-after all honest messages exist; the engine enforces that two-phase order.
+Honest clients send the task gradient on a batch of their shard; the engine
+computes those. Byzantine clients either corrupt their own honestly computed
+gradient (bit-flip, random-noise) or collude using the round's honest
+messages (inner-product manipulation, mean-shift). Collusion rules run once
+per round after all honest messages exist; the engine enforces that
+two-phase order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AttackInputError, ConfigError, NumericInputError
-from .tasks import DatasetShard, mean_grad
+from .errors import AttackInputError, ConfigError
 
 ATTACK_BIT_FLIP = "bit-flip"
 ATTACK_RANDOM_NOISE = "random-noise"
@@ -64,52 +64,6 @@ class ClientRole:
             raise ConfigError(f"byzantine client {self.index} needs an attack spec")
 
 
-@dataclass
-class GradientSet:
-    """All client messages of one round, in client-index order."""
-
-    vectors: np.ndarray  # (n, d)
-    round_index: int
-
-    def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if not np.all(np.isfinite(self.vectors)):
-            raise NumericInputError(f"round {self.round_index}: non-finite client message")
-
-
-def honest_message(
-    role: ClientRole,
-    x: np.ndarray,
-    shard: DatasetShard,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mean-task stochastic gradient on a uniform without-replacement batch."""
-    if batch_size == 0:
-        raise ConfigError(f"client {role.index}: batch size must be positive")
-    if batch_size > shard.count:
-        raise ConfigError(
-            f"client {role.index}: batch size {batch_size} exceeds shard size {shard.count}"
-        )
-    if batch_size == shard.count:
-        return mean_grad(x, shard.samples)
-    idx = rng.choice(shard.count, size=batch_size, replace=False)
-    return mean_grad(x, shard.samples[idx])
-
-
-def attack_bf(g_honest_self: np.ndarray) -> np.ndarray:
-    """Sign flip: send the negated honestly computed gradient."""
-    return -np.asarray(g_honest_self, dtype=float)
-
-
-def attack_rn(g_honest_self: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian noise on the honestly computed gradient."""
-    if sigma < 0.0:
-        raise ConfigError(f"noise scale must be >= 0, got {sigma}")
-    g = np.asarray(g_honest_self, dtype=float)
-    return g + sigma * rng.standard_normal(g.shape)
-
-
 def attack_ipm(honest_gradients: list[np.ndarray], epsilon: float) -> np.ndarray:
     """Inner-product manipulation: the scaled negative honest mean.
 
@@ -152,18 +106,16 @@ def byzantine_messages(
             continue
         attack = role.attack
         if attack.kind == ATTACK_BIT_FLIP:
-            out[role.index] = attack_bf(honest_self_gradients[role.index])
+            out[role.index] = -honest_self_gradients[role.index]
         elif attack.kind == ATTACK_RANDOM_NOISE:
-            g = np.asarray(honest_self_gradients[role.index], dtype=float)
-            out[role.index] = g + attack.sigma * noise_draws[role.index]
-        elif attack.kind == ATTACK_IPM:
-            if attack.kind not in collusion_cache:
-                collusion_cache[attack.kind] = attack_ipm(collusion_pool, attack.epsilon)
-            out[role.index] = collusion_cache[attack.kind]
+            noise = attack.sigma * noise_draws[role.index]
+            out[role.index] = honest_self_gradients[role.index] + noise
         else:
             if attack.kind not in collusion_cache:
-                collusion_cache[attack.kind] = attack_alie(
-                    collusion_pool, attack.z, attack.shift_sign
+                collusion_cache[attack.kind] = (
+                    attack_ipm(collusion_pool, attack.epsilon)
+                    if attack.kind == ATTACK_IPM
+                    else attack_alie(collusion_pool, attack.z, attack.shift_sign)
                 )
             out[role.index] = collusion_cache[attack.kind]
     return out

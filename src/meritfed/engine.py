@@ -18,38 +18,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import streams
-from .aggregators import (
-    KIND_FEDADP,
-    KIND_FEDAVG,
-    KIND_MERITFED,
-    KIND_SGD_FULL,
-    KIND_SGD_IDEAL,
-    KIND_TAWT,
-    MethodConfig,
-    MethodState,
-    apply_update,
-    weights_fedadp,
-    weights_fedavg_sampled,
-    weights_meritfed,
-    weights_sgd_full,
-    weights_sgd_ideal,
-    weights_tawt,
-)
-from .clients import (
-    ATTACK_RANDOM_NOISE,
-    AttackSpec,
-    ClientRole,
-    GradientSet,
-    byzantine_messages,
-)
-from .errors import ConfigError
+from .aggregators import Rule, apply_update
+from .clients import ATTACK_RANDOM_NOISE, AttackSpec, ClientRole, byzantine_messages
+from .errors import ConfigError, NumericInputError
 from .simplex_opt import WeightObjective, check_weights, simplex_grid
 from .tasks import (
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
+    MIXED_CLASSES,
     MODE_EXTRA,
     MODE_POPULATION,
     MODE_REUSE_TRAIN,
+    TARGET_CLASSES,
     DatasetShard,
     MeanValidationOracle,
     PopulationMeanOracle,
@@ -77,7 +57,7 @@ Observer = Callable[[int, str, np.ndarray, np.ndarray, np.ndarray, Optional[floa
 class ExperimentSpec:
     """Full description of one run."""
 
-    methods: list[MethodConfig]
+    methods: list[Rule]
     task: str = TASK_MEAN
     dim: int = 10
     group_counts: tuple[int, int, int] = (5, 95, 50)
@@ -86,7 +66,6 @@ class ExperimentSpec:
     group2_shift: float = 0.1  # per-coordinate center of group 2 (mean task)
     shard_size: int = 1000
     batch_size: int = 100
-    model_step: float = 0.01
     rounds: int = 2000
     validation_size: int = 100000
     validation_mode: str = MODE_EXTRA
@@ -129,31 +108,69 @@ class ExperimentSpec:
             raise ConfigError(f"unknown validation mode {self.validation_mode!r}")
         if self.validation_mode == MODE_EXTRA and self.validation_size < 1:
             raise ConfigError("extra-validation mode needs validation_size >= 1")
+        if self.validation_mode == MODE_REUSE_TRAIN and self.exact_gradients:
+            raise ConfigError("reuse-train validation needs realized shards")
         if self.weight_log_every < 1:
             raise ConfigError("weight_log_every must be >= 1")
-        if self.task == TASK_SOFTMAX and self.exact_gradients:
+        if self.task == TASK_SOFTMAX:
+            self._validate_softmax()
+        validation_rows = {
+            MODE_EXTRA: self.validation_size,
+            MODE_REUSE_TRAIN: self.shard_size,
+            MODE_POPULATION: 0,
+        }[self.validation_mode]
+        for rule in self.methods:
+            rule.check(self.n_clients, validation_rows)
+
+    def _validate_softmax(self) -> None:
+        if self.exact_gradients:
             raise ConfigError("exact gradients are only defined for the mean task")
-        if self.task == TASK_SOFTMAX and not 0.0 < self.mixing_alpha <= 1.0:
+        if not 0.0 < self.mixing_alpha <= 1.0:
             raise ConfigError(f"mixing fraction must lie in (0, 1], got {self.mixing_alpha}")
+        if self.validation_mode == MODE_POPULATION:
+            raise ConfigError("population validation is only defined for the mean task")
+        if self.byzantine_count > 0:
+            raise ConfigError("byzantine clients are supported on the mean task only")
+        if self.test_size < 1:
+            raise ConfigError(f"softmax task needs test_size >= 1, got {self.test_size}")
+        # Group 2 mixes in classes up to max(MIXED_CLASSES); group 3 draws the
+        # classes beyond them; class centers sit on distinct feature axes.
+        if self.group_counts[2] > 0:
+            needed = max(MIXED_CLASSES) + 2
+        elif self.group_counts[1] > 0:
+            needed = max(MIXED_CLASSES) + 1
+        else:
+            needed = max(TARGET_CLASSES) + 1
+        if not needed <= self.n_classes <= self.dim:
+            raise ConfigError(
+                f"softmax groups {self.group_counts} need {needed} <= n_classes <= "
+                f"dim={self.dim}, got n_classes={self.n_classes}"
+            )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RoundMetrics:
-    """State of one method at the start of a round (round == rounds for the final state)."""
+    """State of one method at the start of a round (round == rounds for the final state).
+
+    The field order is the column order of metrics.csv.
+    """
 
     round_index: int
     method: str
-    val_loss: float
     dist_sq: Optional[float] = None
     loss_gap: Optional[float] = None
     grad_norm_sq: Optional[float] = None
+    val_loss: float
     accuracy: Optional[float] = None
     delta: Optional[float] = None
 
 
 @dataclass
 class ConvergenceRow:
-    """Measured quantities of one method against the closed-form rate bounds."""
+    """Measured quantities of one method against the closed-form rate bounds.
+
+    The field order is the column order of theorem.csv.
+    """
 
     method: str
     rounds: int
@@ -181,7 +198,6 @@ class ExperimentResult:
     mixture_direction: Optional[np.ndarray]
     final_points: dict[str, np.ndarray]
     oracle: object
-    target_optimum: Optional[np.ndarray]
     shards: list[DatasetShard]
 
 
@@ -210,7 +226,6 @@ class RunState:
         seed = spec.master_seed
         self.group1_indices = [r.index for r in self.roles if r.kind == "honest" and r.group_id == 1]
         self.mixture_direction: Optional[np.ndarray] = None
-        self.test_shard: Optional[DatasetShard] = None
 
         if spec.task == TASK_MEAN:
             self.mixture_direction = streams.unit_sphere_vector(
@@ -234,22 +249,14 @@ class RunState:
             if spec.validation_mode == MODE_POPULATION:
                 self.oracle = PopulationMeanOracle(self.target_optimum)
             elif spec.validation_mode == MODE_REUSE_TRAIN:
-                if spec.exact_gradients:
-                    raise ConfigError("reuse-train validation needs realized shards")
-                self.oracle = MeanValidationOracle(self.shards[0].samples, mode=MODE_REUSE_TRAIN)
+                self.oracle = MeanValidationOracle(self.shards[0].samples)
             else:
                 rng = streams.substream(seed, streams.VALIDATION)
-                samples = rng.standard_normal((spec.validation_size, d))
-                self.oracle = MeanValidationOracle(samples, mode=MODE_EXTRA)
+                self.oracle = MeanValidationOracle(rng.standard_normal((spec.validation_size, d)))
             self.model_dim = d
             point0 = np.ones(d)
         else:
-            if spec.validation_mode == MODE_POPULATION:
-                raise ConfigError("population validation is only defined for the mean task")
-            if spec.byzantine_count > 0:
-                raise ConfigError("byzantine clients are supported on the mean task only")
             self.shards, validation, self.test_shard = softmax_task_generate(
-                n_clients=n,
                 group_counts=spec.group_counts,
                 alpha=spec.mixing_alpha,
                 feature_dim=d,
@@ -260,18 +267,14 @@ class RunState:
                 test_size=spec.test_size,
             )
             if spec.validation_mode == MODE_REUSE_TRAIN:
-                self.oracle = SoftmaxValidationOracle(
-                    self.shards[0], spec.n_classes, mode=MODE_REUSE_TRAIN
-                )
-            else:
-                self.oracle = SoftmaxValidationOracle(validation, spec.n_classes, mode=MODE_EXTRA)
-            self.centers = None
-            self.target_optimum = None
+                validation = self.shards[0]
+            self.oracle = SoftmaxValidationOracle(validation, spec.n_classes)
             self.model_dim = spec.n_classes * d
             point0 = np.zeros(self.model_dim)
 
+        # Fresh copies: rules keep cross-round state, and the spec may be rerun.
+        self.rules = [dataclasses.replace(rule) for rule in spec.methods]
         self.points = {m.label: point0.copy() for m in spec.methods}
-        self.method_states = {m.label: MethodState() for m in spec.methods}
         self.metrics: list[RoundMetrics] = []
         self.weight_rows: list[tuple[int, str, np.ndarray]] = []
         self.delta_sums = {m.label: 0.0 for m in spec.methods}
@@ -300,86 +303,22 @@ class RunState:
     def state_metrics(self, label: str, round_index: int, delta: Optional[float]) -> RoundMetrics:
         x = self.points[label]
         val_loss, _ = self.oracle.evaluate(x)
+        row = RoundMetrics(
+            round_index=round_index, method=label, val_loss=float(val_loss), delta=delta
+        )
         if self.spec.task == TASK_MEAN:
             r = x - self.target_optimum
-            dist_sq = float(r @ r)
-            return RoundMetrics(
-                round_index=round_index,
-                method=label,
-                val_loss=float(val_loss),
-                dist_sq=dist_sq,
-                loss_gap=dist_sq,
-                grad_norm_sq=4.0 * dist_sq,
-                delta=delta,
-            )
-        theta = x.reshape(self.spec.n_classes, -1)
-        acc = softmax_accuracy(theta, self.test_shard.samples, self.test_shard.labels)
-        return RoundMetrics(
-            round_index=round_index,
-            method=label,
-            val_loss=float(val_loss),
-            accuracy=acc,
-            delta=delta,
-        )
+            row.dist_sq = row.loss_gap = float(r @ r)
+            row.grad_norm_sq = 4.0 * row.dist_sq
+        else:
+            theta = x.reshape(self.spec.n_classes, -1)
+            row.accuracy = softmax_accuracy(theta, self.test_shard.samples, self.test_shard.labels)
+        return row
 
     def grid_delta(self, objective: WeightObjective, w_returned: np.ndarray) -> float:
         """Solver gap against the brute-force simplex grid (small client counts)."""
         grid_best = min(objective.value(w) for w in self._grid)
         return max(objective.value(w_returned) - grid_best, 0.0)
-
-
-def _method_weights(
-    state: RunState,
-    method_index: int,
-    method: MethodConfig,
-    gradients: np.ndarray,
-    round_index: int,
-) -> tuple[np.ndarray, Optional[float]]:
-    spec = state.spec
-    label = method.label
-    if method.kind == KIND_MERITFED:
-        md = dataclasses.replace(
-            method.md, rng=streams.substream(spec.master_seed, streams.MD, method_index, round_index)
-        )
-        w, delta = weights_meritfed(
-            state.points[label], gradients, method.model_step, md, state.oracle
-        )
-        if state.delta_estimator == DELTA_ESTIMATOR_GRID:
-            objective = WeightObjective(
-                x=state.points[label],
-                gradients=gradients,
-                model_step=method.model_step,
-                loss_oracle=state.oracle,
-            )
-            delta = state.grid_delta(objective, w)
-        return w, delta
-    if method.kind == KIND_SGD_FULL:
-        return weights_sgd_full(spec.n_clients), None
-    if method.kind == KIND_SGD_IDEAL:
-        return weights_sgd_ideal(method.ideal_indices, spec.n_clients), None
-    if method.kind == KIND_FEDADP:
-        w = weights_fedadp(
-            gradients,
-            target_index=0,
-            state=state.method_states[label],
-            alpha=method.fedadp_alpha,
-            smoothing=method.fedadp_smoothing,
-        )
-        return w, None
-    if method.kind == KIND_TAWT:
-        w = weights_tawt(
-            gradients,
-            target_index=0,
-            state=state.method_states[label],
-            step=method.tawt_step,
-            scale=method.tawt_scale,
-            mode=method.tawt_mode,
-        )
-        return w, None
-    if method.kind == KIND_FEDAVG:
-        rng = streams.substream(spec.master_seed, streams.METHOD, method_index, round_index)
-        return weights_fedavg_sampled(spec.n_clients, method.sample_count, rng), None
-    raise ConfigError(f"unknown method kind {method.kind!r}")
 
 
 def run_round(state: RunState, round_index: int, observer: Optional[Observer] = None) -> None:
@@ -401,8 +340,8 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
                 )
                 noise_draws[role.index] = rng.standard_normal(state.model_dim)
 
-    for method_index, method in enumerate(spec.methods):
-        label = method.label
+    for method_index, rule in enumerate(state.rules):
+        label = rule.label
         x = state.points[label]
 
         # Phase 1: what every client would honestly send at this method's point.
@@ -428,17 +367,28 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
             ).items():
                 gradients[idx] = message
 
-        GradientSet(vectors=gradients, round_index=round_index)  # finiteness check
+        if not np.all(np.isfinite(gradients)):
+            raise NumericInputError(f"round {round_index}: non-finite client message")
 
         # Phase 3: weights, metrics at the pre-update point, model update.
-        w, delta = _method_weights(state, method_index, method, gradients, round_index)
+        w, delta = rule.weights(
+            x,
+            gradients,
+            state.oracle,
+            lambda tag: streams.substream(spec.master_seed, tag, method_index, round_index),
+        )
         w = check_weights(w, n=n)
+        if delta is not None and state.delta_estimator == DELTA_ESTIMATOR_GRID:
+            objective = WeightObjective(
+                x=x, gradients=gradients, model_step=rule.model_step, loss_oracle=state.oracle
+            )
+            delta = state.grid_delta(objective, w)
         if delta is not None:
             state.delta_sums[label] += delta
         state.metrics.append(state.state_metrics(label, round_index, delta))
         if round_index % spec.weight_log_every == 0 or round_index == spec.rounds - 1:
             state.weight_rows.append((round_index, label, w.copy()))
-        x_new = apply_update(x, gradients, w, method.model_step)
+        x_new = apply_update(x, gradients, w, rule.model_step)
         if observer is not None:
             observer(round_index, label, x, gradients, w, delta, x_new)
         state.points[label] = x_new
@@ -494,27 +444,26 @@ def _convergence_report(state: RunState) -> list[ConvergenceRow]:
     by_method: dict[str, list[RoundMetrics]] = {m.label: [] for m in spec.methods}
     for row in state.metrics:
         by_method[row.method].append(row)
-    for method in spec.methods:
-        history = sorted(by_method[method.label], key=lambda r: r.round_index)
+    for rule in spec.methods:
+        history = sorted(by_method[rule.label], key=lambda r: r.round_index)
         pre_update = history[: spec.rounds]
         initial_gap = pre_update[0].loss_gap
         avg_grad = float(np.mean([r.grad_norm_sq for r in pre_update]))
         final_gap = history[-1].loss_gap
-        delta_bar = state.delta_sums[method.label] / spec.rounds
+        delta_bar = state.delta_sums[rule.label] / spec.rounds
         bounds = check_convergence_bounds(
             initial_gap=initial_gap,
             avg_grad_norm_sq=avg_grad,
             final_gap=final_gap,
             rounds=spec.rounds,
-            model_step=method.model_step,
+            model_step=rule.model_step,
             group_size=group_size,
             sigma_sq=sigma_sq,
             delta_bar=delta_bar,
         )
-        applies = spec.byzantine_count == 0 or method.kind in (KIND_MERITFED, KIND_SGD_IDEAL)
         rows.append(
             ConvergenceRow(
-                method=method.label,
+                method=rule.label,
                 rounds=spec.rounds,
                 group_size=group_size,
                 sigma_sq=sigma_sq,
@@ -522,13 +471,9 @@ def _convergence_report(state: RunState) -> list[ConvergenceRow]:
                 delta_estimator=state.delta_estimator,
                 initial_gap=initial_gap,
                 avg_grad_norm_sq=avg_grad,
-                noncvx_rhs=bounds["noncvx_rhs"],
-                noncvx_holds=bounds["noncvx_holds"],
                 final_gap=final_gap,
-                pl_rhs=bounds["pl_rhs"],
-                pl_holds=bounds["pl_holds"],
-                step_size_ok=bounds["step_size_ok"],
-                applies=applies,
+                applies=spec.byzantine_count == 0 or rule.bound_holds_under_attack,
+                **bounds,
             )
         )
     return rows
@@ -541,8 +486,8 @@ def run_experiment(
     state = RunState(spec)
     for t in range(spec.rounds):
         run_round(state, t, observer=observer)
-    for method in spec.methods:
-        state.metrics.append(state.state_metrics(method.label, spec.rounds, None))
+    for rule in spec.methods:
+        state.metrics.append(state.state_metrics(rule.label, spec.rounds, None))
     return ExperimentResult(
         spec=spec,
         metrics=state.metrics,
@@ -551,6 +496,5 @@ def run_experiment(
         mixture_direction=state.mixture_direction,
         final_points={label: x.copy() for label, x in state.points.items()},
         oracle=state.oracle,
-        target_optimum=state.target_optimum,
         shards=state.shards,
     )

@@ -29,10 +29,6 @@ class EmptyBatchError(MeritFedError):
     """A gradient was requested on an empty sample batch."""
 
 
-class UnsupportedTaskError(MeritFedError):
-    """The requested closed-form quantity is not defined for this task."""
-
-
 class DataError(MeritFedError):
     """A data record is inconsistent with the task definition."""
 

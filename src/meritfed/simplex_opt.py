@@ -77,6 +77,19 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     return out / total
 
 
+def checked_gradient_set(
+    x: np.ndarray, gradients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A point and its (n, d) client gradient set as float arrays of agreeing dimension."""
+    x = np.asarray(x, dtype=float)
+    gradients = np.asarray(gradients, dtype=float)
+    if gradients.ndim != 2 or gradients.shape[1] != x.shape[0]:
+        raise ShapeError(
+            f"gradient set shape {gradients.shape} does not match point dimension {x.shape[0]}"
+        )
+    return x, gradients
+
+
 def weight_gradient_exact(
     x: np.ndarray,
     gradients: np.ndarray,
@@ -89,12 +102,7 @@ def weight_gradient_exact(
     By the chain rule the i-th component is
     -model_step * <g_i, grad f_hat(candidate)>.
     """
-    x = np.asarray(x, dtype=float)
-    gradients = np.asarray(gradients, dtype=float)
-    if gradients.ndim != 2 or gradients.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"gradient set shape {gradients.shape} does not match point dimension {x.shape[0]}"
-        )
+    x, gradients = checked_gradient_set(x, gradients)
     candidate = x - model_step * (np.asarray(w, dtype=float) @ gradients)
     return -model_step * (gradients @ np.asarray(val_grad(candidate), dtype=float))
 
@@ -165,13 +173,7 @@ class WeightObjective:
     loss_oracle: object
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.gradients = np.asarray(self.gradients, dtype=float)
-        if self.gradients.ndim != 2 or self.gradients.shape[1] != self.x.shape[0]:
-            raise ShapeError(
-                f"gradient set shape {self.gradients.shape} does not match "
-                f"point dimension {self.x.shape[0]}"
-            )
+        self.x, self.gradients = checked_gradient_set(self.x, self.gradients)
         if self.model_step <= 0.0:
             raise InvalidDimensionError(f"model_step must be positive, got {self.model_step}")
 
@@ -188,8 +190,13 @@ class WeightObjective:
 
     def gradient(self, w: np.ndarray, minibatch: int = 0, rng=None) -> np.ndarray:
         """Exact chain-rule gradient in w, optionally on a validation minibatch."""
-        _, val_grad = self.loss_oracle.evaluate(self.candidate(w), minibatch=minibatch, rng=rng)
-        return -self.model_step * (self.gradients @ np.asarray(val_grad, dtype=float))
+        return weight_gradient_exact(
+            self.x,
+            self.gradients,
+            self.model_step,
+            lambda y: self.loss_oracle.evaluate(y, minibatch=minibatch, rng=rng)[1],
+            w,
+        )
 
 
 def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, float]:

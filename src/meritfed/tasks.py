@@ -16,17 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptyBatchError,
-    ShapeError,
-    UnsupportedTaskError,
-)
+from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
 from . import streams
-
-KIND_GAUSSIAN = "gaussian-mean"
-KIND_SOFTMAX = "softmax-cluster"
 
 MODE_EXTRA = "extra-validation"
 MODE_REUSE_TRAIN = "reuse-train"
@@ -43,66 +34,11 @@ MEAN_PL_CONSTANT = 2.0
 
 
 @dataclass
-class DistributionSpec:
-    """One client group's data distribution."""
-
-    kind: str
-    group_id: int
-    center: Optional[np.ndarray] = None  # gaussian-mean
-    alpha: float = 1.0  # softmax-cluster mixing fraction
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_GAUSSIAN, KIND_SOFTMAX):
-            raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == KIND_GAUSSIAN:
-            if self.center is None:
-                raise ConfigError("gaussian-mean distribution needs a center")
-            self.center = np.asarray(self.center, dtype=float)
-        if self.kind == KIND_SOFTMAX and not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"mixing fraction must lie in (0, 1], got {self.alpha}")
-
-
-@dataclass
 class DatasetShard:
     """One client's local dataset."""
 
     samples: np.ndarray  # (count, d) features; mean task uses these directly
-    owner: int
-    group_id: int
     labels: Optional[np.ndarray] = None  # softmax task only
-
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
-
-
-def mean_loss(x: np.ndarray, sample: np.ndarray) -> float:
-    """Squared distance ||x - sample||^2."""
-    x = np.asarray(x, dtype=float)
-    sample = np.asarray(sample, dtype=float)
-    if x.shape != sample.shape:
-        raise ShapeError(f"point shape {x.shape} does not match sample shape {sample.shape}")
-    r = x - sample
-    return float(r @ r)
-
-
-def mean_grad(x: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Stochastic gradient 2(x - batch mean) of the mean-estimation loss."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if batch.shape[0] == 0:
-        raise EmptyBatchError("gradient requested on an empty batch")
-    x = np.asarray(x, dtype=float)
-    if batch.shape[1] != x.shape[0]:
-        raise ShapeError(f"batch dimension {batch.shape[1]} does not match point {x.shape[0]}")
-    return 2.0 * (x - batch.mean(axis=0))
-
-
-def mean_true_optimum(spec: DistributionSpec) -> tuple[np.ndarray, float]:
-    """Closed-form optimum of E||x - xi||^2: the center, with value d."""
-    if spec.kind != KIND_GAUSSIAN:
-        raise UnsupportedTaskError("closed-form optimum is defined for the gaussian task only")
-    center = np.asarray(spec.center, dtype=float)
-    return center.copy(), float(center.size)
 
 
 def generate_mean_shards(
@@ -118,7 +54,7 @@ def generate_mean_shards(
     for i in range(centers.shape[0]):
         rng = streams.substream(master_seed, streams.SHARDS, i)
         samples = centers[i] + rng.standard_normal((shard_size, centers.shape[1]))
-        shards.append(DatasetShard(samples=samples, owner=i, group_id=-1))
+        shards.append(DatasetShard(samples=samples))
     return shards
 
 
@@ -149,17 +85,13 @@ def _softmax_labels_for_group(
         return rng.choice(target, size=count)
     if group_id == 2:
         take_target = rng.random(count) < alpha
-        labels = np.where(take_target, rng.choice(target, size=count), rng.choice(mixed, size=count))
-        return labels
-    if group_id == 3:
-        if disjoint.size == 0:
-            raise ConfigError("softmax task needs classes beyond the mixed-in set for group 3")
-        return rng.choice(disjoint, size=count)
-    raise ConfigError(f"unknown softmax group id {group_id}")
+        return np.where(take_target, rng.choice(target, size=count), rng.choice(mixed, size=count))
+    if disjoint.size == 0:
+        raise ConfigError("softmax task needs classes beyond the mixed-in set for group 3")
+    return rng.choice(disjoint, size=count)
 
 
 def softmax_task_generate(
-    n_clients: int,
     group_counts: tuple[int, int, int],
     alpha: float,
     feature_dim: int,
@@ -170,27 +102,25 @@ def softmax_task_generate(
     test_size: int,
 ) -> tuple[list[DatasetShard], DatasetShard, DatasetShard]:
     """Client shards plus held-out target-distribution validation and test shards."""
-    if sum(group_counts) != n_clients:
-        raise ConfigError(f"group counts {group_counts} do not sum to n={n_clients}")
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"mixing fraction must lie in (0, 1], got {alpha}")
     centers = softmax_class_centers(n_classes, feature_dim)
     group_of = [1] * group_counts[0] + [2] * group_counts[1] + [3] * group_counts[2]
     shards = []
-    for i in range(n_clients):
+    for i in range(len(group_of)):
         rng = streams.substream(master_seed, streams.SHARDS, i)
         labels = _softmax_labels_for_group(rng, shard_size, group_of[i], alpha, n_classes)
         features = centers[labels] + rng.standard_normal((shard_size, feature_dim))
-        shards.append(DatasetShard(samples=features, owner=i, group_id=group_of[i], labels=labels))
+        shards.append(DatasetShard(samples=features, labels=labels))
 
-    def held_out(tag: int, count: int, owner: int) -> DatasetShard:
+    def held_out(tag: int, count: int) -> DatasetShard:
         rng = streams.substream(master_seed, tag)
         labels = rng.choice(np.asarray(TARGET_CLASSES), size=count)
         features = centers[labels] + rng.standard_normal((count, feature_dim))
-        return DatasetShard(samples=features, owner=owner, group_id=1, labels=labels)
+        return DatasetShard(samples=features, labels=labels)
 
-    validation = held_out(streams.VALIDATION, validation_size, -1)
-    test = held_out(streams.TEST_SET, test_size, -2)
+    validation = held_out(streams.VALIDATION, validation_size)
+    test = held_out(streams.TEST_SET, test_size)
     return shards, validation, test
 
 
@@ -228,28 +158,48 @@ def softmax_accuracy(theta: np.ndarray, features: np.ndarray, labels: np.ndarray
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
-class MeanValidationOracle:
+class SampleOracle:
+    """Validation objective over a held-out sample set of `size` rows.
+
+    evaluate(x) uses the full set; evaluate(x, minibatch=m, rng=rng) uses m
+    rows drawn without replacement from rng. Subclasses provide the full-set
+    evaluation and the evaluation on given rows.
+    """
+
+    def __init__(self, size: int) -> None:
+        if size == 0:
+            raise ConfigError("validation set is empty")
+        self.size = size
+
+    def sample_rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.choice(self.size, size=count, replace=False)
+
+    def evaluate(
+        self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
+    ) -> tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        if minibatch < 0 or minibatch > self.size:
+            raise ConfigError(f"minibatch {minibatch} out of range for validation size {self.size}")
+        if minibatch in (0, self.size):
+            return self._evaluate_all(x)
+        if rng is None:
+            raise ConfigError("minibatch evaluation needs an rng")
+        return self.evaluate_rows(x, self.sample_rows(minibatch, rng))
+
+
+class MeanValidationOracle(SampleOracle):
     """Empirical mean-estimation objective over a held-out sample set.
 
     f_hat(x) = mean_i ||x - xi_i||^2 evaluated in O(d) through the precomputed
     sample mean and mean squared norm.
     """
 
-    def __init__(self, samples: np.ndarray, mode: str = MODE_EXTRA) -> None:
+    def __init__(self, samples: np.ndarray) -> None:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if samples.shape[0] == 0:
-            raise ConfigError("validation set is empty")
+        super().__init__(samples.shape[0])
         self.samples = samples
-        self.mode = mode
         self.mean = samples.mean(axis=0)
         self.mean_sq_norm = float(np.mean((samples * samples).sum(axis=1)))
-
-    @property
-    def size(self) -> int:
-        return self.samples.shape[0]
-
-    def sample_rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.size, size=count, replace=False)
 
     def evaluate_rows(self, x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
         subset = self.samples[rows]
@@ -257,34 +207,42 @@ class MeanValidationOracle:
         value = float(x @ x - 2.0 * (x @ sub_mean) + np.mean((subset * subset).sum(axis=1)))
         return value, 2.0 * (x - sub_mean)
 
-    def evaluate(
-        self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
-    ) -> tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        if minibatch < 0 or minibatch > self.size:
-            raise ConfigError(f"minibatch {minibatch} out of range for validation size {self.size}")
-        if minibatch in (0, self.size):
-            value = float(x @ x - 2.0 * (x @ self.mean) + self.mean_sq_norm)
-            return value, 2.0 * (x - self.mean)
-        if rng is None:
-            raise ConfigError("minibatch evaluation needs an rng")
-        return self.evaluate_rows(x, self.sample_rows(minibatch, rng))
+    def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        value = float(x @ x - 2.0 * (x @ self.mean) + self.mean_sq_norm)
+        return value, 2.0 * (x - self.mean)
+
+
+class SoftmaxValidationOracle(SampleOracle):
+    """Empirical cross-entropy objective over a held-out labeled sample set."""
+
+    def __init__(self, shard: DatasetShard, n_classes: int) -> None:
+        super().__init__(shard.samples.shape[0])
+        self.shard = shard
+        self.n_classes = n_classes
+
+    def evaluate_rows(self, x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(x, dtype=float).reshape(self.n_classes, -1)
+        loss, grad = softmax_loss_grad(theta, self.shard.samples[rows], self.shard.labels[rows])
+        return loss, grad.ravel()
+
+    def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = x.reshape(self.n_classes, -1)
+        loss, grad = softmax_loss_grad(theta, self.shard.samples, self.shard.labels)
+        return loss, grad.ravel()
 
 
 class PopulationMeanOracle:
     """Noise-free mean-estimation objective from the known distribution center.
 
     Evaluates the true expected loss ||x - center||^2 + d; used by
-    verification runs that need an exact validation gradient.
+    verification runs that need an exact validation gradient. It holds no
+    rows, so no minibatch can be drawn from it.
     """
+
+    size = 0
 
     def __init__(self, center: np.ndarray) -> None:
         self.center = np.asarray(center, dtype=float)
-        self.mode = MODE_POPULATION
-
-    @property
-    def size(self) -> int:
-        return 0
 
     def evaluate(
         self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
@@ -292,72 +250,3 @@ class PopulationMeanOracle:
         x = np.asarray(x, dtype=float)
         r = x - self.center
         return float(r @ r) + float(self.center.size), 2.0 * r
-
-
-class SoftmaxValidationOracle:
-    """Empirical cross-entropy objective over a held-out labeled sample set."""
-
-    def __init__(self, shard: DatasetShard, n_classes: int, mode: str = MODE_EXTRA) -> None:
-        if shard.count == 0:
-            raise ConfigError("validation set is empty")
-        self.shard = shard
-        self.n_classes = n_classes
-        self.mode = mode
-
-    @property
-    def size(self) -> int:
-        return self.shard.count
-
-    def sample_rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.size, size=count, replace=False)
-
-    def evaluate_rows(self, x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(x, dtype=float).reshape(self.n_classes, -1)
-        loss, grad = softmax_loss_grad(theta, self.shard.samples[rows], self.shard.labels[rows])
-        return loss, grad.ravel()
-
-    def evaluate(
-        self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
-    ) -> tuple[float, np.ndarray]:
-        if minibatch < 0 or minibatch > self.size:
-            raise ConfigError(f"minibatch {minibatch} out of range for validation size {self.size}")
-        if minibatch in (0, self.size):
-            theta = np.asarray(x, dtype=float).reshape(self.n_classes, -1)
-            loss, grad = softmax_loss_grad(theta, self.shard.samples, self.shard.labels)
-            return loss, grad.ravel()
-        if rng is None:
-            raise ConfigError("minibatch evaluation needs an rng")
-        return self.evaluate_rows(x, self.sample_rows(minibatch, rng))
-
-
-def validation_eval(
-    oracle, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
-) -> tuple[float, np.ndarray]:
-    """Evaluate a validation oracle: (f_hat value, f_hat gradient).
-
-    minibatch=0 uses the full held-out set; minibatch>0 samples that many
-    rows without replacement from the supplied stream.
-    """
-    return oracle.evaluate(x, minibatch=minibatch, rng=rng)
-
-
-def save_shard(path: str, shard: DatasetShard) -> None:
-    """Write a mean-task shard as delimited text with a one-line header."""
-    header = f"{shard.samples.shape[1]} {shard.count} {shard.group_id}"
-    np.savetxt(path, shard.samples, fmt="%.17g", header=header, comments="# ")
-
-
-def load_shard(path: str, owner: int = -1) -> DatasetShard:
-    """Read a mean-task shard written by save_shard."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    if not first.startswith("# "):
-        raise DataError(f"{path}: missing shard header line")
-    try:
-        dim, count, group_id = (int(tok) for tok in first[2:].split())
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed shard header {first!r}") from exc
-    samples = np.loadtxt(path, ndmin=2)
-    if samples.shape != (count, dim):
-        raise DataError(f"{path}: shard body {samples.shape} does not match header ({count}, {dim})")
-    return DatasetShard(samples=samples, owner=owner, group_id=group_id)

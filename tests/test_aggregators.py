@@ -12,52 +12,88 @@ import numpy as np
 import pytest
 
 from meritfed.aggregators import (
-    FEDADP_SMOOTH_NONE,
-    FEDADP_SMOOTH_RUNNING,
-    TAWT_MODE_ANGLE,
-    TAWT_MODE_COSINE,
-    MethodConfig,
-    MethodState,
+    FedAdp,
+    FedAvg,
+    MeritFed,
+    SgdFull,
+    SgdIdeal,
+    Tawt,
     angle,
     apply_update,
     gompertz_map,
-    weights_fedadp,
-    weights_fedavg_sampled,
-    weights_meritfed,
-    weights_sgd_full,
-    weights_sgd_ideal,
-    weights_tawt,
 )
 from meritfed.errors import ConfigError, ShapeError, UndefinedAngleError
 from meritfed.simplex_opt import ESTIMATOR_EXACT, MdConfig, WeightObjective, uniform_weights
 from meritfed.tasks import MeanValidationOracle
 
 
+def no_stream(tag):
+    raise AssertionError(f"a deterministic rule opened stream {tag}")
+
+
+def weights(rule, gradients, x=None, oracle=None, stream_for=no_stream):
+    """One round of a rule on a gradient set (the point matters only to solver rules)."""
+    gradients = np.asarray(gradients, dtype=float)
+    x = np.zeros(gradients.shape[1]) if x is None else x
+    return rule.weights(x, gradients, oracle, stream_for)
+
+
+def full_weights(n):
+    return weights(SgdFull("sgd-full", 0.01), np.ones((n, 1)))[0]
+
+
+def ideal_weights(indices, n):
+    rule = SgdIdeal("sgd-ideal", 0.01, ideal_indices=tuple(indices))
+    rule.check(n, 0)
+    return weights(rule, np.ones((n, 1)))[0]
+
+
+def fedadp():
+    return FedAdp("fedadp", 0.01, alpha=5.0)
+
+
+def tawt(step):
+    return Tawt("tawt", 0.01, step_size=step)
+
+
+def sampled_weights(n, k, rng):
+    rule = FedAvg(f"fedavg-{k}", 0.01, sample_count=k)
+    rule.check(n, 0)
+    return weights(rule, np.ones((n, 1)), stream_for=lambda tag: rng)[0]
+
+
+def meritfed_weights(x, g, model_step, md, oracle):
+    rule = MeritFed("meritfed-md", model_step, md=md)
+    return weights(rule, g, x=x, oracle=oracle, stream_for=np.random.default_rng)
+
+
 class TestFixedRules:
     def test_full_uniform_many_clients(self):
-        w = weights_sgd_full(150)
+        w = full_weights(150)
         assert np.all(w == 1.0 / 150)
 
     def test_full_single_client(self):
-        np.testing.assert_array_equal(weights_sgd_full(1), [1.0])
+        np.testing.assert_array_equal(full_weights(1), [1.0])
 
     def test_full_equals_uniform_weights(self):
-        np.testing.assert_array_equal(weights_sgd_full(7), uniform_weights(7))
+        np.testing.assert_array_equal(full_weights(7), uniform_weights(7))
 
     def test_ideal_first_five(self):
-        w = weights_sgd_ideal(range(5), 150)
+        w = ideal_weights(range(5), 150)
         assert np.all(w[:5] == 0.2)
         assert np.all(w[5:] == 0.0)
 
     def test_ideal_singleton(self):
-        np.testing.assert_array_equal(weights_sgd_ideal([0], 5), [1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(ideal_weights([0], 5), [1, 0, 0, 0, 0])
 
     def test_ideal_full_set_degenerates_to_uniform(self):
-        np.testing.assert_array_equal(weights_sgd_ideal(range(6), 6), weights_sgd_full(6))
+        np.testing.assert_array_equal(ideal_weights(range(6), 6), full_weights(6))
 
     def test_ideal_empty_rejected(self):
         with pytest.raises(ConfigError):
-            weights_sgd_ideal([], 5)
+            ideal_weights([], 5)
+        with pytest.raises(ConfigError):
+            ideal_weights([5], 5)
 
 
 class TestAngle:
@@ -83,11 +119,13 @@ class TestAngle:
 
 
 class TestAngleMappedWeights:
+    # A fresh rule's first round maps the raw angles, with no smoothing yet.
+
     def test_identical_gradients_uniform(self):
         g = np.tile(np.array([1.0, 1.0]), (4, 1))
-        state = MethodState()
-        w = weights_fedadp(g, target_index=0, state=state, alpha=5.0, smoothing=FEDADP_SMOOTH_NONE)
+        w, delta = weights(fedadp(), g)
         np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-12)
+        assert delta is None
 
     def test_opposed_pair_ratio_matches_high_precision_oracle(self):
         # Two clients at angles 0 and pi through the alpha=5 double-exponential
@@ -101,9 +139,7 @@ class TestAngleMappedWeights:
         assert abs(expected_ratio - 23.59) <= 0.01  # sanity on the oracle itself
 
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        w = weights_fedadp(
-            g, target_index=0, state=MethodState(), alpha=5.0, smoothing=FEDADP_SMOOTH_NONE
-        )
+        w, _ = weights(fedadp(), g)
         assert abs(w[0] / w[1] - expected_ratio) <= 1e-10 * expected_ratio
 
     def test_gompertz_values_match_oracle(self):
@@ -117,17 +153,15 @@ class TestAngleMappedWeights:
         rng = np.random.default_rng(10)
         for _ in range(20):
             g = rng.standard_normal((6, 4))
-            w = weights_fedadp(
-                g, target_index=0, state=MethodState(), alpha=5.0, smoothing=FEDADP_SMOOTH_NONE
-            )
+            w, _ = weights(fedadp(), g)
             assert w[0] >= w.max() - 1e-12
 
     def test_running_mean_smoothing_accumulates(self):
         g1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         g2 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        state = MethodState()
-        w1 = weights_fedadp(g1, 0, state, 5.0, FEDADP_SMOOTH_RUNNING)
-        w2 = weights_fedadp(g2, 0, state, 5.0, FEDADP_SMOOTH_RUNNING)
+        rule = fedadp()
+        w1, _ = weights(rule, g1)
+        w2, _ = weights(rule, g2)
         # Second-round smoothed angle for client 1 is (pi/2 + 0)/2 = pi/4,
         # so its weight rises but stays below the target's.
         assert w2[1] > w1[1]
@@ -138,45 +172,45 @@ class TestAngleMappedWeights:
         g = rng.standard_normal((5, 3))
         scaled = g.copy()
         scaled[2] *= 2.0
-        w_base = weights_fedadp(g, 0, MethodState(), 5.0, FEDADP_SMOOTH_NONE)
-        w_scaled = weights_fedadp(scaled, 0, MethodState(), 5.0, FEDADP_SMOOTH_NONE)
+        w_base, _ = weights(fedadp(), g)
+        w_scaled, _ = weights(fedadp(), scaled)
         np.testing.assert_allclose(w_base, w_scaled, atol=1e-12)
 
     def test_zero_target_gradient_rejected(self):
         g = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(UndefinedAngleError):
-            weights_fedadp(g, 0, MethodState(), 5.0, FEDADP_SMOOTH_NONE)
+            weights(fedadp(), g)
 
 
 class TestMultiplicativeAngleRule:
     def test_identical_gradients_stay_uniform(self):
         g = np.tile(np.array([2.0, -1.0]), (3, 1))
-        state = MethodState()
-        w = weights_tawt(g, target_index=0, state=state, step=1.0)
+        w, delta = weights(tawt(1.0), g)
         np.testing.assert_allclose(w, np.full(3, 1.0 / 3.0), atol=1e-12)
+        assert delta is None
 
     def test_opposed_client_loses_mass_every_round(self):
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        state = MethodState()
+        rule = tawt(0.5)
         previous = 0.5
         for _ in range(5):
-            w = weights_tawt(g, 0, state, step=0.5)
+            w, _ = weights(rule, g)
             assert w[1] < previous
             previous = w[1]
 
     def test_state_persists_between_rounds(self):
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
-        state = MethodState()
-        w1 = weights_tawt(g, 0, state, step=1.0).copy()
-        w2 = weights_tawt(g, 0, state, step=1.0)
+        rule = tawt(1.0)
+        w1 = weights(rule, g)[0].copy()
+        w2, _ = weights(rule, g)
         assert not np.array_equal(w1, w2)
 
     def test_valid_simplex_every_round(self):
         rng = np.random.default_rng(6)
-        state = MethodState()
+        rule = tawt(2.0)
         for _ in range(50):
             g = rng.standard_normal((4, 3))
-            w = weights_tawt(g, 0, state, step=2.0)
+            w, _ = weights(rule, g)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-9
 
@@ -185,24 +219,18 @@ class TestMultiplicativeAngleRule:
         g = rng.standard_normal((4, 3))
         scaled = g.copy()
         scaled[1] *= 2.0
-        w_base = weights_tawt(g, 0, MethodState(), step=1.0)
-        w_scaled = weights_tawt(scaled, 0, MethodState(), step=1.0)
+        w_base, _ = weights(tawt(1.0), g)
+        w_scaled, _ = weights(tawt(1.0), scaled)
         np.testing.assert_allclose(w_base, w_scaled, atol=1e-12)
-
-    def test_angle_mode_differs_from_cosine_mode(self):
-        g = np.array([[1.0, 0.0], [0.5, 0.5]])
-        w_cos = weights_tawt(g, 0, MethodState(), step=1.0, mode=TAWT_MODE_COSINE)
-        w_ang = weights_tawt(g, 0, MethodState(), step=1.0, mode=TAWT_MODE_ANGLE)
-        assert not np.allclose(w_cos, w_ang)
 
 
 class TestSampledSubsetRule:
     def test_full_participation_is_uniform(self):
-        w = weights_fedavg_sampled(6, 6, np.random.default_rng(0))
-        np.testing.assert_array_equal(w, weights_sgd_full(6))
+        w = sampled_weights(6, 6, np.random.default_rng(0))
+        np.testing.assert_array_equal(w, full_weights(6))
 
     def test_single_sample_is_one_hot(self):
-        w = weights_fedavg_sampled(8, 1, np.random.default_rng(1))
+        w = sampled_weights(8, 1, np.random.default_rng(1))
         assert sorted(np.unique(w)) == [0.0, 1.0]
         assert w.sum() == 1.0
 
@@ -211,7 +239,7 @@ class TestSampledSubsetRule:
         rng = np.random.default_rng(15)
         hits = np.zeros(n)
         for _ in range(m):
-            hits += weights_fedavg_sampled(n, k, rng) > 0
+            hits += sampled_weights(n, k, rng) > 0
         freq = hits / m
         p = k / n
         se = math.sqrt(p * (1 - p) / m)
@@ -219,9 +247,9 @@ class TestSampledSubsetRule:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            weights_fedavg_sampled(5, 0, np.random.default_rng(0))
+            sampled_weights(5, 0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            weights_fedavg_sampled(5, 6, np.random.default_rng(0))
+            sampled_weights(5, 6, np.random.default_rng(0))
 
 
 class TestMeritFedRule:
@@ -232,7 +260,7 @@ class TestMeritFedRule:
         x = np.array([1.0])
         g = np.array([[2.0], [-2.0]])
         md = MdConfig(step_size=1.0, step_count=200, estimator=ESTIMATOR_EXACT)
-        w, delta = weights_meritfed(x, g, 0.25, md, self.oracle())
+        w, delta = meritfed_weights(x, g, 0.25, md, self.oracle())
         assert w[0] >= 0.99
         assert delta >= 0.0
 
@@ -240,7 +268,7 @@ class TestMeritFedRule:
         x = np.array([1.0])
         g = np.tile(np.array([0.5]), (5, 1))
         md = MdConfig(step_size=1.0, step_count=50, estimator=ESTIMATOR_EXACT)
-        w, _ = weights_meritfed(x, g, 0.25, md, self.oracle())
+        w, _ = meritfed_weights(x, g, 0.25, md, self.oracle())
         np.testing.assert_allclose(w, np.full(5, 0.2), atol=1e-12)
 
     def test_duplicated_validation_set_changes_nothing(self):
@@ -249,8 +277,10 @@ class TestMeritFedRule:
         x = rng.standard_normal(3)
         g = rng.standard_normal((4, 3))
         md = MdConfig(step_size=1.0, step_count=50, estimator=ESTIMATOR_EXACT)
-        w1, d1 = weights_meritfed(x, g, 0.1, md, MeanValidationOracle(samples))
-        w2, d2 = weights_meritfed(x, g, 0.1, md, MeanValidationOracle(np.vstack([samples, samples])))
+        w1, d1 = meritfed_weights(x, g, 0.1, md, MeanValidationOracle(samples))
+        w2, d2 = meritfed_weights(
+            x, g, 0.1, md, MeanValidationOracle(np.vstack([samples, samples]))
+        )
         np.testing.assert_allclose(w1, w2, atol=1e-12)
         assert abs(d1 - d2) <= 1e-12
 
@@ -261,8 +291,8 @@ class TestMeritFedRule:
         samples = rng.standard_normal((30, 3))
         md = MdConfig(step_size=1.0, step_count=80, estimator=ESTIMATOR_EXACT)
         perm = np.array([3, 1, 0, 2])
-        w_base, _ = weights_meritfed(x, g, 0.2, md, MeanValidationOracle(samples))
-        w_perm, _ = weights_meritfed(x, g[perm], 0.2, md, MeanValidationOracle(samples))
+        w_base, _ = meritfed_weights(x, g, 0.2, md, MeanValidationOracle(samples))
+        w_perm, _ = meritfed_weights(x, g[perm], 0.2, md, MeanValidationOracle(samples))
         np.testing.assert_allclose(w_perm, w_base[perm], atol=1e-12)
 
     def test_dominates_fixed_reference_weights(self):
@@ -276,8 +306,8 @@ class TestMeritFedRule:
             oracle = MeanValidationOracle(samples)
             obj = WeightObjective(x=x, gradients=g, model_step=0.2, loss_oracle=oracle)
             md = MdConfig(step_size=2.0, step_count=100, estimator=ESTIMATOR_EXACT)
-            w, delta = weights_meritfed(x, g, 0.2, md, oracle)
-            reference = weights_sgd_ideal(range(2), 5)
+            w, delta = meritfed_weights(x, g, 0.2, md, oracle)
+            reference = ideal_weights(range(2), 5)
             assert obj.value(w) <= obj.value(reference) + delta + 1e-3
 
 
@@ -297,7 +327,7 @@ class TestApplyUpdate:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(3)
         g = rng.standard_normal((5, 3))
-        out = apply_update(x, g, weights_sgd_full(5), 0.1)
+        out = apply_update(x, g, full_weights(5), 0.1)
         np.testing.assert_allclose(out, x - 0.1 * g.mean(axis=0), rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -310,14 +340,17 @@ class TestApplyUpdate:
 
 
 class TestMethodConfigValidation:
+    # Constructor and config-time checks of the rule classes.
+
     def test_ideal_requires_indices(self):
+        rule = SgdIdeal("ideal", 0.01, ideal_indices=())
         with pytest.raises(ConfigError):
-            MethodConfig(kind="sgd-ideal", label="ideal", model_step=0.01)
+            rule.check(5, 0)
 
     def test_meritfed_requires_md_config(self):
-        with pytest.raises(ConfigError):
-            MethodConfig(kind="meritfed", label="mf", model_step=0.01)
+        with pytest.raises(TypeError):
+            MeritFed("mf", 0.01)
 
     def test_nonpositive_model_step_rejected(self):
         with pytest.raises(ConfigError):
-            MethodConfig(kind="sgd-full", label="full", model_step=0.0)
+            SgdFull("full", 0.0)

@@ -1,7 +1,8 @@
 """Tests for client messages and Byzantine attacks.
 
 Oracles: hand-computed attack arithmetic cross-checked with the stdlib
-statistics module, and Gaussian moment checks for the noise attack.
+statistics module, Gaussian moment checks for the noise attack, and the
+round engine's own honest phase for the honest messages.
 """
 
 import statistics
@@ -9,78 +10,107 @@ import statistics
 import numpy as np
 import pytest
 
+from meritfed.aggregators import SgdFull
 from meritfed.clients import (
     AttackSpec,
     ClientRole,
-    GradientSet,
     attack_alie,
-    attack_bf,
     attack_ipm,
-    attack_rn,
     byzantine_messages,
-    honest_message,
 )
+from meritfed.engine import ExperimentSpec, RunState, run_round
 from meritfed.errors import AttackInputError, ConfigError, NumericInputError
-from meritfed.tasks import DatasetShard, generate_mean_shards
 
 
-def make_shard(seed=0, count=50, d=4):
-    return generate_mean_shards(seed, np.zeros((1, d)), count)[0]
+def honest_spec(**kwargs):
+    # One target-group client with a 50-row shard in dimension 4.
+    defaults = dict(
+        methods=[SgdFull("sgd-full", 0.01)],
+        dim=4,
+        group_counts=(1, 0, 0),
+        shard_size=50,
+        batch_size=10,
+        rounds=2,
+        validation_size=20,
+        master_seed=0,
+    )
+    defaults.update(kwargs)
+    return ExperimentSpec(**defaults)
+
+
+def honest_message(state, x, round_index):
+    """Client 0's honest mean-task gradient 2(x - batch mean) in the engine."""
+    return 2.0 * (x - state.honest_gradient_basis(round_index)[0])
+
+
+def bit_flip(gradients):
+    """Phase-two messages of two sign-flip workers sending after two honest clients."""
+    honest = np.vstack([np.zeros((2, gradients.shape[1])), gradients])
+    roles = [ClientRole(index=i, kind="honest", group_id=1) for i in range(2)] + [
+        ClientRole(index=2 + i, kind="byzantine", attack=AttackSpec(kind="bit-flip"))
+        for i in range(gradients.shape[0])
+    ]
+    out = byzantine_messages(roles, honest, [honest[0], honest[1]], {})
+    return np.array([out[2 + i] for i in range(gradients.shape[0])])
+
+
+def random_noise(g, sigma, draw):
+    """The phase-two message of one random-noise worker given its standard-normal draw."""
+    roles = [
+        ClientRole(index=0, kind="honest", group_id=1),
+        ClientRole(index=1, kind="byzantine", attack=AttackSpec(kind="random-noise", sigma=sigma)),
+    ]
+    honest = np.vstack([np.zeros_like(g), g])
+    return byzantine_messages(roles, honest, [honest[0]], {1: draw})[1]
 
 
 class TestHonestMessage:
     def test_deterministic_for_fixed_stream(self):
-        shard = make_shard()
-        role = ClientRole(index=0, kind="honest", group_id=1)
         x = np.ones(4)
-        a = honest_message(role, x, shard, 10, np.random.default_rng(5))
-        b = honest_message(role, x, shard, 10, np.random.default_rng(5))
+        a = honest_message(RunState(honest_spec()), x, 1)
+        b = honest_message(RunState(honest_spec()), x, 1)
         np.testing.assert_array_equal(a, b)
 
     def test_full_batch_is_stream_independent(self):
-        shard = make_shard()
-        role = ClientRole(index=0, kind="honest", group_id=1)
+        # A batch of the whole shard is a permutation of its rows, so every
+        # round's stream gives the shard mean up to summation order.
+        state = RunState(honest_spec(batch_size=50))
         x = np.ones(4)
-        a = honest_message(role, x, shard, shard.count, np.random.default_rng(1))
-        b = honest_message(role, x, shard, shard.count, np.random.default_rng(999))
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(
+            honest_message(state, x, 0), honest_message(state, x, 1), rtol=0, atol=1e-14
+        )
 
     def test_zero_at_shard_mean_on_full_batch(self):
-        shard = make_shard()
-        role = ClientRole(index=0, kind="honest", group_id=1)
-        x = shard.samples.mean(axis=0)
-        out = honest_message(role, x, shard, shard.count, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, np.zeros(4))
+        state = RunState(honest_spec(batch_size=50))
+        x = state.shards[0].samples.mean(axis=0)
+        np.testing.assert_allclose(honest_message(state, x, 0), np.zeros(4), rtol=0, atol=1e-14)
 
     def test_zero_batch_rejected(self):
-        shard = make_shard()
-        role = ClientRole(index=0, kind="honest", group_id=1)
         with pytest.raises(ConfigError):
-            honest_message(role, np.ones(4), shard, 0, np.random.default_rng(0))
+            honest_spec(batch_size=0).validate()
 
     def test_oversized_batch_rejected(self):
-        shard = make_shard(count=10)
-        role = ClientRole(index=0, kind="honest", group_id=1)
         with pytest.raises(ConfigError):
-            honest_message(role, np.ones(4), shard, 11, np.random.default_rng(0))
+            honest_spec(shard_size=10, batch_size=11).validate()
 
 
 class TestBitFlip:
     def test_sign_flip(self):
-        np.testing.assert_array_equal(attack_bf(np.array([1.0, -2.0])), [-1.0, 2.0])
+        np.testing.assert_array_equal(bit_flip(np.array([[1.0, -2.0]])), [[-1.0, 2.0]])
 
     def test_zero_fixed_point(self):
-        np.testing.assert_array_equal(attack_bf(np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(bit_flip(np.zeros((1, 3))), np.zeros((1, 3)))
 
     def test_involution(self):
-        g = np.array([0.5, -3.0, 2.5])
-        np.testing.assert_array_equal(attack_bf(attack_bf(g)), g)
+        g = np.array([[0.5, -3.0, 2.5]])
+        np.testing.assert_array_equal(bit_flip(bit_flip(g)), g)
 
 
 class TestRandomNoise:
     def test_zero_scale_is_identity(self):
         g = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(attack_rn(g, 0.0, np.random.default_rng(0)), g)
+        draw = np.random.default_rng(0).standard_normal(3)
+        np.testing.assert_array_equal(random_noise(g, 0.0, draw), g)
 
     def test_noise_mean_is_zero(self):
         g = np.array([1.0, -1.0, 0.5, 2.0])
@@ -89,7 +119,7 @@ class TestRandomNoise:
         m = 100000
         total = np.zeros(4)
         for _ in range(m):
-            total += attack_rn(g, sigma, rng) - g
+            total += random_noise(g, sigma, rng.standard_normal(4)) - g
         mean = total / m
         se = sigma / np.sqrt(m)
         assert np.all(np.abs(mean) <= 3.0 * se)
@@ -99,7 +129,7 @@ class TestRandomNoise:
         sigma = 1.5
         rng = np.random.default_rng(8)
         m = 100000
-        draws = np.stack([attack_rn(g, sigma, rng) for _ in range(m)])
+        draws = np.stack([random_noise(g, sigma, rng.standard_normal(4)) for _ in range(m)])
         var = draws.var(axis=0)
         assert np.all(np.abs(var - sigma**2) / sigma**2 <= 0.05)
 
@@ -205,8 +235,10 @@ class TestByzantineMessages:
 
 class TestValidation:
     def test_gradient_set_rejects_non_finite(self):
-        with pytest.raises(NumericInputError):
-            GradientSet(vectors=np.array([[1.0, np.nan]]), round_index=3)
+        state = RunState(honest_spec())
+        state.shards[0].samples[:] = np.nan
+        with pytest.raises(NumericInputError, match="round 1: non-finite client message"):
+            run_round(state, 1)
 
     def test_attack_spec_parameter_ranges(self):
         with pytest.raises(ConfigError):

@@ -210,9 +210,9 @@ class TestMethodLabels:
     def test_tawt_step_falls_back_to_solver_rate(self):
         config = parse_config("", preset="mean-mu-0.1")
         assert config.tawt_step == 0.0
-        assert _method_from_label("tawt", config).tawt_step == config.md_lr
+        assert _method_from_label("tawt", config).step_size == config.md_lr
         custom = dataclasses.replace(config, tawt_step=2.5)
-        assert _method_from_label("tawt", custom).tawt_step == 2.5
+        assert _method_from_label("tawt", custom).step_size == 2.5
 
 
 class TestBuildExperiment:
@@ -353,6 +353,28 @@ class TestMainEntryPoint:
             == 2
         )
         assert main(self.run_args(str(tmp_path), extra=["--workers", "0"])) == 2
+        # Settings that parse but cannot run: rejected before round 0.
+        unrunnable = [
+            ("mean-mu-0.1", ["md_lr=-1"]),
+            ("mean-mu-0.1", ["md_steps=0"]),
+            ("mean-mu-0.1", ["md_smoothing=0"]),
+            ("mean-mu-0.1", ["methods=fedavg-500"]),
+            ("mean-mu-0.1", ["smd_minibatch=200000"]),
+            ("theorem-mean", ["validation_mode=population", "methods=meritfed-smd"]),
+            ("softmax-alpha-0.5", ["n_classes=20"]),
+            ("softmax-alpha-0.5", ["n_classes=6"]),
+            ("softmax-alpha-0.5", ["test_size=0"]),
+        ]
+        out = tmp_path / "unrunnable"
+        for preset, overrides in unrunnable:
+            capsys.readouterr()
+            args = ["run", "--preset", preset, "--out", str(out)]
+            for item in ["seeds=1", "rounds=2"] + overrides:
+                args += ["--set", item]
+            assert main(args) == 2, overrides
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, (overrides, err)
+            assert not out.exists()
 
     def test_missing_flags_exit_two(self, capsys):
         assert main(["run"]) == 2

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from meritfed import streams
-from meritfed.aggregators import KIND_SGD_FULL, KIND_SGD_IDEAL, MethodConfig
+from meritfed.aggregators import FedAdp, FedAvg, MeritFed, SgdFull, SgdIdeal, Tawt
 from meritfed.clients import ATTACK_BIT_FLIP, ATTACK_RANDOM_NOISE, AttackSpec
 from meritfed.engine import (
     DELTA_ESTIMATOR_GRID,
@@ -29,22 +29,16 @@ from meritfed.tasks import PopulationMeanOracle
 
 
 def full_method(step=0.01, label="sgd-full"):
-    return MethodConfig(kind=KIND_SGD_FULL, label=label, model_step=step)
+    return SgdFull(label, step)
 
 
 def ideal_method(indices, step=0.01, label="sgd-ideal"):
-    return MethodConfig(
-        kind=KIND_SGD_IDEAL, label=label, model_step=step, ideal_indices=tuple(indices)
-    )
+    return SgdIdeal(label, step, ideal_indices=tuple(indices))
 
 
 def meritfed_method(step=0.01, label="meritfed-md", md_steps=30, md_step_size=2.0):
-    return MethodConfig(
-        kind="meritfed",
-        label=label,
-        model_step=step,
-        md=MdConfig(step_size=md_step_size, step_count=md_steps, estimator=ESTIMATOR_EXACT),
-    )
+    md = MdConfig(step_size=md_step_size, step_count=md_steps, estimator=ESTIMATOR_EXACT)
+    return MeritFed(label, step, md=md)
 
 
 def small_spec(**kwargs):
@@ -219,6 +213,27 @@ class TestDeterminismAndCoupling:
         for (t1, l1, w1), (t2, l2, w2) in zip(r1.weight_rows, r2.weight_rows):
             assert (t1, l1) == (t2, l2)
             np.testing.assert_array_equal(w1, w2)
+
+    def test_same_spec_reruns_identically(self):
+        # Cross-round rule state lives in copies owned by each run, so a
+        # second run of the very same spec object starts from fresh state.
+        spec = small_spec(
+            methods=[
+                FedAdp("fedadp", 0.01),
+                Tawt("tawt", 0.01, step_size=3.5),
+                FedAvg("fedavg-2", 0.01, sample_count=2),
+                meritfed_method(),
+            ]
+        )
+        r1 = run_experiment(spec)
+        r2 = run_experiment(spec)
+        assert r1.metrics == r2.metrics
+        assert len(r1.weight_rows) == len(r2.weight_rows)
+        for (t1, l1, w1), (t2, l2, w2) in zip(r1.weight_rows, r2.weight_rows):
+            assert (t1, l1) == (t2, l2)
+            np.testing.assert_array_equal(w1, w2)
+        for label in r1.final_points:
+            np.testing.assert_array_equal(r1.final_points[label], r2.final_points[label])
 
     def test_method_set_does_not_perturb_other_methods(self):
         # Batch streams are keyed by client and round only, and the exact

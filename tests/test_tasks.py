@@ -9,43 +9,43 @@ import numpy as np
 import pytest
 
 from meritfed import streams
-from meritfed.errors import (
-    ConfigError,
-    DataError,
-    EmptyBatchError,
-    ShapeError,
-    UnsupportedTaskError,
-)
+from meritfed.aggregators import SgdFull
+from meritfed.engine import TASK_SOFTMAX, ExperimentSpec
+from meritfed.errors import ConfigError, DataError, EmptyBatchError
 from meritfed.tasks import (
-    KIND_GAUSSIAN,
-    KIND_SOFTMAX,
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
-    MODE_EXTRA,
-    DistributionSpec,
     MeanValidationOracle,
     PopulationMeanOracle,
     SoftmaxValidationOracle,
     generate_mean_shards,
-    load_shard,
-    mean_grad,
-    mean_loss,
-    mean_true_optimum,
-    save_shard,
     softmax_accuracy,
     softmax_class_centers,
     softmax_loss_grad,
     softmax_task_generate,
-    validation_eval,
 )
 
 
+def mean_loss(x, sample):
+    """Squared distance ||x - sample||^2, the mean task's per-sample loss."""
+    r = np.asarray(x, dtype=float) - np.asarray(sample, dtype=float)
+    return float(r @ r)
+
+
+def mean_grad(x, batch):
+    """Mean-task gradient on a batch, from the validation oracle over that batch."""
+    return MeanValidationOracle(batch).evaluate(x)[1]
+
+
 class TestMeanLoss:
+    # The oracle over a single sample evaluates that sample's loss.
+
     def test_coincident_points(self):
-        assert mean_loss(np.zeros(3), np.zeros(3)) == 0.0
+        assert MeanValidationOracle(np.zeros((1, 3))).evaluate(np.zeros(3))[0] == 0.0
 
     def test_unit_offsets(self):
-        assert mean_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+        oracle = MeanValidationOracle(np.array([[0.0, 1.0]]))
+        assert oracle.evaluate(np.array([1.0, 0.0]))[0] == 2.0
 
     def test_expected_loss_at_center_is_dimension(self):
         d = 10
@@ -53,10 +53,6 @@ class TestMeanLoss:
         samples = rng.standard_normal((1000000, d))
         empirical = float(np.mean((samples * samples).sum(axis=1)))
         assert abs(empirical - d) <= 0.05
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            mean_loss(np.zeros(3), np.zeros(4))
 
 
 class TestMeanGrad:
@@ -69,8 +65,9 @@ class TestMeanGrad:
         np.testing.assert_array_equal(mean_grad(batch.mean(axis=0), batch), np.zeros(2))
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatchError):
-            mean_grad(np.zeros(2), np.empty((0, 2)))
+        spec = ExperimentSpec(methods=[SgdFull("sgd-full", 0.01)], batch_size=0)
+        with pytest.raises(ConfigError, match="batch size 0"):
+            spec.validate()
 
     def test_unbiased_over_fresh_batches(self):
         # Empirical mean of the stochastic gradient at fixed x over 1e5 fresh
@@ -108,22 +105,18 @@ class TestMeanGrad:
 
 
 class TestTrueOptimum:
+    # The population objective is minimized at the center with value d.
+
     def test_standard_normal_group(self):
-        spec = DistributionSpec(kind=KIND_GAUSSIAN, group_id=1, center=np.zeros(10))
-        x_star, f_star = mean_true_optimum(spec)
-        np.testing.assert_array_equal(x_star, np.zeros(10))
+        f_star, grad = PopulationMeanOracle(np.zeros(10)).evaluate(np.zeros(10))
+        np.testing.assert_array_equal(grad, np.zeros(10))
         assert f_star == 10.0
 
     def test_shifted_group(self):
-        spec = DistributionSpec(kind=KIND_GAUSSIAN, group_id=2, center=0.1 * np.ones(10))
-        x_star, f_star = mean_true_optimum(spec)
-        np.testing.assert_array_equal(x_star, 0.1 * np.ones(10))
+        center = 0.1 * np.ones(10)
+        f_star, grad = PopulationMeanOracle(center).evaluate(center)
+        np.testing.assert_array_equal(grad, np.zeros(10))
         assert f_star == 10.0
-
-    def test_softmax_kind_rejected(self):
-        spec = DistributionSpec(kind=KIND_SOFTMAX, group_id=1, alpha=0.5)
-        with pytest.raises(UnsupportedTaskError):
-            mean_true_optimum(spec)
 
     def test_mixture_fixed_point_matches_gradient_descent(self):
         # Uniform aggregation over 5 + 95 + 50 clients has stationary point
@@ -187,29 +180,13 @@ class TestShardGeneration:
         shard = generate_mean_shards(1, center[None, :], 2000)[0]
         assert np.all(np.abs(shard.samples.mean(axis=0) - center) < 0.2)
 
-    def test_save_load_round_trip(self, tmp_path):
-        shard = generate_mean_shards(4, np.zeros((1, 6)), 30)[0]
-        shard.group_id = 2
-        path = tmp_path / "shard.txt"
-        save_shard(str(path), shard)
-        loaded = load_shard(str(path), owner=shard.owner)
-        np.testing.assert_array_equal(loaded.samples, shard.samples)
-        assert loaded.group_id == 2
-        assert loaded.count == 30
-
-    def test_load_rejects_missing_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 2 3\n4 5 6\n")
-        with pytest.raises(DataError):
-            load_shard(str(path))
-
 
 class TestValidationOracles:
     def test_gradient_zero_at_sample_mean(self):
         rng = np.random.default_rng(8)
         samples = rng.standard_normal((200, 5))
         oracle = MeanValidationOracle(samples)
-        _, grad = validation_eval(oracle, samples.mean(axis=0))
+        _, grad = oracle.evaluate(samples.mean(axis=0))
         np.testing.assert_allclose(grad, np.zeros(5), atol=1e-12)
 
     def test_matches_direct_average(self):
@@ -268,7 +245,6 @@ class TestValidationOracles:
 class TestSoftmaxGeneration:
     def test_alpha_one_group2_matches_group1_label_set(self):
         shards, _, _ = softmax_task_generate(
-            n_clients=4,
             group_counts=(1, 2, 1),
             alpha=1.0,
             feature_dim=10,
@@ -285,8 +261,7 @@ class TestSoftmaxGeneration:
         counts = []
         for seed in range(3):
             shards, _, _ = softmax_task_generate(
-                n_clients=3,
-                group_counts=(1, 1, 1),
+                    group_counts=(1, 1, 1),
                 alpha=0.5,
                 feature_dim=10,
                 n_classes=10,
@@ -300,7 +275,6 @@ class TestSoftmaxGeneration:
 
     def test_group3_never_sees_target_classes(self):
         shards, _, _ = softmax_task_generate(
-            n_clients=3,
             group_counts=(1, 1, 1),
             alpha=0.5,
             feature_dim=10,
@@ -314,7 +288,6 @@ class TestSoftmaxGeneration:
 
     def test_held_out_shards_are_target_distribution(self):
         _, validation, test = softmax_task_generate(
-            n_clients=1,
             group_counts=(1, 0, 0),
             alpha=0.5,
             feature_dim=10,
@@ -390,7 +363,6 @@ class TestSoftmaxLoss:
         # pairwise distance 4 it sits near 0.88 over 10 classes, far above
         # the 0.1 chance level, so cluster separation is real.
         shards, _, test = softmax_task_generate(
-            n_clients=1,
             group_counts=(1, 0, 0),
             alpha=1.0,
             feature_dim=10,
@@ -407,7 +379,6 @@ class TestSoftmaxLoss:
 class TestSoftmaxOracle:
     def test_matches_direct_loss(self):
         shards, validation, _ = softmax_task_generate(
-            n_clients=1,
             group_counts=(1, 0, 0),
             alpha=1.0,
             feature_dim=6,
@@ -429,9 +400,11 @@ class TestSoftmaxOracle:
         assert oracle.size == 80
 
     def test_distribution_spec_validation(self):
-        with pytest.raises(ConfigError):
-            DistributionSpec(kind="image-net", group_id=1)
-        with pytest.raises(ConfigError):
-            DistributionSpec(kind=KIND_GAUSSIAN, group_id=1)  # center missing
-        with pytest.raises(ConfigError):
-            DistributionSpec(kind=KIND_SOFTMAX, group_id=2, alpha=0.0)
+        # The run spec checks the task kind and the mixing fraction.
+        def spec(**kwargs):
+            return ExperimentSpec(methods=[SgdFull("sgd-full", 0.05)], **kwargs)
+
+        with pytest.raises(ConfigError, match="unknown task"):
+            spec(task="image-net").validate()
+        with pytest.raises(ConfigError, match="mixing fraction"):
+            spec(task=TASK_SOFTMAX, mixing_alpha=0.0).validate()
