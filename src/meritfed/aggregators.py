@@ -8,7 +8,9 @@ a one-step multiplicative cosine-similarity heuristic (`Tawt`), and uniform
 random client sampling (`FedAvg`). A rule holds its label, its model step,
 its own constants and its own cross-round state; `weights` maps one round's
 client gradients to a weight vector on the simplex. The similarity rules
-take client 0, which always belongs to the target group, as the reference.
+take client 0, which always belongs to the target group, as the reference;
+a zero reference gradient carries no direction, so on it they return their
+previous weights (uniform before their first update) and keep their state.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, UndefinedAngleError
+from .errors import ConfigError, MeritFedError
 from .simplex_opt import (
     MdConfig,
     WeightObjective,
@@ -116,7 +118,7 @@ def angle(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
-        raise UndefinedAngleError("angle against a zero vector is undefined")
+        raise MeritFedError("angle against a zero vector is undefined")
     cos = float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
     return float(np.arccos(cos))
 
@@ -126,7 +128,10 @@ def gompertz_map(xi: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * (1.0 - np.exp(-np.exp(-alpha * np.asarray(xi, dtype=float))))
 
 
-def _angles_to_reference(gradients: np.ndarray) -> np.ndarray:
+def _angles_to_reference(gradients: np.ndarray) -> Optional[np.ndarray]:
+    """Each client's angle to client 0's gradient; None when that gradient is zero."""
+    if np.linalg.norm(gradients[0]) == 0.0:
+        return None
     return np.array([angle(gradients[0], g) for g in gradients])
 
 
@@ -134,8 +139,9 @@ def _angles_to_reference(gradients: np.ndarray) -> np.ndarray:
 class FedAdp(Rule):
     """Angle-based weights: Gompertz-mapped angles to the target gradient, softmaxed.
 
-    The per-client angle is averaged over the rounds so far before the
-    mapping, so the first round uses the raw angles.
+    The per-client angle is averaged over the updates so far (rounds with a
+    nonzero reference) before the mapping, so the first update uses the raw
+    angles.
     """
 
     alpha: float = 5.0
@@ -144,12 +150,15 @@ class FedAdp(Rule):
 
     def weights(self, x, gradients, oracle, stream_for):
         angles = _angles_to_reference(gradients)
-        t = self._rounds + 1
+        if angles is not None:
+            t = self._rounds + 1
+            if self._mean_angles is None:
+                self._mean_angles = angles
+            else:
+                self._mean_angles = ((t - 1) * self._mean_angles + angles) / t
+            self._rounds = t
         if self._mean_angles is None:
-            self._mean_angles = angles
-        else:
-            self._mean_angles = ((t - 1) * self._mean_angles + angles) / t
-        self._rounds = t
+            return uniform_weights(gradients.shape[0]), None
         scores = gompertz_map(self._mean_angles, self.alpha)
         expd = np.exp(scores - scores.max())
         return expd / expd.sum(), None
@@ -165,11 +174,19 @@ class Tawt(Rule):
     step_size: float
     _current: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.step_size <= 0.0:
+            raise ConfigError(
+                f"{self.label}: multiplicative step must be positive, got {self.step_size}"
+            )
+
     def weights(self, x, gradients, oracle, stream_for):
         if self._current is None:
             self._current = uniform_weights(gradients.shape[0])
-        pseudo = -np.cos(_angles_to_reference(gradients))
-        self._current = entropic_md_step(self._current, pseudo, self.step_size)
+        angles = _angles_to_reference(gradients)
+        if angles is not None:
+            self._current = entropic_md_step(self._current, -np.cos(angles), self.step_size)
         return self._current, None
 
 

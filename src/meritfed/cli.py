@@ -20,6 +20,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -221,7 +222,10 @@ def _parse_value(key: str, raw: str, where: str) -> object:
         if kind is int:
             return int(text)
         if kind is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {text!r}")
+            return value
         if kind is tuple:
             parts = tuple(p.strip() for p in text.split(",") if p.strip())
             if not parts:
@@ -345,7 +349,7 @@ def _method_from_label(label: str, config: RunConfig) -> Rule:
         "sgd-ideal": lambda: SgdIdeal(label, step, ideal_indices=tuple(range(config.group1_count))),
         "fedadp": lambda: FedAdp(label, step, alpha=config.fedadp_alpha),
         "tawt": lambda: Tawt(
-            label, step, step_size=config.tawt_step if config.tawt_step > 0 else config.md_lr
+            label, step, step_size=config.tawt_step if config.tawt_step != 0 else config.md_lr
         ),
     }
     if label not in rules:

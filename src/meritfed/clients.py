@@ -3,9 +3,9 @@
 Honest clients send the task gradient on a batch of their shard; the engine
 computes those. Byzantine clients either corrupt their own honestly computed
 gradient (bit-flip, random-noise) or collude using the round's honest
-messages (inner-product manipulation, mean-shift). Collusion rules run once
-per round after all honest messages exist; the engine enforces that
-two-phase order.
+messages (inner-product manipulation, mean-shift). A run has one attack,
+shared by its whole Byzantine block. Collusion rules run once per round
+after all honest messages exist; the engine enforces that two-phase order.
 """
 
 from __future__ import annotations
@@ -48,22 +48,6 @@ class AttackSpec:
             raise ConfigError(f"shift sign must be -1 or 1, got {self.shift_sign}")
 
 
-@dataclass
-class ClientRole:
-    """One client's identity: honest group member or Byzantine attacker."""
-
-    index: int
-    kind: str  # "honest" or "byzantine"
-    group_id: int = 0
-    attack: Optional[AttackSpec] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("honest", "byzantine"):
-            raise ConfigError(f"unknown client kind {self.kind!r}")
-        if self.kind == "byzantine" and self.attack is None:
-            raise ConfigError(f"byzantine client {self.index} needs an attack spec")
-
-
 def attack_ipm(honest_gradients: list[np.ndarray], epsilon: float) -> np.ndarray:
     """Inner-product manipulation: the scaled negative honest mean.
 
@@ -87,35 +71,21 @@ def attack_alie(honest_gradients: list[np.ndarray], z: float, shift_sign: int = 
 
 
 def byzantine_messages(
-    roles: list[ClientRole],
-    honest_self_gradients: np.ndarray,
-    collusion_pool: list[np.ndarray],
-    noise_draws: dict[int, np.ndarray],
-) -> dict[int, np.ndarray]:
-    """Phase-two messages for every Byzantine client.
+    attack: AttackSpec, own: np.ndarray, pool: np.ndarray, noise: Optional[np.ndarray]
+) -> np.ndarray:
+    """Phase-two messages of the Byzantine block, which all run the one attack.
 
-    honest_self_gradients holds what each client would honestly send (used by
-    the self-corrupting attacks); collusion_pool holds the honest gradients
-    visible to colluders; noise_draws maps Byzantine client index to its
-    pre-drawn standard-normal vector for the random-noise attack.
+    own holds the (k, d) gradients the k attackers would honestly send (used
+    by the self-corrupting attacks); pool holds the target group's honest
+    gradients, the only ones colluders see; noise holds each attacker's
+    pre-drawn standard-normal row (read by the random-noise attack only).
+    The colluding attacks return the one vector every attacker sends, which
+    broadcasts when assigned to the block.
     """
-    out: dict[int, np.ndarray] = {}
-    collusion_cache: dict[str, np.ndarray] = {}
-    for role in roles:
-        if role.kind != "byzantine":
-            continue
-        attack = role.attack
-        if attack.kind == ATTACK_BIT_FLIP:
-            out[role.index] = -honest_self_gradients[role.index]
-        elif attack.kind == ATTACK_RANDOM_NOISE:
-            noise = attack.sigma * noise_draws[role.index]
-            out[role.index] = honest_self_gradients[role.index] + noise
-        else:
-            if attack.kind not in collusion_cache:
-                collusion_cache[attack.kind] = (
-                    attack_ipm(collusion_pool, attack.epsilon)
-                    if attack.kind == ATTACK_IPM
-                    else attack_alie(collusion_pool, attack.z, attack.shift_sign)
-                )
-            out[role.index] = collusion_cache[attack.kind]
-    return out
+    if attack.kind == ATTACK_BIT_FLIP:
+        return -own
+    if attack.kind == ATTACK_RANDOM_NOISE:
+        return own + attack.sigma * noise
+    if attack.kind == ATTACK_IPM:
+        return attack_ipm(pool, attack.epsilon)
+    return attack_alie(pool, attack.z, attack.shift_sign)

@@ -1,7 +1,8 @@
 """Federated round-loop orchestration.
 
-One experiment holds a fixed client population (honest groups plus optional
-Byzantine workers) and runs every configured method side by side from the
+One experiment holds a fixed client population, laid out in index order as
+target group 1, groups 2 and 3, then one block of Byzantine workers that all
+run the same attack. It runs every configured method side by side from the
 same initial point. Per-(client, round) sample draws come from named streams
 independent of the method, so sampling noise is coupled across methods; the
 colluding attacks run in a second phase after all honest messages of the
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import streams
 from .aggregators import Rule, apply_update
-from .clients import ATTACK_RANDOM_NOISE, AttackSpec, ClientRole, byzantine_messages
+from .clients import ATTACK_ALIE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
 from .errors import ConfigError, NumericInputError
 from .simplex_opt import WeightObjective, check_weights, simplex_grid
 from .tasks import (
@@ -93,8 +94,11 @@ class ExperimentSpec:
             raise ConfigError("the target group needs at least one honest client")
         if self.byzantine_count < 0:
             raise ConfigError(f"byzantine count must be >= 0, got {self.byzantine_count}")
-        if self.byzantine_count > 0 and self.attack is None:
-            raise ConfigError("byzantine clients need an attack spec")
+        if self.byzantine_count > 0:
+            if self.attack is None:
+                raise ConfigError("byzantine clients need an attack spec")
+            if self.attack.kind == ATTACK_ALIE and self.group_counts[0] < 2:
+                raise ConfigError("alie needs at least two clients in the target group")
         if not self.methods:
             raise ConfigError("at least one method is required")
         labels = [m.label for m in self.methods]
@@ -201,44 +205,26 @@ class ExperimentResult:
     shards: list[DatasetShard]
 
 
-def build_roles(spec: ExperimentSpec) -> list[ClientRole]:
-    """Client roles in index order: honest groups 1..3, then Byzantine workers."""
-    roles = []
-    index = 0
-    for group_id, count in zip((1, 2, 3), spec.group_counts):
-        for _ in range(count):
-            roles.append(ClientRole(index=index, kind="honest", group_id=group_id))
-            index += 1
-    for _ in range(spec.byzantine_count):
-        roles.append(ClientRole(index=index, kind="byzantine", group_id=0, attack=spec.attack))
-        index += 1
-    return roles
-
-
 class RunState:
     """Mutable state of one experiment run."""
 
     def __init__(self, spec: ExperimentSpec) -> None:
         spec.validate()
         self.spec = spec
-        self.roles = build_roles(spec)
         n, d = spec.n_clients, spec.dim
         seed = spec.master_seed
-        self.group1_indices = [r.index for r in self.roles if r.kind == "honest" and r.group_id == 1]
         self.mixture_direction: Optional[np.ndarray] = None
 
         if spec.task == TASK_MEAN:
             self.mixture_direction = streams.unit_sphere_vector(
                 streams.substream(seed, streams.MIXTURE_DIRECTION), d
             )
+            # Group 1 and the Byzantine block hold target-distribution data,
+            # centered at zero.
+            g1, g2, g3 = spec.group_counts
             centers = np.zeros((n, d))
-            for role in self.roles:
-                if role.kind == "byzantine" or role.group_id == 1:
-                    continue  # target-distribution data, center stays zero
-                if role.group_id == 2:
-                    centers[role.index] = spec.group2_shift
-                elif role.group_id == 3:
-                    centers[role.index] = self.mixture_direction
+            centers[g1 : g1 + g2] = spec.group2_shift
+            centers[g1 + g2 : g1 + g2 + g3] = self.mixture_direction
             self.centers = centers
             self.target_optimum = np.zeros(d)
             self.shards = (
@@ -331,14 +317,14 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
     else:
         batch_rows = [state.batch_indices(i, round_index) for i in range(n)]
 
-    noise_draws: dict[int, np.ndarray] = {}
+    byzantine = slice(n - spec.byzantine_count, n)
+    noise = None
     if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:
-        for role in state.roles:
-            if role.kind == "byzantine":
-                rng = streams.substream(
-                    spec.master_seed, streams.ATTACK_NOISE, role.index, round_index
-                )
-                noise_draws[role.index] = rng.standard_normal(state.model_dim)
+        noise = np.stack([
+            streams.substream(spec.master_seed, streams.ATTACK_NOISE, i, round_index)
+            .standard_normal(state.model_dim)
+            for i in range(byzantine.start, n)
+        ])
 
     for method_index, rule in enumerate(state.rules):
         label = rule.label
@@ -346,26 +332,23 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
 
         # Phase 1: what every client would honestly send at this method's point.
         if spec.task == TASK_MEAN:
-            honest = 2.0 * (x - basis)
+            gradients = 2.0 * (x - basis)
         else:
             theta = x.reshape(spec.n_classes, -1)
-            honest = np.empty((n, state.model_dim))
+            gradients = np.empty((n, state.model_dim))
             for i in range(n):
                 rows = batch_rows[i]
                 _, grad = softmax_loss_grad(
                     theta, state.shards[i].samples[rows], state.shards[i].labels[rows]
                 )
-                honest[i] = grad.ravel()
+                gradients[i] = grad.ravel()
 
-        # Phase 2: colluding and corrupting attacks replace Byzantine messages.
-        gradients = honest
+        # Phase 2: the attack replaces the Byzantine block's honest rows;
+        # colluders read the target group's rows only.
         if spec.byzantine_count > 0:
-            gradients = honest.copy()
-            pool = [honest[i] for i in state.group1_indices]
-            for idx, message in byzantine_messages(
-                state.roles, honest, pool, noise_draws
-            ).items():
-                gradients[idx] = message
+            gradients[byzantine] = byzantine_messages(
+                spec.attack, gradients[byzantine], gradients[: spec.group_counts[0]], noise
+            )
 
         if not np.all(np.isfinite(gradients)):
             raise NumericInputError(f"round {round_index}: non-finite client message")

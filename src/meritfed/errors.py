@@ -13,10 +13,6 @@ class NumericInputError(MeritFedError):
     """An input vector contains NaN or infinite entries."""
 
 
-class SolverDegenerateError(MeritFedError):
-    """The multiplicative update produced an all-zero weight vector."""
-
-
 class InvalidSmoothingError(MeritFedError):
     """The finite-difference smoothing radius is not positive."""
 
@@ -25,21 +21,9 @@ class ShapeError(MeritFedError):
     """Array shapes do not agree."""
 
 
-class EmptyBatchError(MeritFedError):
-    """A gradient was requested on an empty sample batch."""
-
-
-class DataError(MeritFedError):
-    """A data record is inconsistent with the task definition."""
-
-
 class ConfigError(MeritFedError):
     """A run configuration is malformed or inconsistent."""
 
 
 class AttackInputError(MeritFedError):
     """An attack rule received an unusable honest-gradient set."""
-
-
-class UndefinedAngleError(MeritFedError):
-    """An angle was requested against a zero vector."""

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import (
     InvalidDimensionError,
     InvalidSmoothingError,
+    MeritFedError,
     NumericInputError,
     ShapeError,
-    SolverDegenerateError,
 )
 from .streams import unit_sphere_vector
 
@@ -73,7 +73,7 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     out[support] = w[support] * np.exp(z)
     total = float(out.sum())
     if not np.isfinite(total) or total <= 0.0:
-        raise SolverDegenerateError("multiplicative update produced no positive mass")
+        raise MeritFedError("multiplicative update produced no positive mass")
     return out / total
 
 

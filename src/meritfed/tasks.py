@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
+from .errors import ConfigError, MeritFedError, ShapeError
 from . import streams
 
 MODE_EXTRA = "extra-validation"
@@ -135,12 +135,12 @@ def softmax_loss_grad(
     features = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels)
     if features.shape[0] == 0:
-        raise EmptyBatchError("softmax loss requested on an empty batch")
+        raise MeritFedError("softmax loss requested on an empty batch")
     if theta.ndim != 2 or features.shape[1] != theta.shape[1]:
         raise ShapeError(f"theta shape {theta.shape} does not match features {features.shape}")
     n_classes = theta.shape[0]
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise DataError(f"label outside class range [0, {n_classes})")
+        raise MeritFedError(f"label outside class range [0, {n_classes})")
     logits = features @ theta.T
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))

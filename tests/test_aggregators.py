@@ -22,7 +22,7 @@ from meritfed.aggregators import (
     apply_update,
     gompertz_map,
 )
-from meritfed.errors import ConfigError, ShapeError, UndefinedAngleError
+from meritfed.errors import ConfigError, MeritFedError, ShapeError
 from meritfed.simplex_opt import ESTIMATOR_EXACT, MdConfig, WeightObjective, uniform_weights
 from meritfed.tasks import MeanValidationOracle
 
@@ -114,7 +114,7 @@ class TestAngle:
         assert np.isfinite(angle(a * 7.0, a * 11.0))
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(UndefinedAngleError):
+        with pytest.raises(MeritFedError, match="angle against a zero vector is undefined"):
             angle(np.zeros(2), np.array([1.0, 0.0]))
 
 
@@ -176,10 +176,22 @@ class TestAngleMappedWeights:
         w_scaled, _ = weights(fedadp(), scaled)
         np.testing.assert_allclose(w_base, w_scaled, atol=1e-12)
 
-    def test_zero_target_gradient_rejected(self):
-        g = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(UndefinedAngleError):
-            weights(fedadp(), g)
+    def test_zero_target_gradient_keeps_previous_weights(self):
+        # A zero reference carries no direction: uniform before the first
+        # update, then the last weights, with the running mean untouched.
+        zero_target = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        rule = fedadp()
+        w0, _ = weights(rule, zero_target)
+        np.testing.assert_array_equal(w0, np.full(3, 1.0 / 3.0))
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        w1, _ = weights(rule, g)
+        np.testing.assert_array_equal(w1, weights(fedadp(), g)[0])
+        w2, _ = weights(rule, zero_target)
+        np.testing.assert_array_equal(w2, w1)
+        # The next update averages two rounds of angles, not three.
+        reference = fedadp()
+        weights(reference, g)
+        np.testing.assert_array_equal(weights(rule, g)[0], weights(reference, g)[0])
 
 
 class TestMultiplicativeAngleRule:
@@ -222,6 +234,23 @@ class TestMultiplicativeAngleRule:
         w_base, _ = weights(tawt(1.0), g)
         w_scaled, _ = weights(tawt(1.0), scaled)
         np.testing.assert_allclose(w_base, w_scaled, atol=1e-12)
+
+    def test_zero_target_gradient_keeps_previous_weights(self):
+        # A zero reference carries no direction: uniform before the first
+        # update, then the last weights, and no multiplicative step.
+        zero_target = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        rule = tawt(1.0)
+        w0 = weights(rule, zero_target)[0].copy()
+        np.testing.assert_array_equal(w0, np.full(3, 1.0 / 3.0))
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        w1 = weights(rule, g)[0].copy()
+        np.testing.assert_array_equal(w1, weights(tawt(1.0), g)[0])
+        w2 = weights(rule, zero_target)[0].copy()
+        np.testing.assert_array_equal(w2, w1)
+        # The next step starts from w1, as if the zero round never happened.
+        reference = tawt(1.0)
+        weights(reference, g)
+        np.testing.assert_array_equal(weights(rule, g)[0], weights(reference, g)[0])
 
 
 class TestSampledSubsetRule:

@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from meritfed.aggregators import SgdFull
-from meritfed.clients import (
-    AttackSpec,
-    ClientRole,
-    attack_alie,
-    attack_ipm,
-    byzantine_messages,
-)
+from meritfed.clients import ATTACK_KINDS, AttackSpec, attack_alie, attack_ipm, byzantine_messages
 from meritfed.engine import ExperimentSpec, RunState, run_round
 from meritfed.errors import AttackInputError, ConfigError, NumericInputError
 
@@ -44,24 +38,15 @@ def honest_message(state, x, round_index):
 
 
 def bit_flip(gradients):
-    """Phase-two messages of two sign-flip workers sending after two honest clients."""
-    honest = np.vstack([np.zeros((2, gradients.shape[1])), gradients])
-    roles = [ClientRole(index=i, kind="honest", group_id=1) for i in range(2)] + [
-        ClientRole(index=2 + i, kind="byzantine", attack=AttackSpec(kind="bit-flip"))
-        for i in range(gradients.shape[0])
-    ]
-    out = byzantine_messages(roles, honest, [honest[0], honest[1]], {})
-    return np.array([out[2 + i] for i in range(gradients.shape[0])])
+    """Phase-two messages of sign-flip workers whose honest rows are gradients."""
+    pool = np.zeros((2, gradients.shape[1]))
+    return byzantine_messages(AttackSpec(kind="bit-flip"), gradients, pool, None)
 
 
 def random_noise(g, sigma, draw):
     """The phase-two message of one random-noise worker given its standard-normal draw."""
-    roles = [
-        ClientRole(index=0, kind="honest", group_id=1),
-        ClientRole(index=1, kind="byzantine", attack=AttackSpec(kind="random-noise", sigma=sigma)),
-    ]
-    honest = np.vstack([np.zeros_like(g), g])
-    return byzantine_messages(roles, honest, [honest[0]], {1: draw})[1]
+    attack = AttackSpec(kind="random-noise", sigma=sigma)
+    return byzantine_messages(attack, g[None, :], np.zeros((1, g.size)), draw[None, :])[0]
 
 
 class TestHonestMessage:
@@ -188,49 +173,44 @@ class TestMeanShiftAttack:
 
 
 class TestByzantineMessages:
-    def roles(self, attack):
-        return [
-            ClientRole(index=0, kind="honest", group_id=1),
-            ClientRole(index=1, kind="honest", group_id=1),
-            ClientRole(index=2, kind="byzantine", attack=attack),
-            ClientRole(index=3, kind="byzantine", attack=attack),
-        ]
+    # Clients 0-1 form the target group, 2-3 the Byzantine block.
 
     def test_colluders_send_identical_vectors(self):
         rng = np.random.default_rng(0)
         honest = rng.standard_normal((4, 3))
-        pool = [honest[0], honest[1]]
         for kind in ("ipm", "alie"):
-            attack = AttackSpec(kind=kind)
-            out = byzantine_messages(self.roles(attack), honest, pool, {})
-            assert set(out) == {2, 3}
-            np.testing.assert_array_equal(out[2], out[3])
+            block = honest.copy()
+            block[2:] = byzantine_messages(AttackSpec(kind=kind), honest[2:], honest[:2], None)
+            np.testing.assert_array_equal(block[2], block[3])
+            np.testing.assert_array_equal(block[:2], honest[:2])
 
     def test_bit_flip_acts_on_own_gradient(self):
         rng = np.random.default_rng(1)
         honest = rng.standard_normal((4, 3))
         attack = AttackSpec(kind="bit-flip")
-        out = byzantine_messages(self.roles(attack), honest, [honest[0], honest[1]], {})
-        np.testing.assert_array_equal(out[2], -honest[2])
-        np.testing.assert_array_equal(out[3], -honest[3])
-        assert not np.array_equal(out[2], out[3])
+        out = byzantine_messages(attack, honest[2:], honest[:2], None)
+        np.testing.assert_array_equal(out[0], -honest[2])
+        np.testing.assert_array_equal(out[1], -honest[3])
+        assert not np.array_equal(out[0], out[1])
 
     def test_noise_attack_uses_provided_draws(self):
         rng = np.random.default_rng(2)
         honest = rng.standard_normal((4, 3))
-        draws = {2: np.ones(3), 3: -np.ones(3)}
+        draws = np.array([np.ones(3), -np.ones(3)])
         attack = AttackSpec(kind="random-noise", sigma=2.0)
-        out = byzantine_messages(self.roles(attack), honest, [honest[0]], draws)
-        np.testing.assert_allclose(out[2], honest[2] + 2.0, rtol=1e-15)
-        np.testing.assert_allclose(out[3], honest[3] - 2.0, rtol=1e-15)
+        out = byzantine_messages(attack, honest[2:], honest[:1], draws)
+        np.testing.assert_allclose(out[0], honest[2] + 2.0, rtol=1e-15)
+        np.testing.assert_allclose(out[1], honest[3] - 2.0, rtol=1e-15)
 
     def test_honest_clients_produce_no_messages(self):
-        honest = np.zeros((2, 3))
-        roles = [
-            ClientRole(index=0, kind="honest", group_id=1),
-            ClientRole(index=1, kind="honest", group_id=2),
-        ]
-        assert byzantine_messages(roles, honest, [honest[0]], {}) == {}
+        # Without a Byzantine block, writing the messages changes no row.
+        honest = np.random.default_rng(3).standard_normal((2, 3))
+        for kind in ATTACK_KINDS:
+            gradients = honest.copy()
+            gradients[2:] = byzantine_messages(
+                AttackSpec(kind=kind), gradients[2:], gradients[:2], np.empty((0, 3))
+            )
+            np.testing.assert_array_equal(gradients, honest)
 
 
 class TestValidation:
@@ -251,7 +231,3 @@ class TestValidation:
             AttackSpec(kind="alie", z=0.0)
         with pytest.raises(ConfigError):
             AttackSpec(kind="alie", shift_sign=2)
-
-    def test_byzantine_role_needs_attack(self):
-        with pytest.raises(ConfigError):
-            ClientRole(index=1, kind="byzantine")

@@ -7,6 +7,7 @@ replay of written CSV numbers against an in-process run.
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,16 @@ class TestMainEntryPoint:
             ("softmax-alpha-0.5", ["n_classes=20"]),
             ("softmax-alpha-0.5", ["n_classes=6"]),
             ("softmax-alpha-0.5", ["test_size=0"]),
+            ("byzantine-alie", ["group1_count=1"]),
+            ("mean-mu-0.1", ["methods=tawt,sgd-full", "md_lr=-1"]),
+            ("mean-mu-0.1", ["methods=tawt,sgd-full", "tawt_step=-1"]),
+        ]
+        float_keys = [key for key, kind in CONFIG_SCHEMA.items() if kind is float]
+        assert len(float_keys) == 10
+        unrunnable += [
+            ("byzantine-rn", [f"{key}={value}"])
+            for key in float_keys
+            for value in ("nan", "inf", "-inf")
         ]
         out = tmp_path / "unrunnable"
         for preset, overrides in unrunnable:
@@ -371,10 +382,32 @@ class TestMainEntryPoint:
             args = ["run", "--preset", preset, "--out", str(out)]
             for item in ["seeds=1", "rounds=2"] + overrides:
                 args += ["--set", item]
-            assert main(args) == 2, overrides
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(args) == 2, overrides
+            assert not caught, (overrides, [str(w.message) for w in caught])
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, (overrides, err)
             assert not out.exists()
+
+    def test_zero_reference_gradient_run_exits_zero(self, tmp_path):
+        # One exact step of size 1/2 lands on the optimum, where the target
+        # gradient is zero; the similarity rules keep their weights.
+        out = str(tmp_path / "zero-reference")
+        args = ["run", "--preset", "theorem-mean", "--out", out]
+        for item in (
+            "exact_gradients=true",
+            "methods=fedadp,tawt",
+            "model_step=0.5",
+            "seeds=1",
+            "rounds=5",
+        ):
+            args += ["--set", item]
+        assert main(args) == 0
+        with open(os.path.join(out, "weights.csv"), encoding="utf-8") as handle:
+            rows = [line.split(",") for line in handle.readlines()[1:]]
+        assert {row[1] for row in rows} == {"0", "4"}  # first and last round logged
+        assert all(float(row[4]) == 0.2 for row in rows)
 
     def test_missing_flags_exit_two(self, capsys):
         assert main(["run"]) == 2

@@ -11,7 +11,13 @@ import pytest
 
 from meritfed import streams
 from meritfed.aggregators import FedAdp, FedAvg, MeritFed, SgdFull, SgdIdeal, Tawt
-from meritfed.clients import ATTACK_BIT_FLIP, ATTACK_RANDOM_NOISE, AttackSpec
+from meritfed.clients import (
+    ATTACK_BIT_FLIP,
+    ATTACK_IPM,
+    ATTACK_KINDS,
+    ATTACK_RANDOM_NOISE,
+    AttackSpec,
+)
 from meritfed.engine import (
     DELTA_ESTIMATOR_GRID,
     DELTA_ESTIMATOR_ITERATE,
@@ -19,7 +25,7 @@ from meritfed.engine import (
     MODE_REUSE_TRAIN,
     TASK_SOFTMAX,
     ExperimentSpec,
-    build_roles,
+    RunState,
     check_convergence_bounds,
     run_experiment,
 )
@@ -56,19 +62,51 @@ def small_spec(**kwargs):
     return ExperimentSpec(**defaults)
 
 
-class TestRoles:
-    def test_groups_in_index_order(self):
-        spec = small_spec(byzantine_count=2, attack=AttackSpec(kind=ATTACK_BIT_FLIP))
-        roles = build_roles(spec)
-        assert [r.group_id for r in roles] == [1, 1, 2, 3, 0, 0]
-        assert [r.index for r in roles] == list(range(6))
-        assert all(r.kind == "byzantine" for r in roles[4:])
+class TestLayout:
+    # Groups (2, 1, 1) and two attackers: rows 0-1 are group 1, row 2 group 2,
+    # row 3 group 3 and rows 4-5 the Byzantine block.
 
-    def test_byzantine_roles_carry_attack(self):
-        spec = small_spec(byzantine_count=1, attack=AttackSpec(kind=ATTACK_BIT_FLIP))
-        roles = build_roles(spec)
-        assert roles[-1].attack.kind == ATTACK_BIT_FLIP
-        assert all(r.attack is None for r in roles[:-1])
+    def test_groups_in_index_order(self):
+        spec = small_spec(
+            byzantine_count=2, attack=AttackSpec(kind=ATTACK_BIT_FLIP), group2_shift=0.25
+        )
+        state = RunState(spec)
+        zero = np.zeros(spec.dim)
+        expected = [zero, zero, np.full(spec.dim, 0.25), state.mixture_direction, zero, zero]
+        np.testing.assert_array_equal(state.centers, np.array(expected))
+
+    def test_byzantine_block_carries_the_attack(self):
+        for kind in ATTACK_KINDS:
+            attack = AttackSpec(kind=kind, sigma=0.5, epsilon=0.2, z=3.0)
+            spec = small_spec(byzantine_count=2, attack=attack, rounds=1)
+            seen = []
+            run_experiment(spec, observer=lambda t, label, x, g, *rest: seen.append((x, g.copy())))
+            [(x, gradients)] = seen
+            honest = 2.0 * (x - RunState(spec).honest_gradient_basis(0))
+            np.testing.assert_array_equal(gradients[:4], honest[:4])
+            if kind == ATTACK_BIT_FLIP:
+                expected = -honest[4:]
+            elif kind == ATTACK_RANDOM_NOISE:
+                draws = [
+                    streams.substream(spec.master_seed, streams.ATTACK_NOISE, i, 0)
+                    .standard_normal(spec.dim)
+                    for i in (4, 5)
+                ]
+                expected = honest[4:] + 0.5 * np.array(draws)
+            else:
+                # Colluders read rows 0-1 only; a two-sample standard
+                # deviation is |a - b| / sqrt(2).
+                a, b = honest[0], honest[1]
+                mean, spread = (a + b) / 2.0, np.abs(a - b) / np.sqrt(2.0)
+                message = -0.2 * mean if kind == ATTACK_IPM else mean - 3.0 * spread
+                expected = np.array([message, message])
+                # The same rule over groups 1-3 would send something else.
+                mean, spread = honest[:4].mean(axis=0), honest[:4].std(axis=0, ddof=1)
+                leaky = -0.2 * mean if kind == ATTACK_IPM else mean - 3.0 * spread
+                assert not np.allclose(gradients[4], leaky), kind
+            np.testing.assert_allclose(
+                gradients[4:], expected, rtol=1e-12, atol=1e-12, err_msg=kind
+            )
 
 
 class TestSpecValidation:

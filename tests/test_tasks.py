@@ -11,7 +11,7 @@ import pytest
 from meritfed import streams
 from meritfed.aggregators import SgdFull
 from meritfed.engine import TASK_SOFTMAX, ExperimentSpec
-from meritfed.errors import ConfigError, DataError, EmptyBatchError
+from meritfed.errors import ConfigError, MeritFedError
 from meritfed.tasks import (
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
@@ -351,11 +351,11 @@ class TestSoftmaxLoss:
         np.testing.assert_allclose(grad1, grad2, atol=1e-12)
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(MeritFedError, match=r"label outside class range \[0, 3\)"):
             softmax_loss_grad(np.zeros((3, 4)), np.zeros((1, 4)), np.array([5]))
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(MeritFedError, match="softmax loss requested on an empty batch"):
             softmax_loss_grad(np.zeros((3, 4)), np.empty((0, 4)), np.array([], dtype=int))
 
     def test_accuracy_of_center_classifier(self):
