@@ -11,6 +11,8 @@ client gradients to a weight vector on the simplex. The similarity rules
 take client 0, which always belongs to the target group, as the reference;
 a zero reference gradient carries no direction, so on it they return their
 previous weights (uniform before their first update) and keep their state.
+A zero gradient of any other client has no direction either and counts as
+orthogonal to the reference (angle pi/2).
 """
 
 from __future__ import annotations
@@ -129,10 +131,16 @@ def gompertz_map(xi: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _angles_to_reference(gradients: np.ndarray) -> Optional[np.ndarray]:
-    """Each client's angle to client 0's gradient; None when that gradient is zero."""
-    if np.linalg.norm(gradients[0]) == 0.0:
+    """Each client's angle to client 0's gradient; None when that gradient is zero.
+
+    A zero client gradient counts as orthogonal to the reference (pi/2).
+    """
+    norms = np.linalg.norm(gradients, axis=1)
+    if norms[0] == 0.0:
         return None
-    return np.array([angle(gradients[0], g) for g in gradients])
+    return np.array(
+        [np.pi / 2 if norm == 0.0 else angle(gradients[0], g) for g, norm in zip(gradients, norms)]
+    )
 
 
 @dataclass

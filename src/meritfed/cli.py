@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import math
@@ -424,11 +425,38 @@ def _seed_payload(config: RunConfig, master_seed: int) -> dict:
     }
 
 
-def _write_csv(path: str, columns: tuple, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+def _write_csv(handle, columns: tuple, rows: list) -> None:
+    handle.write(",".join(columns) + "\n")
+    for row in rows:
+        handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+
+
+def _write_json(handle, document: dict) -> None:
+    json.dump(document, handle, indent=2, sort_keys=True)
+    handle.write("\n")
+
+
+def _write_outputs(out_dir: str, writers: list) -> None:
+    """Write each (name, write) pair into out_dir all or nothing.
+
+    Every file is written to a temporary name inside out_dir first and moved
+    into place only when all writes succeeded, so a failed write removes the
+    temporary files and leaves the existing outputs as they were.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    staged = []
+    try:
+        for name, write in writers:
+            staged.append(os.path.join(out_dir, f".{name}.{os.getpid()}.tmp"))
+            with open(staged[-1], "w", encoding="utf-8", newline="\n") as handle:
+                write(handle)
+    except BaseException:
+        for path in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+    for path, (name, _) in zip(staged, writers):
+        os.replace(path, os.path.join(out_dir, name))
 
 
 def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
@@ -440,14 +468,9 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     else:
         payloads = [_seed_payload(config, seed) for seed in seeds]
 
-    os.makedirs(out_dir, exist_ok=True)
     metrics_rows = [row for payload in payloads for row in payload["metrics"]]
     weight_rows = [row for payload in payloads for row in payload["weights"]]
     theorem_rows = [row for payload in payloads for row in payload["theorem"]]
-    _write_csv(os.path.join(out_dir, "metrics.csv"), METRICS_COLUMNS, metrics_rows)
-    _write_csv(os.path.join(out_dir, "weights.csv"), WEIGHTS_COLUMNS, weight_rows)
-    _write_csv(os.path.join(out_dir, "theorem.csv"), THEOREM_COLUMNS, theorem_rows)
-
     manifest = {
         "version": __version__,
         "preset": config.preset,
@@ -457,10 +480,15 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
             str(payload["seed"]): payload["mixture_direction"] for payload in payloads
         },
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_outputs(
+        out_dir,
+        [
+            ("metrics.csv", lambda h: _write_csv(h, METRICS_COLUMNS, metrics_rows)),
+            ("weights.csv", lambda h: _write_csv(h, WEIGHTS_COLUMNS, weight_rows)),
+            ("theorem.csv", lambda h: _write_csv(h, THEOREM_COLUMNS, theorem_rows)),
+            ("manifest.json", lambda h: _write_json(h, manifest)),
+        ],
+    )
     return manifest
 
 

@@ -104,7 +104,12 @@ def weight_gradient_exact(
     """
     x, gradients = checked_gradient_set(x, gradients)
     candidate = x - model_step * (np.asarray(w, dtype=float) @ gradients)
-    return -model_step * (gradients @ np.asarray(val_grad(candidate), dtype=float))
+    return _chain_rule(gradients, model_step, val_grad(candidate))
+
+
+def _chain_rule(gradients: np.ndarray, model_step: float, val_grad: np.ndarray) -> np.ndarray:
+    """Weight gradient -model_step * <g_i, val_grad> from the gradient at the candidate."""
+    return -model_step * (gradients @ np.asarray(val_grad, dtype=float))
 
 
 def zo_two_point_estimate(
@@ -184,9 +189,13 @@ class WeightObjective:
     def candidate(self, w: np.ndarray) -> np.ndarray:
         return self.x - self.model_step * (np.asarray(w, dtype=float) @ self.gradients)
 
-    def value(self, w: np.ndarray, minibatch: int = 0, rng=None) -> float:
-        value, _ = self.loss_oracle.evaluate(self.candidate(w), minibatch=minibatch, rng=rng)
-        return float(value)
+    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """Full-set value and oracle gradient at the candidate point, in one oracle call."""
+        value, val_grad = self.loss_oracle.evaluate(self.candidate(w))
+        return float(value), val_grad
+
+    def value(self, w: np.ndarray) -> float:
+        return self.evaluate(w)[0]
 
     def gradient(self, w: np.ndarray, minibatch: int = 0, rng=None) -> np.ndarray:
         """Exact chain-rule gradient in w, optionally on a validation minibatch."""
@@ -208,6 +217,11 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
     along a fresh random unit direction. Every iterate is scored on the full
     validation set; the best-scoring iterate is returned together with the
     solver-accuracy proxy phi(last iterate) - phi(best iterate) >= 0.
+
+    Scoring an iterate also returns the oracle gradient at its candidate
+    point, so the exact full-set estimator takes the next step's gradient
+    from it by the chain rule: one oracle call per iterate. The minibatch
+    and zeroth-order steps need their own oracle calls.
     """
     oracle_size = getattr(obj.loss_oracle, "size", None)
     if cfg.minibatch > 0 and oracle_size is not None and cfg.minibatch > oracle_size:
@@ -216,10 +230,12 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
         )
     w = uniform_weights(obj.n)
     best_w = w
-    best_value = obj.value(w)
+    best_value, val_grad = obj.evaluate(w)
     last_value = best_value
     for _ in range(cfg.step_count):
-        if cfg.estimator == ESTIMATOR_EXACT:
+        if cfg.estimator == ESTIMATOR_EXACT and cfg.minibatch == 0:
+            g = _chain_rule(obj.gradients, obj.model_step, val_grad)
+        elif cfg.estimator == ESTIMATOR_EXACT:
             g = obj.gradient(w, minibatch=cfg.minibatch, rng=cfg.rng)
         else:
             if cfg.rng is None:
@@ -228,7 +244,7 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
             phi = _step_objective(obj, cfg)
             g = zo_two_point_estimate(phi, w, cfg.smoothing, direction)
         w = entropic_md_step(w, g, cfg.step_size)
-        last_value = obj.value(w)
+        last_value, val_grad = obj.evaluate(w)
         if last_value < best_value:
             best_value = last_value
             best_w = w

@@ -193,6 +193,16 @@ class TestAngleMappedWeights:
         weights(reference, g)
         np.testing.assert_array_equal(weights(rule, g)[0], weights(reference, g)[0])
 
+    def test_zero_client_gradient_counts_as_orthogonal(self):
+        # A zero gradient has no direction: it weighs like a unit gradient at
+        # angle pi/2 to the reference, round after round.
+        zero_client = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        orthogonal = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        rule, reference = fedadp(), fedadp()
+        for _ in range(3):
+            w, _ = weights(rule, zero_client)
+            np.testing.assert_array_equal(w, weights(reference, orthogonal)[0])
+
 
 class TestMultiplicativeAngleRule:
     def test_identical_gradients_stay_uniform(self):
@@ -251,6 +261,16 @@ class TestMultiplicativeAngleRule:
         reference = tawt(1.0)
         weights(reference, g)
         np.testing.assert_array_equal(weights(rule, g)[0], weights(reference, g)[0])
+
+    def test_zero_client_gradient_counts_as_orthogonal(self):
+        # A zero gradient has no direction: it steps like a unit gradient at
+        # angle pi/2 to the reference, round after round.
+        zero_client = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        orthogonal = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        rule, reference = tawt(1.0), tawt(1.0)
+        for _ in range(3):
+            w = weights(rule, zero_client)[0].copy()
+            np.testing.assert_array_equal(w, weights(reference, orthogonal)[0])
 
 
 class TestSampledSubsetRule:

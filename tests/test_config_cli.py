@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from meritfed import cli
 from meritfed.cli import (
     CONFIG_SCHEMA,
     METRICS_COLUMNS,
@@ -408,6 +409,47 @@ class TestMainEntryPoint:
             rows = [line.split(",") for line in handle.readlines()[1:]]
         assert {row[1] for row in rows} == {"0", "4"}  # first and last round logged
         assert all(float(row[4]) == 0.2 for row in rows)
+
+    @pytest.mark.parametrize("methods", ["fedadp", "tawt,sgd-full"])
+    def test_zero_client_gradient_run_exits_zero(self, tmp_path, methods):
+        # Group 2's exact gradient at the start point is zero; it counts as
+        # orthogonal to the target gradient instead of stopping the run.
+        out = str(tmp_path / "zero-client")
+        args = ["run", "--preset", "mean-mu-0.1", "--out", out]
+        for item in (
+            "exact_gradients=true",
+            "validation_size=100",
+            "group2_shift=1",
+            f"methods={methods}",
+            "seeds=1",
+            "rounds=2",
+        ):
+            args += ["--set", item]
+        assert main(args) == 0
+        assert os.path.exists(os.path.join(out, "manifest.json"))
+
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "atomic")
+        assert main(self.run_args(out)) == 0
+        names = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
+        before = {name: read_bytes(os.path.join(out, name)) for name in names}
+        write_csv = cli._write_csv
+        calls = []
+
+        def failing_third_write(handle, columns, rows):
+            calls.append(columns)
+            if len(calls) == 3:
+                handle.write("partial")
+                raise OSError("disk full")
+            write_csv(handle, columns, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", failing_third_write)
+        capsys.readouterr()
+        assert main(self.run_args(out, extra=["--seed", "5"])) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert sorted(os.listdir(out)) == sorted(names)
+        assert {name: read_bytes(os.path.join(out, name)) for name in names} == before
 
     def test_missing_flags_exit_two(self, capsys):
         assert main(["run"]) == 2

@@ -2,7 +2,8 @@
 
 Oracles: brute-force simplex grids for the solver, central finite
 differences for the exact weight gradient, Monte Carlo sphere averages
-for the two-point estimator.
+for the two-point estimator, and a copy of the solver loop that asks the
+validation oracle separately for each iterate's value and gradient.
 """
 
 import math
@@ -23,6 +24,7 @@ from meritfed.simplex_opt import (
     ESTIMATOR_ZO,
     MdConfig,
     WeightObjective,
+    _step_objective,
     check_weights,
     entropic_md_step,
     simplex_grid,
@@ -31,6 +33,8 @@ from meritfed.simplex_opt import (
     weight_gradient_exact,
     zo_two_point_estimate,
 )
+from meritfed.streams import unit_sphere_vector
+from meritfed.tasks import DatasetShard, MeanValidationOracle, SoftmaxValidationOracle
 
 
 class QuadraticOracle:
@@ -407,6 +411,119 @@ class TestSolveWeights:
         )
         with pytest.raises(Exception):
             solve_weights(obj, cfg)
+
+
+class CountingOracle:
+    """Passes evaluate through to an oracle and counts full-set and minibatch calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.size = inner.size
+        self.full_calls = 0
+        self.minibatch_calls = 0
+
+    def evaluate(self, point, minibatch=0, rng=None):
+        if minibatch:
+            self.minibatch_calls += 1
+        else:
+            self.full_calls += 1
+        return self.inner.evaluate(point, minibatch=minibatch, rng=rng)
+
+
+def solve_weights_two_calls(obj, cfg):
+    """The solver loop that scores each iterate and asks again for its gradient."""
+    w = uniform_weights(obj.n)
+    best_w = w
+    best_value = obj.value(w)
+    last_value = best_value
+    for _ in range(cfg.step_count):
+        if cfg.estimator == ESTIMATOR_EXACT:
+            g = obj.gradient(w, minibatch=cfg.minibatch, rng=cfg.rng)
+        else:
+            direction = unit_sphere_vector(cfg.rng, obj.n)
+            g = zo_two_point_estimate(_step_objective(obj, cfg), w, cfg.smoothing, direction)
+        w = entropic_md_step(w, g, cfg.step_size)
+        last_value = obj.value(w)
+        if last_value < best_value:
+            best_value = last_value
+            best_w = w
+    return best_w, max(last_value - best_value, 0.0)
+
+
+def mean_oracle(rng, d):
+    return MeanValidationOracle(rng.standard_normal((200, d)) + rng.standard_normal(d))
+
+
+def softmax_oracle(rng, d, n_classes=3):
+    labels = rng.integers(0, n_classes, size=200)
+    samples = rng.standard_normal((200, d)) + 2.0 * np.eye(n_classes, d)[labels]
+    return SoftmaxValidationOracle(DatasetShard(samples=samples, labels=labels), n_classes)
+
+
+SOLVER_SETTINGS = {
+    "exact": dict(estimator=ESTIMATOR_EXACT),
+    "minibatch": dict(estimator=ESTIMATOR_EXACT, minibatch=20),
+    "zeroth-order": dict(estimator=ESTIMATOR_ZO),
+}
+
+
+class TestSolverOracleCalls:
+    STEPS = 7
+
+    def solve(self, settings, seed=0):
+        rng = np.random.default_rng(seed)
+        oracle = CountingOracle(mean_oracle(rng, 3))
+        obj = WeightObjective(
+            x=rng.standard_normal(3),
+            gradients=rng.standard_normal((5, 3)),
+            model_step=0.3,
+            loss_oracle=oracle,
+        )
+        cfg = MdConfig(
+            step_size=1.0, step_count=self.STEPS, rng=np.random.default_rng(seed), **settings
+        )
+        solve_weights(obj, cfg)
+        return oracle
+
+    def test_exact_full_set_one_call_per_iterate(self):
+        oracle = self.solve(SOLVER_SETTINGS["exact"])
+        assert (oracle.full_calls, oracle.minibatch_calls) == (self.STEPS + 1, 0)
+
+    def test_minibatch_scores_on_full_set_and_steps_on_minibatch(self):
+        oracle = self.solve(SOLVER_SETTINGS["minibatch"])
+        assert (oracle.full_calls, oracle.minibatch_calls) == (self.STEPS + 1, self.STEPS)
+
+    def test_zeroth_order_two_probes_and_a_score_per_step(self):
+        oracle = self.solve(SOLVER_SETTINGS["zeroth-order"])
+        assert (oracle.full_calls, oracle.minibatch_calls) == (3 * self.STEPS + 1, 0)
+
+
+class TestSolverMatchesTwoCallLoop:
+    # Reusing the scoring call's gradient changes no bit of the result.
+
+    @pytest.mark.parametrize("make_oracle", [mean_oracle, softmax_oracle])
+    @pytest.mark.parametrize("settings", SOLVER_SETTINGS.values(), ids=SOLVER_SETTINGS.keys())
+    def test_bit_identical(self, make_oracle, settings):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            oracle = make_oracle(rng, 4)
+            dim = 4 if isinstance(oracle, MeanValidationOracle) else 4 * oracle.n_classes
+            obj = WeightObjective(
+                x=rng.standard_normal(dim),
+                gradients=rng.standard_normal((6, dim)),
+                model_step=float(rng.uniform(0.05, 0.5)),
+                loss_oracle=oracle,
+            )
+
+            def cfg():
+                return MdConfig(
+                    step_size=2.0, step_count=25, rng=np.random.default_rng(seed), **settings
+                )
+
+            best_w, delta = solve_weights(obj, cfg())
+            expected_w, expected_delta = solve_weights_two_calls(obj, cfg())
+            assert np.array_equal(best_w, expected_w), seed
+            assert delta == expected_delta, seed
 
 
 class TestSimplexGrid:
