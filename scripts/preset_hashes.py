@@ -2,7 +2,9 @@
 
 Each preset runs with `--set seeds=2` and a round cap: 12 rounds for
 `mean-mu-*`, 30 for `theorem-mean`, 40 for `byzantine-*` and 6 for
-`softmax-*`. Run from a checkout:
+`softmax-*`. `byzantine-rn` and `mean-mu-0.1` run once more at base seed
+2^32 + 5, whose stream entropy has more than one 32-bit word for the master
+seed. Run from a checkout:
 
     python3 scripts/preset_hashes.py                 # this checkout only
     python3 scripts/preset_hashes.py --parent DIR    # DIR (another checkout) vs this one
@@ -21,15 +23,19 @@ from meritfed.cli import PRESETS  # noqa: E402
 
 ROUND_CAPS = {"mean-mu-": 12, "theorem-mean": 30, "byzantine-": 40, "softmax-": 6}
 FILES = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
+MULTI_WORD_SEED = 2**32 + 5
+MULTI_WORD_PRESETS = ("byzantine-rn", "mean-mu-0.1")
 
 
-def preset_hashes(root: str, preset: str) -> list[str]:
+def preset_hashes(root: str, preset: str, seed: int | None = None) -> list[str]:
     """The sha256 of each output file of one preset run from the checkout at root."""
     rounds = next(cap for prefix, cap in ROUND_CAPS.items() if preset.startswith(prefix))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     with tempfile.TemporaryDirectory() as out:
         command = [sys.executable, "-m", "meritfed.cli", "run", "--preset", preset, "--out", out]
         command += ["--set", "seeds=2", "--set", f"rounds={rounds}"]
+        if seed is not None:
+            command += ["--seed", str(seed)]
         if subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode != 0:
             return ["run failed"] * len(FILES)
         hashes = []
@@ -47,11 +53,14 @@ def main() -> None:
     headers = ["parent", "change"] if args.parent else ["sha256"]
     print("| preset | file | " + " | ".join(headers) + " |")
     print("| --- | --- | " + " | ".join("---" for _ in headers) + " |")
-    for preset in PRESETS:
-        columns = [preset_hashes(root, preset) for root in roots]
+    runs = [(preset, None) for preset in PRESETS]
+    runs += [(preset, MULTI_WORD_SEED) for preset in MULTI_WORD_PRESETS]
+    for preset, seed in runs:
+        columns = [preset_hashes(root, preset, seed) for root in roots]
+        label = preset if seed is None else f"{preset} --seed {seed}"
         for row, name in enumerate(FILES):
             cells = " | ".join(column[row] for column in columns)
-            print(f"| `{preset}` | `{name}` | {cells} |", flush=True)
+            print(f"| `{label}` | `{name}` | {cells} |", flush=True)
 
 
 if __name__ == "__main__":

@@ -311,6 +311,8 @@ def emit_config(config: RunConfig) -> str:
 def validate_config(config: RunConfig) -> None:
     if config.seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {config.seeds}")
+    if config.base_seed < 0:
+        raise ConfigError(f"base_seed must be >= 0, got {config.base_seed}")
     if config.attack_kind != ATTACK_NONE and config.attack_kind not in ATTACK_KINDS:
         known = ", ".join((ATTACK_NONE,) + ATTACK_KINDS)
         raise ConfigError(f"unknown attack_kind {config.attack_kind!r}; known: {known}")
@@ -540,9 +542,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             except OSError as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return 1
-        config = parse_config(text, preset=args.preset, overrides=args.overrides)
-        if args.seed is not None:
-            config = dataclasses.replace(config, base_seed=args.seed)
+        # --seed S is the last override, base_seed=S, so it is checked like one.
+        overrides = args.overrides + ([] if args.seed is None else [f"base_seed={args.seed}"])
+        config = parse_config(text, preset=args.preset, overrides=overrides)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     except MeritFedError as exc:

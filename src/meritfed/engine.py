@@ -232,6 +232,8 @@ class RunState:
                 if spec.exact_gradients
                 else generate_mean_shards(seed, centers, spec.shard_size)
             )
+            # The (n, shard_size, d) block the shards view, for one-index batch means.
+            self.sample_block = self.shards[0].samples.base if self.shards else None
             if spec.validation_mode == MODE_POPULATION:
                 self.oracle = PopulationMeanOracle(self.target_optimum)
             elif spec.validation_mode == MODE_REUSE_TRAIN:
@@ -271,20 +273,32 @@ class RunState:
         )
         self._grid = simplex_grid(n, GRID_RESOLUTION) if self.delta_estimator == DELTA_ESTIMATOR_GRID else None
 
-    def batch_indices(self, client: int, round_index: int) -> np.ndarray:
-        """The round's sample rows for one client, identical for every method."""
-        rng = streams.substream(self.spec.master_seed, streams.BATCH, client, round_index)
-        return rng.choice(self.spec.shard_size, size=self.spec.batch_size, replace=False)
+    def batch_rows(self, round_index: int) -> np.ndarray:
+        """(n, batch_size) sample rows of every client this round, identical for every method."""
+        spec = self.spec
+        keys = [(streams.BATCH, i, round_index) for i in range(spec.n_clients)]
+        return np.array([
+            rng.choice(spec.shard_size, size=spec.batch_size, replace=False)
+            for rng in streams.substreams(spec.master_seed, keys)
+        ])
 
     def honest_gradient_basis(self, round_index: int) -> np.ndarray:
         """Per-client batch means of the round (mean task)."""
         if self.spec.exact_gradients:
             return self.centers
-        basis = np.empty((self.spec.n_clients, self.spec.dim))
-        for i in range(self.spec.n_clients):
-            rows = self.batch_indices(i, round_index)
-            basis[i] = self.shards[i].samples[rows].mean(axis=0)
-        return basis
+        rows = self.batch_rows(round_index)
+        return self.sample_block[np.arange(self.spec.n_clients)[:, None], rows].mean(axis=1)
+
+    def attack_noise(self, round_index: int) -> Optional[np.ndarray]:
+        """Standard-normal rows of the Byzantine block this round (random-noise attack)."""
+        spec = self.spec
+        if spec.byzantine_count == 0 or spec.attack.kind != ATTACK_RANDOM_NOISE:
+            return None
+        n = spec.n_clients
+        keys = [(streams.ATTACK_NOISE, i, round_index) for i in range(n - spec.byzantine_count, n)]
+        return np.array([
+            rng.standard_normal(self.model_dim) for rng in streams.substreams(spec.master_seed, keys)
+        ])
 
     def state_metrics(self, label: str, round_index: int, delta: Optional[float]) -> RoundMetrics:
         x = self.points[label]
@@ -315,16 +329,9 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
     if spec.task == TASK_MEAN:
         basis = state.honest_gradient_basis(round_index)
     else:
-        batch_rows = [state.batch_indices(i, round_index) for i in range(n)]
-
+        batch_rows = state.batch_rows(round_index)
     byzantine = slice(n - spec.byzantine_count, n)
-    noise = None
-    if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:
-        noise = np.stack([
-            streams.substream(spec.master_seed, streams.ATTACK_NOISE, i, round_index)
-            .standard_normal(state.model_dim)
-            for i in range(byzantine.start, n)
-        ])
+    noise = state.attack_noise(round_index)
 
     for method_index, rule in enumerate(state.rules):
         label = rule.label

@@ -5,11 +5,25 @@ seed, a stream tag, and optional indices (client, round, method slot). Streams
 are independent of each other and of the order in which they are opened, so
 per-(client, round) sample draws are identical across methods and across any
 parallel execution schedule.
+
+The stream contract: the stream of (master_seed, *key) is a PCG64 generator in
+exactly the state of
+`np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, *key)))`.
+This module derives those states itself, for many keys at once: numpy's
+SeedSequence entropy pool and `generate_state(4, np.uint64)` run as uint32
+array arithmetic with one row per key, and numpy's PCG64 seeding takes the
+resulting words. The hash constants depend only on the position of a word, so
+all keys whose entropy has the same number of 32-bit words share them.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from typing import Iterable
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Stream tags. Values are part of the reproducibility contract: changing them
 # changes every run's draws.
@@ -22,14 +36,147 @@ MD = 6
 METHOD = 7
 TEST_SET = 8
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# generate_state(4, np.uint64) draws 8 words, cycling over the pool.
+_STATE_WORDS = 8
+
+
+class _DerivedSeed(ISeedSequence):
+    """The derived seed words of one stream, in the role of its SeedSequence.
+
+    numpy's PCG64 seeds itself from `generate_state(4, np.uint64)`, the one
+    request it makes; these are the words it gets.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words
+
+
+def _entropy_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as numpy splits entropy."""
+    value = operator.index(value)
+    if 0 <= value <= _MASK32:
+        return [value]
+    if value < 0:
+        raise ValueError(f"stream seeds and keys must be non-negative, got {value}")
+    words = []
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The hash multiplier before the first call and after each of `count` calls."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+@functools.cache
+def _mixing_plan(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(xor, multiplier) constants of each hashing stage for entropy of `length` words.
+
+    Hash call c xors constant c and multiplies by constant c + 1; each stage
+    makes one call per pool column. The stages are: filling the pool, one per
+    pool word mixed into the other three (the word's own column makes no call:
+    it gets zeros, and its result is discarded), one per entropy word beyond
+    the pool, and the generation of the 8 state words.
+    """
+    extra = max(length - _POOL_SIZE, 0)
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    calls = iter(range(len(a) - 1))
+    stages = [[next(calls) for _ in range(_POOL_SIZE)]]
+    stages += [
+        [None if dst == src else next(calls) for dst in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE)
+    ]
+    stages += [[next(calls) for _ in range(_POOL_SIZE)] for _ in range(extra)]
+
+    def constants(stage: list, offset: int) -> np.ndarray:
+        return np.array([0 if c is None else a[c + offset] for c in stage], dtype=np.uint32)
+
+    plan = [(constants(stage, 0), constants(stage, 1)) for stage in stages]
+    b = np.array(_hash_constants(_INIT_B, _MULT_B, _STATE_WORDS), dtype=np.uint32)
+    plan.append((b[:-1].reshape(2, _POOL_SIZE), b[1:].reshape(2, _POOL_SIZE)))
+    return plan
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """(rows, length) uint32 entropy -> (rows, 4) uint64 words, one row per key.
+
+    Row i equals `np.random.SeedSequence(entropy[i]).generate_state(4, np.uint64)`.
+    """
+    rows, length = entropy.shape
+    fill, *stages, generate = _mixing_plan(length)
+    # Fill the pool, hashing zeros past the end of the entropy.
+    pool = np.zeros((rows, _POOL_SIZE), dtype=np.uint32)
+    pool[:, : min(length, _POOL_SIZE)] = entropy[:, :_POOL_SIZE]
+    pool = _hashmix(pool, *fill)
+    # Mix every pool word into the other three, in numpy's source-major order.
+    for src in range(_POOL_SIZE):
+        mixed = _mix(pool, _hashmix(pool[:, src : src + 1], *stages[src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # Entropy beyond the pool: mix each word into every pool word.
+    for word, stage in enumerate(stages[_POOL_SIZE:], start=_POOL_SIZE):
+        pool = _mix(pool, _hashmix(entropy[:, word : word + 1], *stage))
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired
+    # little-endian into 64-bit words.
+    state = _hashmix(pool[:, None, :], *generate).reshape(rows, _STATE_WORDS)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+def substreams(master_seed: int, keys: Iterable[tuple[int, ...]]) -> list[np.random.Generator]:
+    """The generator of each stream (master_seed, *key), in the order of keys.
+
+    Each generator is its own object, in the same state as `substream` gives.
+    """
+    seed = _entropy_words(master_seed)
+    entropy = []
+    for key in keys:
+        words = list(seed)
+        for index in key:
+            words += _entropy_words(index)
+        entropy.append(words)
+    by_length: dict[int, list[int]] = {}
+    for row, words in enumerate(entropy):
+        by_length.setdefault(len(words), []).append(row)
+    seed_words = np.empty((len(entropy), 4), dtype=np.uint64)
+    for rows in by_length.values():
+        seed_words[rows] = _seed_words(np.array([entropy[r] for r in rows], dtype=np.uint32))
+    return [np.random.Generator(np.random.PCG64(_DerivedSeed(words))) for words in seed_words]
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the generator for one named stream.
 
     The same (master_seed, key) always yields an identical generator state.
     """
-    entropy = (int(master_seed),) + tuple(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+    return substreams(master_seed, [key])[0]
 
 
 def unit_sphere_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -47,15 +47,18 @@ def generate_mean_shards(
     """Per-client Gaussian shards with identity covariance around each center.
 
     Client i's shard comes from its own named stream, so shard contents are
-    independent of client count and of generation order.
+    independent of client count and of generation order. The shards are
+    written into one (n, shard_size, d) block; each shard's samples is a view
+    of it, and the block is their common `base`.
     """
     centers = np.asarray(centers, dtype=float)
-    shards = []
-    for i in range(centers.shape[0]):
-        rng = streams.substream(master_seed, streams.SHARDS, i)
-        samples = centers[i] + rng.standard_normal((shard_size, centers.shape[1]))
-        shards.append(DatasetShard(samples=samples))
-    return shards
+    n, d = centers.shape
+    block = np.empty((n, shard_size, d))
+    keys = [(streams.SHARDS, i) for i in range(n)]
+    for i, rng in enumerate(streams.substreams(master_seed, keys)):
+        rng.standard_normal(out=block[i])
+        block[i] += centers[i]
+    return [DatasetShard(samples=samples) for samples in block]
 
 
 def softmax_class_centers(n_classes: int, feature_dim: int) -> np.ndarray:
@@ -107,8 +110,8 @@ def softmax_task_generate(
     centers = softmax_class_centers(n_classes, feature_dim)
     group_of = [1] * group_counts[0] + [2] * group_counts[1] + [3] * group_counts[2]
     shards = []
-    for i in range(len(group_of)):
-        rng = streams.substream(master_seed, streams.SHARDS, i)
+    keys = [(streams.SHARDS, i) for i in range(len(group_of))]
+    for i, rng in enumerate(streams.substreams(master_seed, keys)):
         labels = _softmax_labels_for_group(rng, shard_size, group_of[i], alpha, n_classes)
         features = centers[labels] + rng.standard_normal((shard_size, feature_dim))
         shards.append(DatasetShard(samples=features, labels=labels))

@@ -369,6 +369,9 @@ class TestMainEntryPoint:
             ("byzantine-alie", ["group1_count=1"]),
             ("mean-mu-0.1", ["methods=tawt,sgd-full", "md_lr=-1"]),
             ("mean-mu-0.1", ["methods=tawt,sgd-full", "tawt_step=-1"]),
+            # A negative master seed has no stream entropy words.
+            ("byzantine-rn", ["--seed -1"]),
+            ("byzantine-rn", ["base_seed=-3"]),
         ]
         float_keys = [key for key, kind in CONFIG_SCHEMA.items() if kind is float]
         assert len(float_keys) == 10
@@ -382,7 +385,7 @@ class TestMainEntryPoint:
             capsys.readouterr()
             args = ["run", "--preset", preset, "--out", str(out)]
             for item in ["seeds=1", "rounds=2"] + overrides:
-                args += ["--set", item]
+                args += item.split() if item.startswith("--") else ["--set", item]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert main(args) == 2, overrides

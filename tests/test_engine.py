@@ -547,3 +547,86 @@ class TestValidationModes:
     def test_reuse_train_mode_runs(self):
         result = run_experiment(small_spec(validation_mode=MODE_REUSE_TRAIN, rounds=2))
         assert np.isfinite(result.metrics[-1].val_loss)
+
+
+def reference_stream(master_seed, *key):
+    """A stream as numpy's own SeedSequence seeds it (the stream contract)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed,) + key))
+
+
+def per_client_rows(spec, round_index):
+    """The per-client batch draw: one stream and one choice per client."""
+    return [
+        reference_stream(spec.master_seed, streams.BATCH, i, round_index).choice(
+            spec.shard_size, size=spec.batch_size, replace=False
+        )
+        for i in range(spec.n_clients)
+    ]
+
+
+class TestRoundDrawsMatchPerClientLoop:
+    # The engine derives a round's streams in one call and gathers the batch
+    # means in one index; a loop over clients, one stream at a time, is the
+    # oracle. 2^32 + 5 puts two 32-bit words in the master seed's entropy.
+    SEEDS = (0, 2**32 + 5)
+
+    def byzantine_spec(self, master_seed, **kwargs):
+        attack = AttackSpec(kind=ATTACK_RANDOM_NOISE, sigma=0.5)
+        return small_spec(byzantine_count=3, attack=attack, master_seed=master_seed, **kwargs)
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    @pytest.mark.parametrize("mode", ["extra-validation", MODE_REUSE_TRAIN])
+    def test_honest_gradient_basis(self, master_seed, mode):
+        state = RunState(self.byzantine_spec(master_seed, validation_mode=mode))
+        for t in (0, 1, 4):
+            expected = [
+                state.shards[i].samples[rows].mean(axis=0)
+                for i, rows in enumerate(per_client_rows(state.spec, t))
+            ]
+            assert np.array_equal(state.honest_gradient_basis(t), np.array(expected))
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_honest_gradient_basis_exact(self, master_seed):
+        state = RunState(self.byzantine_spec(master_seed, exact_gradients=True))
+        assert state.shards == []
+        assert np.array_equal(state.honest_gradient_basis(2), state.centers)
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_softmax_batch_rows(self, master_seed):
+        spec = ExperimentSpec(
+            methods=[full_method(step=0.05)],
+            task=TASK_SOFTMAX,
+            dim=12,
+            group_counts=(1, 2, 2),
+            shard_size=60,
+            batch_size=20,
+            rounds=3,
+            validation_size=100,
+            test_size=100,
+            master_seed=master_seed,
+        )
+        state = RunState(spec)
+        for t in (0, 2):
+            assert np.array_equal(state.batch_rows(t), np.array(per_client_rows(spec, t)))
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_random_noise_rows(self, master_seed):
+        spec = self.byzantine_spec(master_seed)
+        state = RunState(spec)
+        for t in (0, 3):
+            expected = [
+                reference_stream(master_seed, streams.ATTACK_NOISE, i, t).standard_normal(spec.dim)
+                for i in range(spec.n_clients - spec.byzantine_count, spec.n_clients)
+            ]
+            assert np.array_equal(state.attack_noise(t), np.array(expected))
+        assert RunState(small_spec(master_seed=master_seed)).attack_noise(0) is None
+
+    def test_mean_shards_share_one_block(self):
+        spec = self.byzantine_spec(0)
+        state = RunState(spec)
+        block = state.sample_block
+        assert block.shape == (spec.n_clients, spec.shard_size, spec.dim)
+        assert all(shard.samples.base is block for shard in state.shards)
+        # An in-place write to a shard reaches the gathered batch means.
+        state.shards[1].samples[:] = 7.0
+        np.testing.assert_array_equal(state.honest_gradient_basis(0)[1], np.full(spec.dim, 7.0))

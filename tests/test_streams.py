@@ -1,0 +1,92 @@
+"""Tests for the named random streams.
+
+Oracle: numpy's own SeedSequence -> PCG64 seeding. The stream of
+(master_seed, *key) must be the generator
+`np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, *key)))`,
+state for state and draw for draw.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meritfed import streams
+
+
+def numpy_stream(master_seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed,) + key))
+
+
+def assert_same_stream(ours, reference):
+    assert ours.bit_generator.state == reference.bit_generator.state
+    np.testing.assert_array_equal(
+        ours.choice(1000, size=50, replace=False), reference.choice(1000, size=50, replace=False)
+    )
+    np.testing.assert_array_equal(ours.standard_normal(7), reference.standard_normal(7))
+
+
+# Master seeds of one, two and three 32-bit words, with their edges.
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1]),
+    st.integers(min_value=0, max_value=2**70),
+)
+# Indices of one and two words. A key of 4 indices with the master seed fills
+# the 4-word pool and goes past it; two-word indices go past it sooner.
+INDICES = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32]), st.integers(min_value=0, max_value=2**40)
+)
+KEYS = st.lists(INDICES, min_size=0, max_size=4).map(tuple)
+
+
+class TestDerivationMatchesNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(master_seed=SEEDS, key=KEYS)
+    def test_substream(self, master_seed, key):
+        assert_same_stream(streams.substream(master_seed, *key), numpy_stream(master_seed, *key))
+
+    @settings(max_examples=100, deadline=None)
+    @given(master_seed=SEEDS, keys=st.lists(KEYS, min_size=0, max_size=12))
+    def test_substreams_of_mixed_lengths(self, master_seed, keys):
+        # Keys of different word counts are hashed in separate groups; the
+        # generators still come back in the order of the keys.
+        generators = streams.substreams(master_seed, keys)
+        assert len(generators) == len(keys)
+        for rng, key in zip(generators, keys):
+            assert_same_stream(rng, numpy_stream(master_seed, *key))
+
+    def test_pool_edges(self):
+        # Entropy of 1-10 words: short of, at, and past the 4-word pool.
+        for master_seed in (0, 2**32 - 1, 2**32, 2**64 + 1):
+            for length in range(5):
+                key = tuple(range(2**32 - 1, 2**32 - 1 + length))
+                assert_same_stream(
+                    streams.substream(master_seed, *key), numpy_stream(master_seed, *key)
+                )
+
+    def test_numpy_integer_keys(self):
+        key = (np.int64(4), np.uint32(3), np.uint64(2**33))
+        assert_same_stream(streams.substream(np.int64(5), *key), numpy_stream(5, 4, 3, 2**33))
+
+
+class TestStreams:
+    def test_generators_are_independent_objects(self):
+        a, b = streams.substreams(3, [(streams.BATCH, 0, 1), (streams.BATCH, 0, 1)])
+        assert a is not b
+        first = a.standard_normal(3)
+        np.testing.assert_array_equal(b.standard_normal(3), first)
+        np.testing.assert_array_equal(streams.substream(3, streams.BATCH, 0, 1).standard_normal(3), first)
+
+    def test_distinct_keys_give_distinct_draws(self):
+        keys = [(streams.SHARDS, 1), (streams.VALIDATION,), (streams.BATCH, 1, 0), (streams.BATCH, 0, 1)]
+        draws = [rng.random() for rng in streams.substreams(0, keys)]
+        assert len(set(draws)) == len(keys)
+
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (0, (streams.BATCH, -2, 0))])
+    def test_negative_entropy_is_rejected(self, seed, key):
+        with pytest.raises(ValueError, match="non-negative"):
+            streams.substream(seed, *key)
+
+    def test_float_entropy_is_rejected(self):
+        with pytest.raises(TypeError):
+            streams.substream(1.5)
