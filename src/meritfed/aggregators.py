@@ -18,6 +18,7 @@ orthogonal to the reference (angle pi/2).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -26,6 +27,7 @@ import numpy as np
 from . import streams
 from .errors import ConfigError, MeritFedError
 from .simplex_opt import (
+    ESTIMATOR_ZO,
     MdConfig,
     WeightObjective,
     check_weights,
@@ -40,10 +42,11 @@ from .simplex_opt import (
 class Rule:
     """One compared method; label is its name in metric output (e.g. fedavg-5).
 
-    Each rule defines weights(x, gradients, oracle, stream_for), returning the
+    Each rule defines weights(x, gradients, oracle, rng), returning the
     round's weight vector and, for solver rules, the solver-accuracy proxy
-    (None otherwise); stream_for(tag) opens the method's stream `tag` for the
-    current round.
+    (None otherwise). stream_tag names the one method stream the rule reads,
+    or is None for a rule that draws nothing; the engine passes that stream
+    of the current round as rng, and None to a rule that reads no stream.
     """
 
     label: str
@@ -51,6 +54,7 @@ class Rule:
 
     # Whether the convergence bounds are claimed for this rule under attack.
     bound_holds_under_attack: ClassVar[bool] = False
+    stream_tag: ClassVar[Optional[int]] = None
 
     def __post_init__(self) -> None:
         if self.model_step <= 0.0:
@@ -74,8 +78,15 @@ class MeritFed(Rule):
                 f"{validation_rows} rows of the validation set"
             )
 
-    def weights(self, x, gradients, oracle, stream_for):
-        md = dataclasses.replace(self.md, rng=stream_for(streams.MD))
+    @property
+    def stream_tag(self) -> Optional[int]:
+        # The exact full-set solver draws nothing.
+        if self.md.estimator == ESTIMATOR_ZO or self.md.minibatch > 0:
+            return streams.MD
+        return None
+
+    def weights(self, x, gradients, oracle, rng):
+        md = dataclasses.replace(self.md, rng=rng)
         objective = WeightObjective(
             x=x, gradients=gradients, model_step=self.model_step, loss_oracle=oracle
         )
@@ -86,7 +97,7 @@ class MeritFed(Rule):
 class SgdFull(Rule):
     """Uniform averaging over all clients."""
 
-    def weights(self, x, gradients, oracle, stream_for):
+    def weights(self, x, gradients, oracle, rng):
         return uniform_weights(gradients.shape[0]), None
 
 
@@ -106,7 +117,7 @@ class SgdIdeal(Rule):
                 f"for n={n_clients}"
             )
 
-    def weights(self, x, gradients, oracle, stream_for):
+    def weights(self, x, gradients, oracle, rng):
         indices = np.asarray(sorted(set(int(i) for i in self.ideal_indices)), dtype=int)
         w = np.zeros(gradients.shape[0])
         w[indices] = 1.0 / indices.size
@@ -134,13 +145,22 @@ def _angles_to_reference(gradients: np.ndarray) -> Optional[np.ndarray]:
     """Each client's angle to client 0's gradient; None when that gradient is zero.
 
     A zero client gradient counts as orthogonal to the reference (pi/2).
+    Bit for bit this is `angle(gradients[0], g)` of each nonzero row g: the
+    dot products and norms are the same 1-D `dot` calls (a matrix-vector
+    product would round differently), and the clip and arccos run once over
+    all rows.
     """
-    norms = np.linalg.norm(gradients, axis=1)
+    g0 = gradients[0]
+    dots = np.array([float(g0 @ g) for g in gradients])
+    norms = np.array([math.sqrt(g.dot(g)) for g in gradients])
     if norms[0] == 0.0:
         return None
-    return np.array(
-        [np.pi / 2 if norm == 0.0 else angle(gradients[0], g) for g, norm in zip(gradients, norms)]
-    )
+    nonzero = norms > 0.0
+    cos = np.zeros_like(norms)
+    np.divide(dots, norms[0] * norms, out=cos, where=nonzero)
+    angles = np.arccos(np.clip(cos, -1.0, 1.0))
+    angles[~nonzero] = np.pi / 2
+    return angles
 
 
 @dataclass
@@ -156,7 +176,7 @@ class FedAdp(Rule):
     _mean_angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _rounds: int = field(default=0, init=False, repr=False, compare=False)
 
-    def weights(self, x, gradients, oracle, stream_for):
+    def weights(self, x, gradients, oracle, rng):
         angles = _angles_to_reference(gradients)
         if angles is not None:
             t = self._rounds + 1
@@ -189,7 +209,7 @@ class Tawt(Rule):
                 f"{self.label}: multiplicative step must be positive, got {self.step_size}"
             )
 
-    def weights(self, x, gradients, oracle, stream_for):
+    def weights(self, x, gradients, oracle, rng):
         if self._current is None:
             self._current = uniform_weights(gradients.shape[0])
         angles = _angles_to_reference(gradients)
@@ -203,6 +223,7 @@ class FedAvg(Rule):
     """Uniform weights over a uniformly random subset of sample_count clients."""
 
     sample_count: int
+    stream_tag: ClassVar[Optional[int]] = streams.METHOD
 
     def check(self, n_clients: int, validation_rows: int) -> None:
         if not 1 <= self.sample_count <= n_clients:
@@ -210,9 +231,9 @@ class FedAvg(Rule):
                 f"{self.label}: sample count {self.sample_count} out of range for n={n_clients}"
             )
 
-    def weights(self, x, gradients, oracle, stream_for):
+    def weights(self, x, gradients, oracle, rng):
         n = gradients.shape[0]
-        chosen = stream_for(streams.METHOD).choice(n, size=self.sample_count, replace=False)
+        chosen = rng.choice(n, size=self.sample_count, replace=False)
         w = np.zeros(n)
         w[chosen] = 1.0 / self.sample_count
         return w, None

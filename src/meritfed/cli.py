@@ -556,7 +556,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
     try:
         run_config(config, out_dir, workers=args.workers)
-    except (MeritFedError, OSError) as exc:
+    except (MeritFedError, OSError, MemoryError) as exc:
+        # The outputs are written only after every seed has run, so a run
+        # that fails, for example on an allocation no memory can hold,
+        # creates no output directory.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote metrics.csv, weights.csv, theorem.csv, manifest.json to {out_dir}")

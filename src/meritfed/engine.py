@@ -13,6 +13,7 @@ reports are collected for the output layer.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,7 +23,7 @@ from . import streams
 from .aggregators import Rule, apply_update
 from .clients import ATTACK_ALIE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
 from .errors import ConfigError, NumericInputError
-from .simplex_opt import WeightObjective, check_weights, simplex_grid
+from .simplex_opt import WeightObjective, simplex_grid
 from .tasks import (
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
@@ -125,6 +126,20 @@ class ExperimentSpec:
         }[self.validation_mode]
         for rule in self.methods:
             rule.check(self.n_clients, validation_rows)
+        # The arrays whose sizes grow with the config: a round's gradients,
+        # the shards (a batch is never larger), validation and test sets.
+        n, d = self.n_clients, self.dim
+        model_dim = d if self.task == TASK_MEAN else self.n_classes * d
+        shapes = [(n, model_dim)]
+        if not self.exact_gradients:
+            shapes.append((n, self.shard_size, d))
+        if self.validation_mode == MODE_EXTRA:
+            shapes.append((self.validation_size, d))
+        if self.task == TASK_SOFTMAX:
+            shapes.append((self.test_size, d))
+        for shape in shapes:
+            if math.prod(shape) > np.iinfo(np.intp).max:
+                raise ConfigError(f"an array of shape {shape} is too large for numpy to index")
 
     def _validate_softmax(self) -> None:
         if self.exact_gradients:
@@ -194,6 +209,21 @@ class ConvergenceRow:
 
 
 @dataclass
+class RoundDraws:
+    """Everything one round draws, from one stream derivation.
+
+    rows holds every client's batch rows (None under exact gradients), noise
+    the Byzantine block's standard-normal rows (None without a random-noise
+    attack), and method_streams each rule's stream of the round (None for a
+    rule that reads none).
+    """
+
+    rows: Optional[np.ndarray]
+    noise: Optional[np.ndarray]
+    method_streams: list[Optional[np.random.Generator]]
+
+
+@dataclass
 class ExperimentResult:
     spec: ExperimentSpec
     metrics: list[RoundMetrics]
@@ -232,8 +262,13 @@ class RunState:
                 if spec.exact_gradients
                 else generate_mean_shards(seed, centers, spec.shard_size)
             )
-            # The (n, shard_size, d) block the shards view, for one-index batch means.
+            # The (n, shard_size, d) block the shards view. Batch means take
+            # rows from its flat (n * shard_size, d) view, offset by each
+            # client's first row.
             self.sample_block = self.shards[0].samples.base if self.shards else None
+            if self.shards:
+                self._flat_samples = self.sample_block.reshape(-1, d)
+                self._row_offsets = np.arange(n)[:, None] * spec.shard_size
             if spec.validation_mode == MODE_POPULATION:
                 self.oracle = PopulationMeanOracle(self.target_optimum)
             elif spec.validation_mode == MODE_REUSE_TRAIN:
@@ -273,32 +308,34 @@ class RunState:
         )
         self._grid = simplex_grid(n, GRID_RESOLUTION) if self.delta_estimator == DELTA_ESTIMATOR_GRID else None
 
-    def batch_rows(self, round_index: int) -> np.ndarray:
-        """(n, batch_size) sample rows of every client this round, identical for every method."""
-        spec = self.spec
-        keys = [(streams.BATCH, i, round_index) for i in range(spec.n_clients)]
-        return np.array([
-            rng.choice(spec.shard_size, size=spec.batch_size, replace=False)
-            for rng in streams.substreams(spec.master_seed, keys)
-        ])
+    def round_draws(self, round_index: int) -> RoundDraws:
+        """The round's batch rows, attack noise and method streams, from one derivation.
 
-    def honest_gradient_basis(self, round_index: int) -> np.ndarray:
-        """Per-client batch means of the round (mean task)."""
+        Batch rows and noise are per client and round, identical for every
+        method; a method stream is keyed by the method's slot and the round.
+        """
+        spec = self.spec
+        n, t = spec.n_clients, round_index
+        batch = [] if spec.exact_gradients else [(streams.BATCH, i, t) for i in range(n)]
+        noise = []
+        if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:
+            noise = [(streams.ATTACK_NOISE, i, t) for i in range(n - spec.byzantine_count, n)]
+        tags = [rule.stream_tag for rule in self.rules]
+        methods = [(tag, m, t) for m, tag in enumerate(tags) if tag is not None]
+        rngs = iter(streams.substreams(spec.master_seed, batch + noise + methods))
+        rows = [next(rngs).choice(spec.shard_size, spec.batch_size, replace=False) for _ in batch]
+        noise_rows = [next(rngs).standard_normal(self.model_dim) for _ in noise]
+        return RoundDraws(
+            rows=np.array(rows) if batch else None,
+            noise=np.array(noise_rows) if noise else None,
+            method_streams=[None if tag is None else next(rngs) for tag in tags],
+        )
+
+    def honest_gradient_basis(self, rows: Optional[np.ndarray]) -> np.ndarray:
+        """Each client's batch mean of the round (mean task), or its center under exact gradients."""
         if self.spec.exact_gradients:
             return self.centers
-        rows = self.batch_rows(round_index)
-        return self.sample_block[np.arange(self.spec.n_clients)[:, None], rows].mean(axis=1)
-
-    def attack_noise(self, round_index: int) -> Optional[np.ndarray]:
-        """Standard-normal rows of the Byzantine block this round (random-noise attack)."""
-        spec = self.spec
-        if spec.byzantine_count == 0 or spec.attack.kind != ATTACK_RANDOM_NOISE:
-            return None
-        n = spec.n_clients
-        keys = [(streams.ATTACK_NOISE, i, round_index) for i in range(n - spec.byzantine_count, n)]
-        return np.array([
-            rng.standard_normal(self.model_dim) for rng in streams.substreams(spec.master_seed, keys)
-        ])
+        return np.take(self._flat_samples, rows + self._row_offsets, axis=0).mean(axis=1)
 
     def state_metrics(self, label: str, round_index: int, delta: Optional[float]) -> RoundMetrics:
         x = self.points[label]
@@ -326,14 +363,12 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
     spec = state.spec
     n = spec.n_clients
 
+    draws = state.round_draws(round_index)
     if spec.task == TASK_MEAN:
-        basis = state.honest_gradient_basis(round_index)
-    else:
-        batch_rows = state.batch_rows(round_index)
+        basis = state.honest_gradient_basis(draws.rows)
     byzantine = slice(n - spec.byzantine_count, n)
-    noise = state.attack_noise(round_index)
 
-    for method_index, rule in enumerate(state.rules):
+    for rule, rng in zip(state.rules, draws.method_streams):
         label = rule.label
         x = state.points[label]
 
@@ -344,7 +379,7 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
             theta = x.reshape(spec.n_classes, -1)
             gradients = np.empty((n, state.model_dim))
             for i in range(n):
-                rows = batch_rows[i]
+                rows = draws.rows[i]
                 _, grad = softmax_loss_grad(
                     theta, state.shards[i].samples[rows], state.shards[i].labels[rows]
                 )
@@ -354,20 +389,16 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
         # colluders read the target group's rows only.
         if spec.byzantine_count > 0:
             gradients[byzantine] = byzantine_messages(
-                spec.attack, gradients[byzantine], gradients[: spec.group_counts[0]], noise
+                spec.attack, gradients[byzantine], gradients[: spec.group_counts[0]], draws.noise
             )
 
         if not np.all(np.isfinite(gradients)):
             raise NumericInputError(f"round {round_index}: non-finite client message")
 
-        # Phase 3: weights, metrics at the pre-update point, model update.
-        w, delta = rule.weights(
-            x,
-            gradients,
-            state.oracle,
-            lambda tag: streams.substream(spec.master_seed, tag, method_index, round_index),
-        )
-        w = check_weights(w, n=n)
+        # Phase 3: weights, the model update (which checks them), metrics at
+        # the pre-update point.
+        w, delta = rule.weights(x, gradients, state.oracle, rng)
+        x_new = apply_update(x, gradients, w, rule.model_step)
         if delta is not None and state.delta_estimator == DELTA_ESTIMATOR_GRID:
             objective = WeightObjective(
                 x=x, gradients=gradients, model_step=rule.model_step, loss_oracle=state.oracle
@@ -378,7 +409,6 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
         state.metrics.append(state.state_metrics(label, round_index, delta))
         if round_index % spec.weight_log_every == 0 or round_index == spec.rounds - 1:
             state.weight_rows.append((round_index, label, w.copy()))
-        x_new = apply_update(x, gradients, w, rule.model_step)
         if observer is not None:
             observer(round_index, label, x, gradients, w, delta, x_new)
         state.points[label] = x_new

@@ -67,10 +67,15 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     if not np.all(np.isfinite(g)):
         raise NumericInputError("mirror-descent step received a non-finite gradient")
     support = w > 0.0
-    z = -step_size * g[support]
-    z -= z.max()
-    out = np.zeros_like(w)
-    out[support] = w[support] * np.exp(z)
+    if support.all():
+        z = -step_size * g
+        z -= z.max()
+        out = w * np.exp(z)
+    else:
+        z = -step_size * g[support]
+        z -= z.max()
+        out = np.zeros_like(w)
+        out[support] = w[support] * np.exp(z)
     total = float(out.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise MeritFedError("multiplicative update produced no positive mass")

@@ -14,6 +14,22 @@ SeedSequence entropy pool and `generate_state(4, np.uint64)` run as uint32
 array arithmetic with one row per key, and numpy's PCG64 seeding takes the
 resulting words. The hash constants depend only on the position of a word, so
 all keys whose entropy has the same number of 32-bit words share them.
+
+A key with trailing zero indices names the same stream as the key without
+them (the entropy pool hashes zeros past the end of the entropy), so each tag
+is used with one number of indices only. The keys the program opens:
+
+    SHARDS             (client,)
+    VALIDATION         ()
+    MIXTURE_DIRECTION  ()
+    BATCH              (client, round)
+    ATTACK_NOISE       (client, round)
+    MD                 (method, round)
+    METHOD             (method, round)
+    TEST_SET           ()
+
+A method's index is its slot in the run's method list. A round opens all
+the streams it reads in one `substreams` call.
 """
 
 from __future__ import annotations

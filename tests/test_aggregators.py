@@ -1,7 +1,8 @@
 """Tests for the weighting rules and the shared model update.
 
 Oracles: high-precision scalar evaluation (mpmath) for the angle-mapping
-rule, binomial statistics for subset sampling, and the simplex-grid solver
+rule, the per-client loop over `angle` for the array form of the reference
+angles, binomial statistics for subset sampling, and the simplex-grid solver
 checks reused from the optimizer suite.
 """
 
@@ -10,7 +11,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meritfed import streams
 from meritfed.aggregators import (
     FedAdp,
     FedAvg,
@@ -18,24 +22,27 @@ from meritfed.aggregators import (
     SgdFull,
     SgdIdeal,
     Tawt,
+    _angles_to_reference,
     angle,
     apply_update,
     gompertz_map,
 )
 from meritfed.errors import ConfigError, MeritFedError, ShapeError
-from meritfed.simplex_opt import ESTIMATOR_EXACT, MdConfig, WeightObjective, uniform_weights
+from meritfed.simplex_opt import (
+    ESTIMATOR_EXACT,
+    ESTIMATOR_ZO,
+    MdConfig,
+    WeightObjective,
+    uniform_weights,
+)
 from meritfed.tasks import MeanValidationOracle
 
 
-def no_stream(tag):
-    raise AssertionError(f"a deterministic rule opened stream {tag}")
-
-
-def weights(rule, gradients, x=None, oracle=None, stream_for=no_stream):
+def weights(rule, gradients, x=None, oracle=None, rng=None):
     """One round of a rule on a gradient set (the point matters only to solver rules)."""
     gradients = np.asarray(gradients, dtype=float)
     x = np.zeros(gradients.shape[1]) if x is None else x
-    return rule.weights(x, gradients, oracle, stream_for)
+    return rule.weights(x, gradients, oracle, rng)
 
 
 def full_weights(n):
@@ -59,12 +66,14 @@ def tawt(step):
 def sampled_weights(n, k, rng):
     rule = FedAvg(f"fedavg-{k}", 0.01, sample_count=k)
     rule.check(n, 0)
-    return weights(rule, np.ones((n, 1)), stream_for=lambda tag: rng)[0]
+    return weights(rule, np.ones((n, 1)), rng=rng)[0]
 
 
 def meritfed_weights(x, g, model_step, md, oracle):
     rule = MeritFed("meritfed-md", model_step, md=md)
-    return weights(rule, g, x=x, oracle=oracle, stream_for=np.random.default_rng)
+    # The exact full-set solver reads no stream, so the engine passes none.
+    assert rule.stream_tag is None
+    return weights(rule, g, x=x, oracle=oracle)
 
 
 class TestFixedRules:
@@ -116,6 +125,64 @@ class TestAngle:
     def test_zero_vector_rejected(self):
         with pytest.raises(MeritFedError, match="angle against a zero vector is undefined"):
             angle(np.zeros(2), np.array([1.0, 0.0]))
+
+
+def angles_by_loop(gradients):
+    """The reference angles as one angle() call per nonzero client (the replaced loop)."""
+    norms = np.linalg.norm(gradients, axis=1)
+    if norms[0] == 0.0:
+        return None
+    return np.array(
+        [np.pi / 2 if norm == 0.0 else angle(gradients[0], g) for g, norm in zip(gradients, norms)]
+    )
+
+
+class TestAnglesToReference:
+    # Rows are random, zero, or a scaled copy of the reference row (parallel)
+    # or of its negative (sign-flipped); each row is then scaled by 10^e for
+    # e in [-150, 150], so products and squared norms stay finite.
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dim=st.integers(min_value=1, max_value=12),
+        kinds=st.lists(
+            st.sampled_from(["random", "zero", "parallel", "flipped"]), min_size=1, max_size=20
+        ),
+        exponents=st.lists(st.integers(min_value=-150, max_value=150), min_size=20, max_size=20),
+    )
+    def test_equals_per_client_angle_loop(self, seed, dim, kinds, exponents):
+        base = np.random.default_rng(seed).standard_normal((len(kinds), dim))
+        rows = {"random": base, "zero": 0.0 * base, "parallel": base[[0]], "flipped": -base[[0]]}
+        gradients = np.array([
+            rows[kind][i % len(rows[kind])] * 10.0 ** exponents[i] for i, kind in enumerate(kinds)
+        ])
+        expected = angles_by_loop(gradients)
+        got = _angles_to_reference(gradients)
+        if expected is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, expected), (got, expected)
+
+    def test_edge_rows(self):
+        a = np.array([3.0, -4.0, 1e-3])
+        gradients = np.array([a, 7.0 * a, -a, np.zeros(3), [4.0, 3.0, 0.0], a * 1e-150, a * 1e150])
+        assert np.array_equal(_angles_to_reference(gradients), angles_by_loop(gradients))
+        assert _angles_to_reference(np.array([np.zeros(3), a])) is None
+
+
+class TestStreamTags:
+    def test_rules_declare_the_stream_they_read(self):
+        def md(**kwargs):
+            return MdConfig(step_size=1.0, step_count=5, **kwargs)
+
+        assert MeritFed("md", 0.1, md=md()).stream_tag is None
+        assert MeritFed("smd", 0.1, md=md(minibatch=10)).stream_tag == streams.MD
+        assert MeritFed("zo", 0.1, md=md(estimator=ESTIMATOR_ZO)).stream_tag == streams.MD
+        assert FedAvg("fedavg-2", 0.1, sample_count=2).stream_tag == streams.METHOD
+        ideal = SgdIdeal("sgd-ideal", 0.1, ideal_indices=(0,))
+        for rule in (SgdFull("sgd-full", 0.1), ideal, fedadp(), tawt(1.0)):
+            assert rule.stream_tag is None
 
 
 class TestAngleMappedWeights:

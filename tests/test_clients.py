@@ -34,7 +34,8 @@ def honest_spec(**kwargs):
 
 def honest_message(state, x, round_index):
     """Client 0's honest mean-task gradient 2(x - batch mean) in the engine."""
-    return 2.0 * (x - state.honest_gradient_basis(round_index)[0])
+    rows = state.round_draws(round_index).rows
+    return 2.0 * (x - state.honest_gradient_basis(rows)[0])
 
 
 def bit_flip(gradients):

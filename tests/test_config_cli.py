@@ -372,6 +372,8 @@ class TestMainEntryPoint:
             # A negative master seed has no stream entropy words.
             ("byzantine-rn", ["--seed -1"]),
             ("byzantine-rn", ["base_seed=-3"]),
+            # More elements than numpy can index (and no memory can hold).
+            ("mean-mu-0.1", ["dim=99999999999999999999"]),
         ]
         float_keys = [key for key, kind in CONFIG_SCHEMA.items() if kind is float]
         assert len(float_keys) == 10
@@ -393,6 +395,19 @@ class TestMainEntryPoint:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, (overrides, err)
             assert not out.exists()
+
+    def test_unallocatable_run_exits_one(self, tmp_path, capsys):
+        # 150 shards of 1e11 rows in dimension 10 are 1.07 PiB: numpy can
+        # index them, but no address space can map them.
+        out = tmp_path / "unallocatable"
+        args = ["run", "--preset", "mean-mu-0.1", "--out", str(out)]
+        for item in ("seeds=1", "rounds=1", "shard_size=100000000000"):
+            args += ["--set", item]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "PiB" in err
+        assert not out.exists()
 
     def test_zero_reference_gradient_run_exits_zero(self, tmp_path):
         # One exact step of size 1/2 lands on the optimum, where the target

@@ -6,6 +6,8 @@ one round from the stored shards and the shared batch streams, and direct
 arithmetic for the rate-bound evaluator.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,10 @@ from meritfed.engine import (
     RunState,
     check_convergence_bounds,
     run_experiment,
+    run_round,
 )
 from meritfed.errors import ConfigError
-from meritfed.simplex_opt import ESTIMATOR_EXACT, MdConfig
+from meritfed.simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
 from meritfed.tasks import PopulationMeanOracle
 
 
@@ -82,7 +85,8 @@ class TestLayout:
             seen = []
             run_experiment(spec, observer=lambda t, label, x, g, *rest: seen.append((x, g.copy())))
             [(x, gradients)] = seen
-            honest = 2.0 * (x - RunState(spec).honest_gradient_basis(0))
+            state = RunState(spec)
+            honest = 2.0 * (x - state.honest_gradient_basis(state.round_draws(0).rows))
             np.testing.assert_array_equal(gradients[:4], honest[:4])
             if kind == ATTACK_BIT_FLIP:
                 expected = -honest[4:]
@@ -583,13 +587,15 @@ class TestRoundDrawsMatchPerClientLoop:
                 state.shards[i].samples[rows].mean(axis=0)
                 for i, rows in enumerate(per_client_rows(state.spec, t))
             ]
-            assert np.array_equal(state.honest_gradient_basis(t), np.array(expected))
+            rows = state.round_draws(t).rows
+            assert np.array_equal(state.honest_gradient_basis(rows), np.array(expected))
 
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_honest_gradient_basis_exact(self, master_seed):
         state = RunState(self.byzantine_spec(master_seed, exact_gradients=True))
         assert state.shards == []
-        assert np.array_equal(state.honest_gradient_basis(2), state.centers)
+        assert state.round_draws(2).rows is None
+        assert np.array_equal(state.honest_gradient_basis(None), state.centers)
 
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_softmax_batch_rows(self, master_seed):
@@ -607,7 +613,7 @@ class TestRoundDrawsMatchPerClientLoop:
         )
         state = RunState(spec)
         for t in (0, 2):
-            assert np.array_equal(state.batch_rows(t), np.array(per_client_rows(spec, t)))
+            assert np.array_equal(state.round_draws(t).rows, np.array(per_client_rows(spec, t)))
 
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_random_noise_rows(self, master_seed):
@@ -618,8 +624,8 @@ class TestRoundDrawsMatchPerClientLoop:
                 reference_stream(master_seed, streams.ATTACK_NOISE, i, t).standard_normal(spec.dim)
                 for i in range(spec.n_clients - spec.byzantine_count, spec.n_clients)
             ]
-            assert np.array_equal(state.attack_noise(t), np.array(expected))
-        assert RunState(small_spec(master_seed=master_seed)).attack_noise(0) is None
+            assert np.array_equal(state.round_draws(t).noise, np.array(expected))
+        assert RunState(small_spec(master_seed=master_seed)).round_draws(0).noise is None
 
     def test_mean_shards_share_one_block(self):
         spec = self.byzantine_spec(0)
@@ -629,4 +635,65 @@ class TestRoundDrawsMatchPerClientLoop:
         assert all(shard.samples.base is block for shard in state.shards)
         # An in-place write to a shard reaches the gathered batch means.
         state.shards[1].samples[:] = 7.0
-        np.testing.assert_array_equal(state.honest_gradient_basis(0)[1], np.full(spec.dim, 7.0))
+        basis = state.honest_gradient_basis(state.round_draws(0).rows)
+        np.testing.assert_array_equal(basis[1], np.full(spec.dim, 7.0))
+
+
+class TestRoundStreams:
+    # Groups (2, 1, 1) and two random-noise attackers (clients 4 and 5); of
+    # the eight methods, meritfed-smd (slot 1) and meritfed-zo (slot 2) read
+    # their MD stream and fedavg-1 and fedavg-3 (slots 6 and 7) their METHOD
+    # stream. The exact full-set solver (slot 0) reads none.
+    ROUND = 3
+
+    def spec(self):
+        md = MdConfig(step_size=2.0, step_count=3, estimator=ESTIMATOR_EXACT)
+        methods = [
+            MeritFed("meritfed-md", 0.01, md=md),
+            MeritFed("meritfed-smd", 0.01, md=dataclasses.replace(md, minibatch=20)),
+            MeritFed("meritfed-zo", 0.01, md=dataclasses.replace(md, estimator=ESTIMATOR_ZO)),
+            full_method(),
+            FedAdp("fedadp", 0.01),
+            Tawt("tawt", 0.01, step_size=1.0),
+            FedAvg("fedavg-1", 0.01, sample_count=1),
+            FedAvg("fedavg-3", 0.01, sample_count=3),
+        ]
+        attack = AttackSpec(kind=ATTACK_RANDOM_NOISE)
+        return small_spec(methods=methods, byzantine_count=2, attack=attack)
+
+    def test_one_substreams_call_per_round(self, monkeypatch):
+        spec, t = self.spec(), self.ROUND
+        state = RunState(spec)
+        calls = []
+        derive = streams.substreams
+
+        def recording(master_seed, keys):
+            keys = list(keys)
+            rngs = derive(master_seed, keys)
+            calls.append((master_seed, keys, [rng.bit_generator.state for rng in rngs]))
+            return rngs
+
+        monkeypatch.setattr(streams, "substreams", recording)
+        run_round(state, t)
+        monkeypatch.undo()
+        [(master_seed, keys, states)] = calls
+        expected = [(streams.BATCH, i, t) for i in range(spec.n_clients)]
+        expected += [(streams.ATTACK_NOISE, i, t) for i in (4, 5)]
+        expected += [(streams.MD, 1, t), (streams.MD, 2, t)]
+        expected += [(streams.METHOD, 6, t), (streams.METHOD, 7, t)]
+        assert master_seed == spec.master_seed
+        assert sorted(keys) == sorted(expected)
+        for key, state_at_open in zip(keys, states):
+            assert state_at_open == streams.substream(spec.master_seed, *key).bit_generator.state
+
+    def test_each_rule_gets_its_stream_of_the_round(self):
+        spec, t = self.spec(), self.ROUND
+        method_streams = RunState(spec).round_draws(t).method_streams
+        tags = [None, streams.MD, streams.MD, None, None, None, streams.METHOD, streams.METHOD]
+        assert len(method_streams) == len(tags)
+        for m, (rng, tag) in enumerate(zip(method_streams, tags)):
+            if tag is None:
+                assert rng is None, m
+            else:
+                reference = streams.substream(spec.master_seed, tag, m, t)
+                assert rng.bit_generator.state == reference.bit_generator.state, m

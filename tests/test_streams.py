@@ -6,12 +6,16 @@ Oracle: numpy's own SeedSequence -> PCG64 seeding. The stream of
 state for state and draw for draw.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritfed import streams
+from meritfed.cli import PRESETS, build_experiment, parse_config
+from meritfed.engine import run_experiment
 
 
 def numpy_stream(master_seed, *key):
@@ -90,3 +94,40 @@ class TestStreams:
     def test_float_entropy_is_rejected(self):
         with pytest.raises(TypeError):
             streams.substream(1.5)
+
+
+def documented_arities():
+    """Tag name -> number of key indices, from the key table of the streams docstring."""
+    table = {}
+    for line in streams.__doc__.splitlines():
+        match = re.fullmatch(r" {4}([A-Z_]+) +\((.*)\)", line)
+        if match:
+            table[match[1]] = len([part for part in match[2].split(",") if part.strip()])
+    return table
+
+
+class TestOneArityPerTag:
+    # A key with trailing zero indices is the same stream as the shorter key,
+    # so a tag opened with two arities would share draws between its keys.
+
+    def test_every_preset_opens_each_tag_with_its_documented_arity(self, monkeypatch):
+        table = documented_arities()
+        assert len(table) == 8
+        keys = []
+        derive = streams.substreams
+
+        def recording(master_seed, batch):
+            batch = list(batch)
+            keys.extend(batch)
+            return derive(master_seed, batch)
+
+        monkeypatch.setattr(streams, "substreams", recording)
+        for preset in PRESETS:
+            config = parse_config("", preset=preset, overrides=["seeds=1", "rounds=2"])
+            run_experiment(build_experiment(config))
+        name_of = {getattr(streams, name): name for name in table}
+        arities = {}
+        for key in keys:
+            arities.setdefault(name_of[key[0]], set()).add(len(key) - 1)
+        assert all(len(used) == 1 for used in arities.values()), arities
+        assert {name: used.pop() for name, used in arities.items()} == table
