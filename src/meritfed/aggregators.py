@@ -27,7 +27,6 @@ import numpy as np
 from . import streams
 from .errors import ConfigError, MeritFedError
 from .simplex_opt import (
-    ESTIMATOR_ZO,
     MdConfig,
     WeightObjective,
     check_weights,
@@ -80,10 +79,7 @@ class MeritFed(Rule):
 
     @property
     def stream_tag(self) -> Optional[int]:
-        # The exact full-set solver draws nothing.
-        if self.md.estimator == ESTIMATOR_ZO or self.md.minibatch > 0:
-            return streams.MD
-        return None
+        return streams.MD if self.md.reads_rng else None
 
     def weights(self, x, gradients, oracle, rng):
         md = dataclasses.replace(self.md, rng=rng)

@@ -82,6 +82,11 @@ class ExperimentSpec:
     def n_clients(self) -> int:
         return int(sum(self.group_counts)) + int(self.byzantine_count)
 
+    @property
+    def model_dim(self) -> int:
+        """Length of a model point and of a client gradient."""
+        return self.dim if self.task == TASK_MEAN else self.n_classes * self.dim
+
     def validate(self) -> None:
         if self.task not in (TASK_MEAN, TASK_SOFTMAX):
             raise ConfigError(f"unknown task {self.task!r}")
@@ -129,8 +134,7 @@ class ExperimentSpec:
         # The arrays whose sizes grow with the config: a round's gradients,
         # the shards (a batch is never larger), validation and test sets.
         n, d = self.n_clients, self.dim
-        model_dim = d if self.task == TASK_MEAN else self.n_classes * d
-        shapes = [(n, model_dim)]
+        shapes = [(n, self.model_dim)]
         if not self.exact_gradients:
             shapes.append((n, self.shard_size, d))
         if self.validation_mode == MODE_EXTRA:
@@ -276,7 +280,6 @@ class RunState:
             else:
                 rng = streams.substream(seed, streams.VALIDATION)
                 self.oracle = MeanValidationOracle(rng.standard_normal((spec.validation_size, d)))
-            self.model_dim = d
             point0 = np.ones(d)
         else:
             self.shards, validation, self.test_shard = softmax_task_generate(
@@ -292,8 +295,7 @@ class RunState:
             if spec.validation_mode == MODE_REUSE_TRAIN:
                 validation = self.shards[0]
             self.oracle = SoftmaxValidationOracle(validation, spec.n_classes)
-            self.model_dim = spec.n_classes * d
-            point0 = np.zeros(self.model_dim)
+            point0 = np.zeros(spec.model_dim)
 
         # Fresh copies: rules keep cross-round state, and the spec may be rerun.
         self.rules = [dataclasses.replace(rule) for rule in spec.methods]
@@ -324,7 +326,7 @@ class RunState:
         methods = [(tag, m, t) for m, tag in enumerate(tags) if tag is not None]
         rngs = iter(streams.substreams(spec.master_seed, batch + noise + methods))
         rows = [next(rngs).choice(spec.shard_size, spec.batch_size, replace=False) for _ in batch]
-        noise_rows = [next(rngs).standard_normal(self.model_dim) for _ in noise]
+        noise_rows = [next(rngs).standard_normal(spec.model_dim) for _ in noise]
         return RoundDraws(
             rows=np.array(rows) if batch else None,
             noise=np.array(noise_rows) if noise else None,
@@ -377,7 +379,7 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
             gradients = 2.0 * (x - basis)
         else:
             theta = x.reshape(spec.n_classes, -1)
-            gradients = np.empty((n, state.model_dim))
+            gradients = np.empty((n, spec.model_dim))
             for i in range(n):
                 rows = draws.rows[i]
                 _, grad = softmax_loss_grad(

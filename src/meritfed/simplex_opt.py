@@ -67,15 +67,10 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     if not np.all(np.isfinite(g)):
         raise NumericInputError("mirror-descent step received a non-finite gradient")
     support = w > 0.0
-    if support.all():
-        z = -step_size * g
-        z -= z.max()
-        out = w * np.exp(z)
-    else:
-        z = -step_size * g[support]
-        z -= z.max()
-        out = np.zeros_like(w)
-        out[support] = w[support] * np.exp(z)
+    z = -step_size * g[support]
+    z -= z.max()
+    out = np.zeros_like(w)
+    out[support] = w[support] * np.exp(z)
     total = float(out.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise MeritFedError("multiplicative update produced no positive mass")
@@ -168,6 +163,11 @@ class MdConfig:
         if self.minibatch < 0:
             raise InvalidDimensionError(f"minibatch must be >= 0, got {self.minibatch}")
 
+    @property
+    def reads_rng(self) -> bool:
+        """Whether solve_weights draws from rng: only the exact full-set solver draws nothing."""
+        return self.estimator == ESTIMATOR_ZO or self.minibatch > 0
+
 
 @dataclass
 class WeightObjective:
@@ -238,7 +238,7 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
     best_value, val_grad = obj.evaluate(w)
     last_value = best_value
     for _ in range(cfg.step_count):
-        if cfg.estimator == ESTIMATOR_EXACT and cfg.minibatch == 0:
+        if not cfg.reads_rng:
             g = _chain_rule(obj.gradients, obj.model_step, val_grad)
         elif cfg.estimator == ESTIMATOR_EXACT:
             g = obj.gradient(w, minibatch=cfg.minibatch, rng=cfg.rng)

@@ -84,36 +84,7 @@ class TestUniformWeights:
             uniform_weights(0)
 
 
-def masked_md_step(w, g, step_size):
-    """The multiplicative step over the support of w: the oracle for the full-support path."""
-    support = w > 0.0
-    z = -step_size * g[support]
-    z -= z.max()
-    out = np.zeros_like(w)
-    out[support] = w[support] * np.exp(z)
-    return out / float(out.sum())
-
-
 class TestEntropicStep:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=1, max_value=200),
-        zero_fraction=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
-        scale=st.sampled_from([1e-3, 1.0, 50.0, 1e6]),
-        step_size=st.floats(1e-3, 100.0),
-    )
-    def test_equals_masked_formula(self, seed, n, zero_fraction, scale, step_size):
-        # Bit for bit, with every weight positive (the fast path) and with
-        # some zero weights (the masked path).
-        rng = np.random.default_rng(seed)
-        w = rng.random(n) + 1e-3
-        w[rng.random(n) < zero_fraction] = 0.0
-        w[rng.integers(n)] += 1.0
-        w /= w.sum()
-        g = scale * rng.standard_normal(n)
-        assert np.array_equal(entropic_md_step(w, g, step_size), masked_md_step(w, g, step_size))
-
     def test_zero_gradient_fixed_point(self):
         w = np.full(3, 1.0 / 3.0)
         out = entropic_md_step(w, np.zeros(3), 1.0)
@@ -525,6 +496,21 @@ class TestSolverOracleCalls:
     def test_zeroth_order_two_probes_and_a_score_per_step(self):
         oracle = self.solve(SOLVER_SETTINGS["zeroth-order"])
         assert (oracle.full_calls, oracle.minibatch_calls) == (3 * self.STEPS + 1, 0)
+
+    @pytest.mark.parametrize("settings", SOLVER_SETTINGS.values(), ids=SOLVER_SETTINGS.keys())
+    def test_reads_rng_says_whether_the_solver_draws(self, settings):
+        rng = np.random.default_rng(0)
+        obj = WeightObjective(
+            x=rng.standard_normal(3),
+            gradients=rng.standard_normal((5, 3)),
+            model_step=0.3,
+            loss_oracle=mean_oracle(rng, 3),
+        )
+        cfg = MdConfig(step_size=1.0, step_count=self.STEPS, rng=np.random.default_rng(1), **settings)
+        before = cfg.rng.bit_generator.state
+        solve_weights(obj, cfg)
+        assert (cfg.rng.bit_generator.state != before) == cfg.reads_rng
+        assert cfg.reads_rng == (settings != SOLVER_SETTINGS["exact"])
 
 
 class TestSolverMatchesTwoCallLoop:
