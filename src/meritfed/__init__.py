@@ -12,6 +12,7 @@ from .aggregators import FedAdp, FedAvg, MeritFed, SgdFull, SgdIdeal, Tawt
 from .clients import AttackSpec
 from .engine import ExperimentSpec, run_experiment
 from .simplex_opt import MdConfig, entropic_md_step, solve_weights
+from .tasks import MeanTask, SoftmaxTask
 
 __all__ = [
     "__version__",
@@ -20,9 +21,11 @@ __all__ = [
     "FedAdp",
     "FedAvg",
     "MdConfig",
+    "MeanTask",
     "MeritFed",
     "SgdFull",
     "SgdIdeal",
+    "SoftmaxTask",
     "Tawt",
     "entropic_md_step",
     "run_experiment",

@@ -31,22 +31,18 @@ from typing import Optional
 from . import __version__
 from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
 from .clients import ATTACK_KINDS, AttackSpec
-from .engine import (
-    TASK_MEAN,
-    TASK_SOFTMAX,
-    ConvergenceRow,
-    ExperimentSpec,
-    RoundMetrics,
-    run_experiment,
-)
+from .engine import ConvergenceRow, ExperimentSpec, RoundMetrics, run_experiment
 from .errors import ConfigError, MeritFedError
 from .simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
-from .tasks import MODE_EXTRA
+from .tasks import MODE_EXTRA, MeanTask, SoftmaxTask
 
 OUT_DIR_ENV = "MERITFED_OUT_DIR"
 DEFAULT_OUT_DIR = "runs"
 
 ATTACK_NONE = "none"
+
+TASK_MEAN = "mean"
+TASK_SOFTMAX = "softmax"
 
 
 @dataclass
@@ -320,7 +316,7 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("byzantine_count > 0 requires an attack_kind")
     if config.attack_shift_sign not in (-1, 1):
         raise ConfigError(f"attack_shift_sign must be -1 or 1, got {config.attack_shift_sign}")
-    build_experiment(config)  # full engine-side validation
+    build_experiment(config).validate()  # full engine-side validation
 
 
 def _method_from_label(label: str, config: RunConfig) -> Rule:
@@ -362,7 +358,13 @@ def _method_from_label(label: str, config: RunConfig) -> Rule:
 
 
 def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
-    """Expand the flat config into an engine spec for one seed."""
+    """Expand the flat config into an engine spec for one seed (checked by spec.validate)."""
+    if config.task == TASK_MEAN:
+        task = MeanTask(group2_shift=config.group2_shift)
+    elif config.task == TASK_SOFTMAX:
+        task = SoftmaxTask(config.mixing_alpha, config.n_classes, config.test_size)
+    else:
+        raise ConfigError(f"unknown task {config.task!r}; known: {TASK_MEAN}, {TASK_SOFTMAX}")
     attack = None
     if config.byzantine_count > 0:
         attack = AttackSpec(
@@ -372,14 +374,13 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
             z=config.attack_z,
             shift_sign=config.attack_shift_sign,
         )
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         methods=[_method_from_label(label, config) for label in config.methods],
-        task=config.task,
+        task=task,
         dim=config.dim,
         group_counts=(config.group1_count, config.group2_count, config.group3_count),
         byzantine_count=config.byzantine_count,
         attack=attack,
-        group2_shift=config.group2_shift,
         shard_size=config.shard_size,
         batch_size=config.batch_size,
         rounds=config.rounds,
@@ -388,12 +389,7 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
         exact_gradients=config.exact_gradients,
         master_seed=master_seed,
         weight_log_every=config.weight_log_every,
-        mixing_alpha=config.mixing_alpha,
-        n_classes=config.n_classes,
-        test_size=config.test_size,
     )
-    spec.validate()
-    return spec
 
 
 def _format_cell(value) -> str:
@@ -465,7 +461,8 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     """Run every repeat seed and write the output tables. Returns the manifest."""
     seeds = [config.base_seed + j for j in range(config.seeds)]
     if workers > 1 and len(seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # A pool starts all its workers at the first submit: one per seed at most.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
             payloads = list(pool.map(_seed_payload, [config] * len(seeds), seeds))
     else:
         payloads = [_seed_payload(config, seed) for seed in seeds]

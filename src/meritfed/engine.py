@@ -2,8 +2,9 @@
 
 One experiment holds a fixed client population, laid out in index order as
 target group 1, groups 2 and 3, then one block of Byzantine workers that all
-run the same attack. It runs every configured method side by side from the
-same initial point. Per-(client, round) sample draws come from named streams
+run the same attack. The run's task (a `tasks.Task`) owns the client data,
+the honest gradients and the task's metrics; the engine runs every
+configured method side by side from the task's start point. Per-(client, round) sample draws come from named streams
 independent of the method, so sampling noise is coupled across methods; the
 colluding attacks run in a second phase after all honest messages of the
 round exist. Per-round metrics, weight trajectories, and convergence-bound
@@ -13,7 +14,6 @@ reports are collected for the output layer.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,26 +24,8 @@ from .aggregators import Rule, apply_update
 from .clients import ATTACK_ALIE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
 from .errors import ConfigError, NumericInputError
 from .simplex_opt import WeightObjective, simplex_grid
-from .tasks import (
-    MEAN_PL_CONSTANT,
-    MEAN_SMOOTHNESS,
-    MIXED_CLASSES,
-    MODE_EXTRA,
-    MODE_POPULATION,
-    MODE_REUSE_TRAIN,
-    TARGET_CLASSES,
-    DatasetShard,
-    MeanValidationOracle,
-    PopulationMeanOracle,
-    SoftmaxValidationOracle,
-    generate_mean_shards,
-    softmax_accuracy,
-    softmax_loss_grad,
-    softmax_task_generate,
-)
-
-TASK_MEAN = "mean"
-TASK_SOFTMAX = "softmax"
+from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, DatasetShard, Task
+from .tasks import check_convergence_bounds, check_indexable
 
 DELTA_ESTIMATOR_ITERATE = "iterate-gap"
 DELTA_ESTIMATOR_GRID = "grid-gap"
@@ -60,12 +42,11 @@ class ExperimentSpec:
     """Full description of one run."""
 
     methods: list[Rule]
-    task: str = TASK_MEAN
+    task: Task
     dim: int = 10
     group_counts: tuple[int, int, int] = (5, 95, 50)
     byzantine_count: int = 0
     attack: Optional[AttackSpec] = None
-    group2_shift: float = 0.1  # per-coordinate center of group 2 (mean task)
     shard_size: int = 1000
     batch_size: int = 100
     rounds: int = 2000
@@ -74,22 +55,12 @@ class ExperimentSpec:
     exact_gradients: bool = False
     master_seed: int = 0
     weight_log_every: int = 1
-    mixing_alpha: float = 0.5  # softmax group-2 target-class fraction
-    n_classes: int = 10
-    test_size: int = 4000
 
     @property
     def n_clients(self) -> int:
         return int(sum(self.group_counts)) + int(self.byzantine_count)
 
-    @property
-    def model_dim(self) -> int:
-        """Length of a model point and of a client gradient."""
-        return self.dim if self.task == TASK_MEAN else self.n_classes * self.dim
-
     def validate(self) -> None:
-        if self.task not in (TASK_MEAN, TASK_SOFTMAX):
-            raise ConfigError(f"unknown task {self.task!r}")
         if self.rounds < 1:
             raise ConfigError(f"round count must be >= 1, got {self.rounds}")
         if self.dim < 1:
@@ -122,8 +93,7 @@ class ExperimentSpec:
             raise ConfigError("reuse-train validation needs realized shards")
         if self.weight_log_every < 1:
             raise ConfigError("weight_log_every must be >= 1")
-        if self.task == TASK_SOFTMAX:
-            self._validate_softmax()
+        self.task.check(self)
         validation_rows = {
             MODE_EXTRA: self.validation_size,
             MODE_REUSE_TRAIN: self.shard_size,
@@ -131,44 +101,14 @@ class ExperimentSpec:
         }[self.validation_mode]
         for rule in self.methods:
             rule.check(self.n_clients, validation_rows)
-        # The arrays whose sizes grow with the config: a round's gradients,
-        # the shards (a batch is never larger), validation and test sets.
+        # Arrays that grow with the config (the task checks its own): a round's
+        # gradients, the shards (a batch is never larger), the validation set.
         n, d = self.n_clients, self.dim
-        shapes = [(n, self.model_dim)]
+        check_indexable((n, self.task.model_dim(d)))
         if not self.exact_gradients:
-            shapes.append((n, self.shard_size, d))
+            check_indexable((n, self.shard_size, d))
         if self.validation_mode == MODE_EXTRA:
-            shapes.append((self.validation_size, d))
-        if self.task == TASK_SOFTMAX:
-            shapes.append((self.test_size, d))
-        for shape in shapes:
-            if math.prod(shape) > np.iinfo(np.intp).max:
-                raise ConfigError(f"an array of shape {shape} is too large for numpy to index")
-
-    def _validate_softmax(self) -> None:
-        if self.exact_gradients:
-            raise ConfigError("exact gradients are only defined for the mean task")
-        if not 0.0 < self.mixing_alpha <= 1.0:
-            raise ConfigError(f"mixing fraction must lie in (0, 1], got {self.mixing_alpha}")
-        if self.validation_mode == MODE_POPULATION:
-            raise ConfigError("population validation is only defined for the mean task")
-        if self.byzantine_count > 0:
-            raise ConfigError("byzantine clients are supported on the mean task only")
-        if self.test_size < 1:
-            raise ConfigError(f"softmax task needs test_size >= 1, got {self.test_size}")
-        # Group 2 mixes in classes up to max(MIXED_CLASSES); group 3 draws the
-        # classes beyond them; class centers sit on distinct feature axes.
-        if self.group_counts[2] > 0:
-            needed = max(MIXED_CLASSES) + 2
-        elif self.group_counts[1] > 0:
-            needed = max(MIXED_CLASSES) + 1
-        else:
-            needed = max(TARGET_CLASSES) + 1
-        if not needed <= self.n_classes <= self.dim:
-            raise ConfigError(
-                f"softmax groups {self.group_counts} need {needed} <= n_classes <= "
-                f"dim={self.dim}, got n_classes={self.n_classes}"
-            )
+            check_indexable((self.validation_size, d))
 
 
 @dataclass(kw_only=True)
@@ -245,67 +185,19 @@ class RunState:
     def __init__(self, spec: ExperimentSpec) -> None:
         spec.validate()
         self.spec = spec
-        n, d = spec.n_clients, spec.dim
-        seed = spec.master_seed
-        self.mixture_direction: Optional[np.ndarray] = None
-
-        if spec.task == TASK_MEAN:
-            self.mixture_direction = streams.unit_sphere_vector(
-                streams.substream(seed, streams.MIXTURE_DIRECTION), d
-            )
-            # Group 1 and the Byzantine block hold target-distribution data,
-            # centered at zero.
-            g1, g2, g3 = spec.group_counts
-            centers = np.zeros((n, d))
-            centers[g1 : g1 + g2] = spec.group2_shift
-            centers[g1 + g2 : g1 + g2 + g3] = self.mixture_direction
-            self.centers = centers
-            self.target_optimum = np.zeros(d)
-            self.shards = (
-                []
-                if spec.exact_gradients
-                else generate_mean_shards(seed, centers, spec.shard_size)
-            )
-            # The (n, shard_size, d) block the shards view. Batch means take
-            # rows from its flat (n * shard_size, d) view, offset by each
-            # client's first row.
-            self.sample_block = self.shards[0].samples.base if self.shards else None
-            if self.shards:
-                self._flat_samples = self.sample_block.reshape(-1, d)
-                self._row_offsets = np.arange(n)[:, None] * spec.shard_size
-            if spec.validation_mode == MODE_POPULATION:
-                self.oracle = PopulationMeanOracle(self.target_optimum)
-            elif spec.validation_mode == MODE_REUSE_TRAIN:
-                self.oracle = MeanValidationOracle(self.shards[0].samples)
-            else:
-                rng = streams.substream(seed, streams.VALIDATION)
-                self.oracle = MeanValidationOracle(rng.standard_normal((spec.validation_size, d)))
-            point0 = np.ones(d)
-        else:
-            self.shards, validation, self.test_shard = softmax_task_generate(
-                group_counts=spec.group_counts,
-                alpha=spec.mixing_alpha,
-                feature_dim=d,
-                n_classes=spec.n_classes,
-                shard_size=spec.shard_size,
-                master_seed=seed,
-                validation_size=spec.validation_size,
-                test_size=spec.test_size,
-            )
-            if spec.validation_mode == MODE_REUSE_TRAIN:
-                validation = self.shards[0]
-            self.oracle = SoftmaxValidationOracle(validation, spec.n_classes)
-            point0 = np.zeros(spec.model_dim)
-
-        # Fresh copies: rules keep cross-round state, and the spec may be rerun.
+        # Fresh copies: the task holds the run's data, rules keep cross-round
+        # state, and the spec may be rerun.
+        self.task = dataclasses.replace(spec.task)
+        self.task.build(spec)
         self.rules = [dataclasses.replace(rule) for rule in spec.methods]
-        self.points = {m.label: point0.copy() for m in spec.methods}
+        self.points = {m.label: self.task.start.copy() for m in spec.methods}
         self.metrics: list[RoundMetrics] = []
         self.weight_rows: list[tuple[int, str, np.ndarray]] = []
         self.delta_sums = {m.label: 0.0 for m in spec.methods}
+        n = spec.n_clients
         self.delta_estimator = (
             DELTA_ESTIMATOR_GRID
-            if spec.task == TASK_MEAN and n <= MAX_GRID_CLIENTS
+            if self.task.rate_bounds and n <= MAX_GRID_CLIENTS
             else DELTA_ESTIMATOR_ITERATE
         )
         self._grid = simplex_grid(n, GRID_RESOLUTION) if self.delta_estimator == DELTA_ESTIMATOR_GRID else None
@@ -326,33 +218,23 @@ class RunState:
         methods = [(tag, m, t) for m, tag in enumerate(tags) if tag is not None]
         rngs = iter(streams.substreams(spec.master_seed, batch + noise + methods))
         rows = [next(rngs).choice(spec.shard_size, spec.batch_size, replace=False) for _ in batch]
-        noise_rows = [next(rngs).standard_normal(spec.model_dim) for _ in noise]
+        noise_rows = [next(rngs).standard_normal(self.task.model_dim(spec.dim)) for _ in noise]
         return RoundDraws(
             rows=np.array(rows) if batch else None,
             noise=np.array(noise_rows) if noise else None,
             method_streams=[None if tag is None else next(rngs) for tag in tags],
         )
 
-    def honest_gradient_basis(self, rows: Optional[np.ndarray]) -> np.ndarray:
-        """Each client's batch mean of the round (mean task), or its center under exact gradients."""
-        if self.spec.exact_gradients:
-            return self.centers
-        return np.take(self._flat_samples, rows + self._row_offsets, axis=0).mean(axis=1)
-
     def state_metrics(self, label: str, round_index: int, delta: Optional[float]) -> RoundMetrics:
         x = self.points[label]
-        val_loss, _ = self.oracle.evaluate(x)
-        row = RoundMetrics(
-            round_index=round_index, method=label, val_loss=float(val_loss), delta=delta
+        val_loss, _ = self.task.oracle.evaluate(x)
+        return RoundMetrics(
+            round_index=round_index,
+            method=label,
+            val_loss=float(val_loss),
+            delta=delta,
+            **self.task.metric_fields(x),
         )
-        if self.spec.task == TASK_MEAN:
-            r = x - self.target_optimum
-            row.dist_sq = row.loss_gap = float(r @ r)
-            row.grad_norm_sq = 4.0 * row.dist_sq
-        else:
-            theta = x.reshape(self.spec.n_classes, -1)
-            row.accuracy = softmax_accuracy(theta, self.test_shard.samples, self.test_shard.labels)
-        return row
 
     def grid_delta(self, objective: WeightObjective, w_returned: np.ndarray) -> float:
         """Solver gap against the brute-force simplex grid (small client counts)."""
@@ -362,12 +244,11 @@ class RunState:
 
 def run_round(state: RunState, round_index: int, observer: Optional[Observer] = None) -> None:
     """One federated round: honest phase, collusion phase, per-method updates."""
-    spec = state.spec
+    spec, task = state.spec, state.task
     n = spec.n_clients
 
     draws = state.round_draws(round_index)
-    if spec.task == TASK_MEAN:
-        basis = state.honest_gradient_basis(draws.rows)
+    basis = task.round_basis(draws.rows)
     byzantine = slice(n - spec.byzantine_count, n)
 
     for rule, rng in zip(state.rules, draws.method_streams):
@@ -375,17 +256,7 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
         x = state.points[label]
 
         # Phase 1: what every client would honestly send at this method's point.
-        if spec.task == TASK_MEAN:
-            gradients = 2.0 * (x - basis)
-        else:
-            theta = x.reshape(spec.n_classes, -1)
-            gradients = np.empty((n, spec.model_dim))
-            for i in range(n):
-                rows = draws.rows[i]
-                _, grad = softmax_loss_grad(
-                    theta, state.shards[i].samples[rows], state.shards[i].labels[rows]
-                )
-                gradients[i] = grad.ravel()
+        gradients = task.honest_gradients(x, basis)
 
         # Phase 2: the attack replaces the Byzantine block's honest rows;
         # colluders read the target group's rows only.
@@ -399,11 +270,11 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
 
         # Phase 3: weights, the model update (which checks them), metrics at
         # the pre-update point.
-        w, delta = rule.weights(x, gradients, state.oracle, rng)
+        w, delta = rule.weights(x, gradients, task.oracle, rng)
         x_new = apply_update(x, gradients, w, rule.model_step)
         if delta is not None and state.delta_estimator == DELTA_ESTIMATOR_GRID:
             objective = WeightObjective(
-                x=x, gradients=gradients, model_step=rule.model_step, loss_oracle=state.oracle
+                x=x, gradients=gradients, model_step=rule.model_step, loss_oracle=task.oracle
             )
             delta = state.grid_delta(objective, w)
         if delta is not None:
@@ -416,52 +287,12 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
         state.points[label] = x_new
 
 
-def check_convergence_bounds(
-    initial_gap: float,
-    avg_grad_norm_sq: float,
-    final_gap: float,
-    rounds: int,
-    model_step: float,
-    group_size: int,
-    sigma_sq: float,
-    delta_bar: float,
-    smoothness: float = MEAN_SMOOTHNESS,
-    pl_constant: float = MEAN_PL_CONSTANT,
-) -> dict:
-    """Evaluate the two rate bounds against measured run quantities.
-
-    The averaged-gradient bound is
-    2*(f(x0)-f*)/(T*step) + 2*sigma^2*step*L/G + 2*delta_bar/step,
-    compared with the measured (1/T) sum of squared true-gradient norms. The
-    last-iterate bound under the quadratic growth (PL) condition is
-    (1-step*mu)^T*(f(x0)-f*) + sigma^2*step*L/(mu*G) + delta_bar*T/(step*mu).
-    """
-    noncvx_rhs = (
-        2.0 * initial_gap / (rounds * model_step)
-        + 2.0 * sigma_sq * model_step * smoothness / group_size
-        + 2.0 * delta_bar / model_step
-    )
-    pl_rhs = (
-        (1.0 - model_step * pl_constant) ** rounds * initial_gap
-        + sigma_sq * model_step * smoothness / (pl_constant * group_size)
-        + delta_bar * rounds / (model_step * pl_constant)
-    )
-    tol = 1e-12
-    return {
-        "noncvx_rhs": noncvx_rhs,
-        "noncvx_holds": bool(avg_grad_norm_sq <= noncvx_rhs * (1.0 + tol) + tol),
-        "pl_rhs": pl_rhs,
-        "pl_holds": bool(final_gap <= pl_rhs * (1.0 + tol) + tol),
-        "step_size_ok": bool(model_step <= 1.0 / (2.0 * smoothness)),
-    }
-
-
 def _convergence_report(state: RunState) -> list[ConvergenceRow]:
     spec = state.spec
-    if spec.task != TASK_MEAN:
+    if not state.task.rate_bounds:
         return []
     rows = []
-    sigma_sq = 0.0 if spec.exact_gradients else 4.0 * spec.dim / spec.batch_size
+    sigma_sq = state.task.gradient_variance(spec)
     group_size = spec.group_counts[0]
     by_method: dict[str, list[RoundMetrics]] = {m.label: [] for m in spec.methods}
     for row in state.metrics:
@@ -515,8 +346,8 @@ def run_experiment(
         metrics=state.metrics,
         weight_rows=state.weight_rows,
         convergence=_convergence_report(state),
-        mixture_direction=state.mixture_direction,
+        mixture_direction=state.task.mixture_direction,
         final_points={label: x.copy() for label, x in state.points.items()},
-        oracle=state.oracle,
-        shards=state.shards,
+        oracle=state.task.oracle,
+        shards=state.task.shards,
     )

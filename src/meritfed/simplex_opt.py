@@ -14,13 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidDimensionError,
-    InvalidSmoothingError,
-    MeritFedError,
-    NumericInputError,
-    ShapeError,
-)
+from .errors import MeritFedError, NumericInputError
 from .streams import unit_sphere_vector
 
 SIMPLEX_SUM_TOL = 1e-9
@@ -32,7 +26,7 @@ ESTIMATOR_ZO = "zeroth-order"
 def uniform_weights(n: int) -> np.ndarray:
     """Uniform weight vector 1/n, the mirror-descent initialization."""
     if n < 1:
-        raise InvalidDimensionError(f"weight vector needs at least one entry, got n={n}")
+        raise MeritFedError(f"weight vector needs at least one entry, got n={n}")
     return np.full(n, 1.0 / n)
 
 
@@ -40,9 +34,9 @@ def check_weights(w: np.ndarray, n: Optional[int] = None) -> np.ndarray:
     """Validate a weight vector: nonnegative entries summing to 1 within 1e-9."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 1:
-        raise InvalidDimensionError(f"weights must be a nonempty vector, got shape {w.shape}")
+        raise MeritFedError(f"weights must be a nonempty vector, got shape {w.shape}")
     if n is not None and w.size != n:
-        raise InvalidDimensionError(f"expected {n} weights, got {w.size}")
+        raise MeritFedError(f"expected {n} weights, got {w.size}")
     if not np.all(np.isfinite(w)):
         raise NumericInputError("weights contain non-finite entries")
     if np.any(w < 0.0):
@@ -63,7 +57,7 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     w = np.asarray(w, dtype=float)
     g = np.asarray(g, dtype=float)
     if g.shape != w.shape:
-        raise ShapeError(f"gradient shape {g.shape} does not match weights {w.shape}")
+        raise MeritFedError(f"gradient shape {g.shape} does not match weights {w.shape}")
     if not np.all(np.isfinite(g)):
         raise NumericInputError("mirror-descent step received a non-finite gradient")
     support = w > 0.0
@@ -84,7 +78,7 @@ def checked_gradient_set(
     x = np.asarray(x, dtype=float)
     gradients = np.asarray(gradients, dtype=float)
     if gradients.ndim != 2 or gradients.shape[1] != x.shape[0]:
-        raise ShapeError(
+        raise MeritFedError(
             f"gradient set shape {gradients.shape} does not match point dimension {x.shape[0]}"
         )
     return x, gradients
@@ -124,11 +118,11 @@ def zo_two_point_estimate(
     w +- h e (the candidate-point construction is defined on all of R^n).
     """
     if smoothing <= 0.0:
-        raise InvalidSmoothingError(f"smoothing radius must be positive, got {smoothing}")
+        raise MeritFedError(f"smoothing radius must be positive, got {smoothing}")
     w = np.asarray(w, dtype=float)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != w.shape:
-        raise ShapeError(f"direction shape {direction.shape} does not match weights {w.shape}")
+        raise MeritFedError(f"direction shape {direction.shape} does not match weights {w.shape}")
     n = w.size
     delta = float(objective(w + smoothing * direction)) - float(objective(w - smoothing * direction))
     return (n * delta / (2.0 * smoothing)) * direction
@@ -153,15 +147,15 @@ class MdConfig:
 
     def __post_init__(self) -> None:
         if self.step_size <= 0.0:
-            raise InvalidDimensionError(f"step_size must be positive, got {self.step_size}")
+            raise MeritFedError(f"step_size must be positive, got {self.step_size}")
         if self.step_count < 1:
-            raise InvalidDimensionError(f"step_count must be >= 1, got {self.step_count}")
+            raise MeritFedError(f"step_count must be >= 1, got {self.step_count}")
         if self.smoothing <= 0.0:
-            raise InvalidSmoothingError(f"smoothing must be positive, got {self.smoothing}")
+            raise MeritFedError(f"smoothing must be positive, got {self.smoothing}")
         if self.estimator not in (ESTIMATOR_EXACT, ESTIMATOR_ZO):
-            raise InvalidDimensionError(f"unknown estimator {self.estimator!r}")
+            raise MeritFedError(f"unknown estimator {self.estimator!r}")
         if self.minibatch < 0:
-            raise InvalidDimensionError(f"minibatch must be >= 0, got {self.minibatch}")
+            raise MeritFedError(f"minibatch must be >= 0, got {self.minibatch}")
 
     @property
     def reads_rng(self) -> bool:
@@ -185,7 +179,7 @@ class WeightObjective:
     def __post_init__(self) -> None:
         self.x, self.gradients = checked_gradient_set(self.x, self.gradients)
         if self.model_step <= 0.0:
-            raise InvalidDimensionError(f"model_step must be positive, got {self.model_step}")
+            raise MeritFedError(f"model_step must be positive, got {self.model_step}")
 
     @property
     def n(self) -> int:
@@ -230,7 +224,7 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
     """
     oracle_size = getattr(obj.loss_oracle, "size", None)
     if cfg.minibatch > 0 and oracle_size is not None and cfg.minibatch > oracle_size:
-        raise InvalidDimensionError(
+        raise MeritFedError(
             f"minibatch {cfg.minibatch} exceeds validation set size {oracle_size}"
         )
     w = uniform_weights(obj.n)
@@ -277,10 +271,10 @@ def simplex_grid(n: int, resolution: float) -> np.ndarray:
     Supports n <= 3 (the grid grows combinatorially beyond that).
     """
     if n < 1 or n > 3:
-        raise InvalidDimensionError(f"simplex grid supports 1 <= n <= 3, got {n}")
+        raise MeritFedError(f"simplex grid supports 1 <= n <= 3, got {n}")
     steps = int(round(1.0 / resolution))
     if steps < 1:
-        raise InvalidDimensionError(f"resolution {resolution} coarser than the whole simplex")
+        raise MeritFedError(f"resolution {resolution} coarser than the whole simplex")
     if n == 1:
         return np.array([[1.0]])
     if n == 2:

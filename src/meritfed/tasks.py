@@ -1,22 +1,25 @@
 """Task definitions: objectives, client data generation, validation oracles.
 
-Two desk-scale tasks are implemented. The mean-estimation task minimizes
-E||x - xi||^2 over Gaussian samples with identity covariance, so every
-closed-form constant is available (optimum at the distribution center,
-optimal value d, smoothness 2, PL constant 2, gradient-noise variance 4d/b
-at batch size b). The softmax task is a linear classifier on well-separated
-Gaussian class clusters with three client groups: target classes only, an
-alpha-mixture of target and mixed-in classes, and disjoint classes.
+Two desk-scale tasks are implemented, each one class (`MeanTask`,
+`SoftmaxTask`) that owns its checks, data, honest gradients and metrics.
+The mean-estimation task minimizes E||x - xi||^2 over Gaussian samples with
+identity covariance, so every closed-form constant is available (optimum at
+the distribution center, optimal value d, smoothness 2, PL constant 2,
+gradient-noise variance 4d/b at batch size b). The softmax task is a linear
+classifier on well-separated Gaussian class clusters with three client
+groups: target classes only, an alpha-mixture of target and mixed-in
+classes, and disjoint classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .errors import ConfigError, MeritFedError, ShapeError
+from .errors import ConfigError, MeritFedError
 from . import streams
 
 MODE_EXTRA = "extra-validation"
@@ -67,11 +70,6 @@ def softmax_class_centers(n_classes: int, feature_dim: int) -> np.ndarray:
     Center k sits on coordinate axis k scaled so distinct centers are exactly
     that far apart, keeping the Bayes classifier near-perfect.
     """
-    if n_classes > feature_dim:
-        raise ConfigError(
-            f"need feature_dim >= n_classes for axis-aligned centers, "
-            f"got {feature_dim} < {n_classes}"
-        )
     scale = CLASS_CENTER_DISTANCE / np.sqrt(2.0)
     centers = np.zeros((n_classes, feature_dim))
     centers[np.arange(n_classes), np.arange(n_classes)] = scale
@@ -83,15 +81,12 @@ def _softmax_labels_for_group(
 ) -> np.ndarray:
     target = np.asarray(TARGET_CLASSES)
     mixed = np.asarray(MIXED_CLASSES)
-    disjoint = np.arange(max(MIXED_CLASSES) + 1, n_classes)
     if group_id == 1:
         return rng.choice(target, size=count)
     if group_id == 2:
         take_target = rng.random(count) < alpha
         return np.where(take_target, rng.choice(target, size=count), rng.choice(mixed, size=count))
-    if disjoint.size == 0:
-        raise ConfigError("softmax task needs classes beyond the mixed-in set for group 3")
-    return rng.choice(disjoint, size=count)
+    return rng.choice(np.arange(max(MIXED_CLASSES) + 1, n_classes), size=count)
 
 
 def softmax_task_generate(
@@ -101,12 +96,10 @@ def softmax_task_generate(
     n_classes: int,
     shard_size: int,
     master_seed: int,
-    validation_size: int,
+    validation_size: Optional[int],
     test_size: int,
-) -> tuple[list[DatasetShard], DatasetShard, DatasetShard]:
-    """Client shards plus held-out target-distribution validation and test shards."""
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"mixing fraction must lie in (0, 1], got {alpha}")
+) -> tuple[list[DatasetShard], Optional[DatasetShard], DatasetShard]:
+    """Client shards plus held-out validation (None without validation_size) and test shards."""
     centers = softmax_class_centers(n_classes, feature_dim)
     group_of = [1] * group_counts[0] + [2] * group_counts[1] + [3] * group_counts[2]
     shards = []
@@ -122,7 +115,7 @@ def softmax_task_generate(
         features = centers[labels] + rng.standard_normal((count, feature_dim))
         return DatasetShard(samples=features, labels=labels)
 
-    validation = held_out(streams.VALIDATION, validation_size)
+    validation = None if validation_size is None else held_out(streams.VALIDATION, validation_size)
     test = held_out(streams.TEST_SET, test_size)
     return shards, validation, test
 
@@ -140,7 +133,7 @@ def softmax_loss_grad(
     if features.shape[0] == 0:
         raise MeritFedError("softmax loss requested on an empty batch")
     if theta.ndim != 2 or features.shape[1] != theta.shape[1]:
-        raise ShapeError(f"theta shape {theta.shape} does not match features {features.shape}")
+        raise MeritFedError(f"theta shape {theta.shape} does not match features {features.shape}")
     n_classes = theta.shape[0]
     if labels.min() < 0 or labels.max() >= n_classes:
         raise MeritFedError(f"label outside class range [0, {n_classes})")
@@ -229,9 +222,7 @@ class SoftmaxValidationOracle(SampleOracle):
         return loss, grad.ravel()
 
     def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = x.reshape(self.n_classes, -1)
-        loss, grad = softmax_loss_grad(theta, self.shard.samples, self.shard.labels)
-        return loss, grad.ravel()
+        return self.evaluate_rows(x, slice(None))
 
 
 class PopulationMeanOracle:
@@ -253,3 +244,203 @@ class PopulationMeanOracle:
         x = np.asarray(x, dtype=float)
         r = x - self.center
         return float(r @ r) + float(self.center.size), 2.0 * r
+
+
+def check_convergence_bounds(
+    initial_gap: float,
+    avg_grad_norm_sq: float,
+    final_gap: float,
+    rounds: int,
+    model_step: float,
+    group_size: int,
+    sigma_sq: float,
+    delta_bar: float,
+) -> dict:
+    """Evaluate the two rate bounds of the mean task against measured run quantities.
+
+    With smoothness L = MEAN_SMOOTHNESS and PL constant mu = MEAN_PL_CONSTANT,
+    the averaged-gradient bound is
+    2*(f(x0)-f*)/(T*step) + 2*sigma^2*step*L/G + 2*delta_bar/step,
+    compared with the measured (1/T) sum of squared true-gradient norms. The
+    last-iterate bound under the quadratic growth (PL) condition is
+    (1-step*mu)^T*(f(x0)-f*) + sigma^2*step*L/(mu*G) + delta_bar*T/(step*mu).
+    """
+    noncvx_rhs = (
+        2.0 * initial_gap / (rounds * model_step)
+        + 2.0 * sigma_sq * model_step * MEAN_SMOOTHNESS / group_size
+        + 2.0 * delta_bar / model_step
+    )
+    pl_rhs = (
+        (1.0 - model_step * MEAN_PL_CONSTANT) ** rounds * initial_gap
+        + sigma_sq * model_step * MEAN_SMOOTHNESS / (MEAN_PL_CONSTANT * group_size)
+        + delta_bar * rounds / (model_step * MEAN_PL_CONSTANT)
+    )
+    tol = 1e-12
+    return {
+        "noncvx_rhs": noncvx_rhs,
+        "noncvx_holds": bool(avg_grad_norm_sq <= noncvx_rhs * (1.0 + tol) + tol),
+        "pl_rhs": pl_rhs,
+        "pl_holds": bool(final_gap <= pl_rhs * (1.0 + tol) + tol),
+        "step_size_ok": bool(model_step <= 1.0 / (2.0 * MEAN_SMOOTHNESS)),
+    }
+
+
+def check_indexable(shape: tuple[int, ...]) -> None:
+    """Reject an array shape with more elements than numpy can index."""
+    if math.prod(shape) > np.iinfo(np.intp).max:
+        raise ConfigError(f"an array of shape {shape} is too large for numpy to index")
+
+
+@dataclass
+class Task:
+    """One objective and its client data; methods that need the run take its spec.
+
+    A run calls `build(spec)` on its own copy of the spec's task, which then
+    holds the shards, the validation oracle and the start point. Each round
+    it takes `round_basis(rows)` once (rows None under exact gradients),
+    then per method `honest_gradients(x, basis)`, the (n, model_dim) array
+    at the method's point, and `metric_fields(x)` for the metrics row. A
+    task with rate_bounds also gives gradient_variance and the loss_gap and
+    grad_norm_sq metric fields.
+    """
+
+    shards: list[DatasetShard] = field(default_factory=list, init=False, repr=False, compare=False)
+    oracle: object = field(default=None, init=False, repr=False, compare=False)
+    start: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    mixture_direction: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    rate_bounds: ClassVar[bool] = False  # the closed-form rate bounds and the grid gap apply
+
+    def check(self, spec) -> None:
+        """Reject, before round 0, a run spec this task cannot serve."""
+
+    def model_dim(self, dim: int) -> int:
+        """Length of a model point and of a client gradient at feature dimension dim."""
+        return dim
+
+
+@dataclass
+class MeanTask(Task):
+    """Mean estimation over identity-covariance Gaussian shards.
+
+    Group 1 and the Byzantine block hold target-distribution data centered
+    at zero (the target optimum), group 2 data centered at group2_shift on
+    every coordinate, and group 3 data centered at the seed's random unit
+    mixture direction.
+    """
+
+    group2_shift: float = 0.1
+    centers: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    rate_bounds: ClassVar[bool] = True
+
+    def build(self, spec) -> None:
+        n, d, seed = spec.n_clients, spec.dim, spec.master_seed
+        self.mixture_direction = streams.unit_sphere_vector(
+            streams.substream(seed, streams.MIXTURE_DIRECTION), d
+        )
+        g1, g2, g3 = spec.group_counts
+        self.centers = np.zeros((n, d))
+        self.centers[g1 : g1 + g2] = self.group2_shift
+        self.centers[g1 + g2 : g1 + g2 + g3] = self.mixture_direction
+        if not spec.exact_gradients:
+            self.shards = generate_mean_shards(seed, self.centers, spec.shard_size)
+            # Batch means take rows from the flat (n * shard_size, d) view of
+            # the block the shards view, offset by each client's first row.
+            self._flat_samples = self.shards[0].samples.base.reshape(-1, d)
+            self._row_offsets = np.arange(n)[:, None] * spec.shard_size
+        if spec.validation_mode == MODE_POPULATION:
+            self.oracle = PopulationMeanOracle(np.zeros(d))
+        elif spec.validation_mode == MODE_REUSE_TRAIN:
+            self.oracle = MeanValidationOracle(self.shards[0].samples)
+        else:
+            rng = streams.substream(seed, streams.VALIDATION)
+            self.oracle = MeanValidationOracle(rng.standard_normal((spec.validation_size, d)))
+        self.start = np.ones(d)
+
+    def round_basis(self, rows: Optional[np.ndarray]) -> np.ndarray:
+        """Each client's batch mean of the round, or its center under exact gradients."""
+        if rows is None:
+            return self.centers
+        return np.take(self._flat_samples, rows + self._row_offsets, axis=0).mean(axis=1)
+
+    def honest_gradients(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        return 2.0 * (x - basis)
+
+    def metric_fields(self, x: np.ndarray) -> dict:
+        gap = float(x @ x)  # squared distance to the target optimum, zero
+        return {"dist_sq": gap, "loss_gap": gap, "grad_norm_sq": 4.0 * gap}
+
+    def gradient_variance(self, spec) -> float:
+        """E||g - grad f||^2 of one client's gradient: 4d/b, zero under exact gradients."""
+        return 0.0 if spec.exact_gradients else 4.0 * spec.dim / spec.batch_size
+
+
+@dataclass
+class SoftmaxTask(Task):
+    """Linear softmax classification over Gaussian class clusters.
+
+    Group 1 draws target classes, group 2 a target class with probability
+    mixing_alpha and a mixed-in class otherwise, group 3 the classes beyond
+    both; accuracy is measured on a held-out target-distribution test set.
+    """
+
+    mixing_alpha: float = 0.5
+    n_classes: int = 10
+    test_size: int = 4000
+    test_shard: Optional[DatasetShard] = field(default=None, init=False, repr=False, compare=False)
+
+    def check(self, spec) -> None:
+        if spec.exact_gradients:
+            raise ConfigError("exact gradients are only defined for the mean task")
+        if not 0.0 < self.mixing_alpha <= 1.0:
+            raise ConfigError(f"mixing fraction must lie in (0, 1], got {self.mixing_alpha}")
+        if spec.validation_mode == MODE_POPULATION:
+            raise ConfigError("population validation is only defined for the mean task")
+        if spec.byzantine_count > 0:
+            raise ConfigError("byzantine clients are supported on the mean task only")
+        if self.test_size < 1:
+            raise ConfigError(f"softmax task needs test_size >= 1, got {self.test_size}")
+        # Group 2 mixes in classes up to max(MIXED_CLASSES); group 3 draws the
+        # classes beyond them; class centers sit on distinct feature axes.
+        if spec.group_counts[2] > 0:
+            needed = max(MIXED_CLASSES) + 2
+        elif spec.group_counts[1] > 0:
+            needed = max(MIXED_CLASSES) + 1
+        else:
+            needed = max(TARGET_CLASSES) + 1
+        if not needed <= self.n_classes <= spec.dim:
+            raise ConfigError(
+                f"softmax groups {spec.group_counts} need {needed} <= n_classes <= "
+                f"dim={spec.dim}, got n_classes={self.n_classes}"
+            )
+        check_indexable((self.test_size, spec.dim))
+
+    def model_dim(self, dim: int) -> int:
+        return self.n_classes * dim
+
+    def build(self, spec) -> None:
+        extra = spec.validation_mode == MODE_EXTRA
+        self.shards, validation, self.test_shard = softmax_task_generate(
+            group_counts=spec.group_counts,
+            alpha=self.mixing_alpha,
+            feature_dim=spec.dim,
+            n_classes=self.n_classes,
+            shard_size=spec.shard_size,
+            master_seed=spec.master_seed,
+            validation_size=spec.validation_size if extra else None,
+            test_size=self.test_size,
+        )
+        self.oracle = SoftmaxValidationOracle(validation if extra else self.shards[0], self.n_classes)
+        self.start = np.zeros(self.model_dim(spec.dim))
+
+    def round_basis(self, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each client's batch of the round as (features, labels)."""
+        return [(shard.samples[r], shard.labels[r]) for shard, r in zip(self.shards, rows)]
+
+    def honest_gradients(self, x: np.ndarray, basis: list) -> np.ndarray:
+        theta = x.reshape(self.n_classes, -1)
+        grads = [softmax_loss_grad(theta, features, labels)[1].ravel() for features, labels in basis]
+        return np.array(grads)
+
+    def metric_fields(self, x: np.ndarray) -> dict:
+        theta = x.reshape(self.n_classes, -1)
+        return {"accuracy": softmax_accuracy(theta, self.test_shard.samples, self.test_shard.labels)}

@@ -27,7 +27,7 @@ from meritfed.aggregators import (
     apply_update,
     gompertz_map,
 )
-from meritfed.errors import ConfigError, MeritFedError, ShapeError
+from meritfed.errors import ConfigError, MeritFedError
 from meritfed.simplex_opt import (
     ESTIMATOR_EXACT,
     ESTIMATOR_ZO,
@@ -447,7 +447,7 @@ class TestApplyUpdate:
         np.testing.assert_allclose(out, x - 0.1 * g.mean(axis=0), rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(MeritFedError, match=r"gradient set shape \(2, 4\) does not match"):
             apply_update(np.zeros(3), np.zeros((2, 4)), np.array([0.5, 0.5]), 0.1)
 
     def test_invalid_weights_rejected(self):

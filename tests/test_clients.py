@@ -13,13 +13,15 @@ import pytest
 from meritfed.aggregators import SgdFull
 from meritfed.clients import ATTACK_KINDS, AttackSpec, attack_alie, attack_ipm, byzantine_messages
 from meritfed.engine import ExperimentSpec, RunState, run_round
-from meritfed.errors import AttackInputError, ConfigError, NumericInputError
+from meritfed.errors import ConfigError, NumericInputError
+from meritfed.tasks import MeanTask
 
 
 def honest_spec(**kwargs):
     # One target-group client with a 50-row shard in dimension 4.
     defaults = dict(
         methods=[SgdFull("sgd-full", 0.01)],
+        task=MeanTask(),
         dim=4,
         group_counts=(1, 0, 0),
         shard_size=50,
@@ -35,7 +37,7 @@ def honest_spec(**kwargs):
 def honest_message(state, x, round_index):
     """Client 0's honest mean-task gradient 2(x - batch mean) in the engine."""
     rows = state.round_draws(round_index).rows
-    return 2.0 * (x - state.honest_gradient_basis(rows)[0])
+    return 2.0 * (x - state.task.round_basis(rows)[0])
 
 
 def bit_flip(gradients):
@@ -68,7 +70,7 @@ class TestHonestMessage:
 
     def test_zero_at_shard_mean_on_full_batch(self):
         state = RunState(honest_spec(batch_size=50))
-        x = state.shards[0].samples.mean(axis=0)
+        x = state.task.shards[0].samples.mean(axis=0)
         np.testing.assert_allclose(honest_message(state, x, 0), np.zeros(4), rtol=0, atol=1e-14)
 
     def test_zero_batch_rejected(self):
@@ -140,10 +142,6 @@ class TestInnerProductAttack:
             out = attack_ipm(honest, 0.1)
             assert float(out @ mean) < 0
 
-    def test_empty_honest_set_rejected(self):
-        with pytest.raises(AttackInputError):
-            attack_ipm([], 0.1)
-
 
 class TestMeanShiftAttack:
     def test_identical_gradients_pass_through(self):
@@ -167,10 +165,6 @@ class TestMeanShiftAttack:
         honest = [np.array([0.0]), np.array([2.0])]
         out = attack_alie(honest, 1.0, shift_sign=1)
         assert abs(out[0] - (1.0 + statistics.stdev([0.0, 2.0]))) <= 1e-12
-
-    def test_single_gradient_rejected(self):
-        with pytest.raises(AttackInputError):
-            attack_alie([np.array([1.0])], 1.0)
 
 
 class TestByzantineMessages:
@@ -217,7 +211,7 @@ class TestByzantineMessages:
 class TestValidation:
     def test_gradient_set_rejects_non_finite(self):
         state = RunState(honest_spec())
-        state.shards[0].samples[:] = np.nan
+        state.task.shards[0].samples[:] = np.nan
         with pytest.raises(NumericInputError, match="round 1: non-finite client message"):
             run_round(state, 1)
 

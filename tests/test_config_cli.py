@@ -320,6 +320,34 @@ class TestRunOutputs:
                 os.path.join(dir_b, name)
             ), name
 
+    def test_pool_gets_no_more_workers_than_seeds(self, tmp_path, monkeypatch):
+        # A process pool starts every worker it is given at the first submit.
+        # The fake records the worker count asked for and runs the seeds here.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        serial, pooled = str(tmp_path / "serial"), str(tmp_path / "pooled")
+        run_config(tiny_config(), serial, workers=1)
+        run_config(tiny_config(), pooled, workers=64)
+        assert sizes == [2]
+        for name in ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json"):
+            assert read_bytes(os.path.join(serial, name)) == read_bytes(
+                os.path.join(pooled, name)
+            ), name
+
     def test_no_carriage_returns(self, out_dir):
         run_config(tiny_config(), out_dir)
         for name in ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json"):
@@ -408,6 +436,21 @@ class TestMainEntryPoint:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "PiB" in err
         assert not out.exists()
+
+    def test_softmax_reuse_train_draws_no_validation_set(self, tmp_path):
+        # Reuse-train validates on client 0's shard, so validation_size is
+        # unused and a size no memory could hold is never allocated.
+        out = str(tmp_path / "reuse-train")
+        args = ["run", "--preset", "softmax-alpha-0.5", "--out", out]
+        for item in (
+            "validation_mode=reuse-train",
+            "validation_size=99999999999999999999",
+            "seeds=1",
+            "rounds=1",
+        ):
+            args += ["--set", item]
+        assert main(args) == 0
+        assert os.path.exists(os.path.join(out, "manifest.json"))
 
     def test_zero_reference_gradient_run_exits_zero(self, tmp_path):
         # One exact step of size 1/2 lands on the optimum, where the target

@@ -25,16 +25,20 @@ from meritfed.engine import (
     DELTA_ESTIMATOR_ITERATE,
     MODE_POPULATION,
     MODE_REUSE_TRAIN,
-    TASK_SOFTMAX,
     ExperimentSpec,
     RunState,
-    check_convergence_bounds,
     run_experiment,
     run_round,
 )
 from meritfed.errors import ConfigError
 from meritfed.simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
-from meritfed.tasks import PopulationMeanOracle
+from meritfed.tasks import (
+    MeanTask,
+    PopulationMeanOracle,
+    SoftmaxTask,
+    check_convergence_bounds,
+    softmax_loss_grad,
+)
 
 
 def full_method(step=0.01, label="sgd-full"):
@@ -53,6 +57,7 @@ def meritfed_method(step=0.01, label="meritfed-md", md_steps=30, md_step_size=2.
 def small_spec(**kwargs):
     defaults = dict(
         methods=[full_method()],
+        task=MeanTask(),
         dim=3,
         group_counts=(2, 1, 1),
         shard_size=50,
@@ -65,18 +70,37 @@ def small_spec(**kwargs):
     return ExperimentSpec(**defaults)
 
 
+def softmax_spec(**kwargs):
+    # Five clients with 60-row shards, 12 features and 10 classes.
+    defaults = dict(
+        methods=[full_method(step=0.05)],
+        task=SoftmaxTask(test_size=100),
+        dim=12,
+        group_counts=(1, 2, 2),
+        shard_size=60,
+        batch_size=20,
+        rounds=3,
+        validation_size=100,
+        master_seed=11,
+    )
+    defaults.update(kwargs)
+    return ExperimentSpec(**defaults)
+
+
 class TestLayout:
     # Groups (2, 1, 1) and two attackers: rows 0-1 are group 1, row 2 group 2,
     # row 3 group 3 and rows 4-5 the Byzantine block.
 
     def test_groups_in_index_order(self):
         spec = small_spec(
-            byzantine_count=2, attack=AttackSpec(kind=ATTACK_BIT_FLIP), group2_shift=0.25
+            byzantine_count=2,
+            attack=AttackSpec(kind=ATTACK_BIT_FLIP),
+            task=MeanTask(group2_shift=0.25),
         )
         state = RunState(spec)
         zero = np.zeros(spec.dim)
-        expected = [zero, zero, np.full(spec.dim, 0.25), state.mixture_direction, zero, zero]
-        np.testing.assert_array_equal(state.centers, np.array(expected))
+        expected = [zero, zero, np.full(spec.dim, 0.25), state.task.mixture_direction, zero, zero]
+        np.testing.assert_array_equal(state.task.centers, np.array(expected))
 
     def test_byzantine_block_carries_the_attack(self):
         for kind in ATTACK_KINDS:
@@ -86,7 +110,7 @@ class TestLayout:
             run_experiment(spec, observer=lambda t, label, x, g, *rest: seen.append((x, g.copy())))
             [(x, gradients)] = seen
             state = RunState(spec)
-            honest = 2.0 * (x - state.honest_gradient_basis(state.round_draws(0).rows))
+            honest = 2.0 * (x - state.task.round_basis(state.round_draws(0).rows))
             np.testing.assert_array_equal(gradients[:4], honest[:4])
             if kind == ATTACK_BIT_FLIP:
                 expected = -honest[4:]
@@ -136,16 +160,11 @@ class TestSpecValidation:
 
     def test_softmax_with_exact_gradients_rejected(self):
         with pytest.raises(ConfigError):
-            small_spec(task=TASK_SOFTMAX, exact_gradients=True).validate()
+            softmax_spec(exact_gradients=True).validate()
 
     def test_softmax_with_byzantine_rejected(self):
-        spec = small_spec(
-            task=TASK_SOFTMAX,
-            byzantine_count=1,
-            attack=AttackSpec(kind=ATTACK_BIT_FLIP),
-            dim=12,
-        )
-        with pytest.raises(ConfigError):
+        spec = softmax_spec(byzantine_count=1, attack=AttackSpec(kind=ATTACK_BIT_FLIP))
+        with pytest.raises(ConfigError, match="byzantine clients are supported on the mean task only"):
             run_experiment(spec)
 
     def test_no_methods_rejected(self):
@@ -276,6 +295,20 @@ class TestDeterminismAndCoupling:
             np.testing.assert_array_equal(w1, w2)
         for label in r1.final_points:
             np.testing.assert_array_equal(r1.final_points[label], r2.final_points[label])
+
+    def test_softmax_spec_reruns_identically(self):
+        # The run's data lives in a copy of the spec's task, so a second run
+        # of the same spec rebuilds it and the spec's task stays empty.
+        spec = softmax_spec(methods=[full_method(step=0.05), meritfed_method(step=0.05)])
+        r1 = run_experiment(spec)
+        r2 = run_experiment(spec)
+        assert r1.metrics == r2.metrics
+        for label in r1.final_points:
+            np.testing.assert_array_equal(r1.final_points[label], r2.final_points[label])
+        assert r1.oracle is not r2.oracle
+        task = spec.task
+        assert task.shards == [] and task.oracle is None and task.start is None
+        assert task.test_shard is None
 
     def test_method_set_does_not_perturb_other_methods(self):
         # Batch streams are keyed by client and round only, and the exact
@@ -494,39 +527,25 @@ class TestConvergenceReport:
 
 class TestSoftmaxEngine:
     def test_run_completes_with_accuracy_metrics(self):
-        spec = ExperimentSpec(
-            methods=[full_method(step=0.05), ideal_method([0], step=0.05)],
-            task=TASK_SOFTMAX,
-            dim=12,
-            group_counts=(1, 2, 2),
-            shard_size=60,
-            batch_size=20,
-            rounds=3,
-            validation_size=100,
-            test_size=100,
-            master_seed=11,
-        )
+        spec = softmax_spec(methods=[full_method(step=0.05), ideal_method([0], step=0.05)])
         result = run_experiment(spec)
         assert result.mixture_direction is None
         assert result.convergence == []
         for label in ("sgd-full", "sgd-ideal"):
-            assert result.final_points[label].shape == (spec.n_classes * spec.dim,)
+            assert result.final_points[label].shape == (spec.task.n_classes * spec.dim,)
         for row in result.metrics:
             assert row.dist_sq is None
             assert 0.0 <= row.accuracy <= 1.0
             assert np.isfinite(row.val_loss)
 
     def test_softmax_training_reduces_validation_loss(self):
-        spec = ExperimentSpec(
+        spec = softmax_spec(
             methods=[ideal_method([0], step=0.1)],
-            task=TASK_SOFTMAX,
-            dim=12,
             group_counts=(1, 0, 0),
             shard_size=200,
             batch_size=50,
             rounds=40,
             validation_size=300,
-            test_size=100,
             master_seed=3,
         )
         result = run_experiment(spec)
@@ -584,36 +603,38 @@ class TestRoundDrawsMatchPerClientLoop:
         state = RunState(self.byzantine_spec(master_seed, validation_mode=mode))
         for t in (0, 1, 4):
             expected = [
-                state.shards[i].samples[rows].mean(axis=0)
+                state.task.shards[i].samples[rows].mean(axis=0)
                 for i, rows in enumerate(per_client_rows(state.spec, t))
             ]
             rows = state.round_draws(t).rows
-            assert np.array_equal(state.honest_gradient_basis(rows), np.array(expected))
+            assert np.array_equal(state.task.round_basis(rows), np.array(expected))
 
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_honest_gradient_basis_exact(self, master_seed):
         state = RunState(self.byzantine_spec(master_seed, exact_gradients=True))
-        assert state.shards == []
+        assert state.task.shards == []
         assert state.round_draws(2).rows is None
-        assert np.array_equal(state.honest_gradient_basis(None), state.centers)
+        assert np.array_equal(state.task.round_basis(None), state.task.centers)
 
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_softmax_batch_rows(self, master_seed):
-        spec = ExperimentSpec(
-            methods=[full_method(step=0.05)],
-            task=TASK_SOFTMAX,
-            dim=12,
-            group_counts=(1, 2, 2),
-            shard_size=60,
-            batch_size=20,
-            rounds=3,
-            validation_size=100,
-            test_size=100,
-            master_seed=master_seed,
-        )
+        spec = softmax_spec(master_seed=master_seed)
         state = RunState(spec)
         for t in (0, 2):
             assert np.array_equal(state.round_draws(t).rows, np.array(per_client_rows(spec, t)))
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_softmax_honest_gradients(self, master_seed):
+        state = RunState(softmax_spec(master_seed=master_seed))
+        x = np.random.default_rng(5).standard_normal(state.task.model_dim(state.spec.dim))
+        theta = x.reshape(state.task.n_classes, -1)
+        for t in (0, 2):
+            expected = [
+                softmax_loss_grad(theta, shard.samples[rows], shard.labels[rows])[1].ravel()
+                for shard, rows in zip(state.task.shards, per_client_rows(state.spec, t))
+            ]
+            basis = state.task.round_basis(state.round_draws(t).rows)
+            assert np.array_equal(state.task.honest_gradients(x, basis), np.array(expected))
 
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_random_noise_rows(self, master_seed):
@@ -630,12 +651,12 @@ class TestRoundDrawsMatchPerClientLoop:
     def test_mean_shards_share_one_block(self):
         spec = self.byzantine_spec(0)
         state = RunState(spec)
-        block = state.sample_block
+        block = state.task.shards[0].samples.base
         assert block.shape == (spec.n_clients, spec.shard_size, spec.dim)
-        assert all(shard.samples.base is block for shard in state.shards)
+        assert all(shard.samples.base is block for shard in state.task.shards)
         # An in-place write to a shard reaches the gathered batch means.
-        state.shards[1].samples[:] = 7.0
-        basis = state.honest_gradient_basis(state.round_draws(0).rows)
+        state.task.shards[1].samples[:] = 7.0
+        basis = state.task.round_basis(state.round_draws(0).rows)
         np.testing.assert_array_equal(basis[1], np.full(spec.dim, 7.0))
 
 

@@ -13,12 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meritfed.errors import (
-    InvalidDimensionError,
-    InvalidSmoothingError,
-    NumericInputError,
-    ShapeError,
-)
+from meritfed.errors import MeritFedError, NumericInputError
 from meritfed.simplex_opt import (
     ESTIMATOR_EXACT,
     ESTIMATOR_ZO,
@@ -80,7 +75,7 @@ class TestUniformWeights:
         assert abs(w.sum() - 1.0) <= 1e-9
 
     def test_zero_clients_rejected(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(MeritFedError, match="weight vector needs at least one entry"):
             uniform_weights(0)
 
 
@@ -172,9 +167,9 @@ class TestZeroOrderEstimate:
         np.testing.assert_array_equal(est, np.zeros(4))
 
     def test_nonpositive_smoothing_rejected(self):
-        with pytest.raises(InvalidSmoothingError):
+        with pytest.raises(MeritFedError, match="smoothing radius must be positive"):
             zo_two_point_estimate(lambda w: 0.0, np.array([1.0]), 0.0, np.array([1.0]))
-        with pytest.raises(InvalidSmoothingError):
+        with pytest.raises(MeritFedError, match="smoothing radius must be positive"):
             zo_two_point_estimate(lambda w: 0.0, np.array([1.0]), -1e-4, np.array([1.0]))
 
     def test_monte_carlo_recovers_linear_gradient(self):
@@ -288,7 +283,7 @@ class TestExactWeightGradient:
             assert np.linalg.norm(exact - fd) / scale <= 1e-5
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(MeritFedError, match=r"gradient set shape \(2, 4\) does not match"):
             weight_gradient_exact(
                 np.zeros(3),
                 np.zeros((2, 4)),

@@ -10,13 +10,16 @@ import pytest
 
 from meritfed import streams
 from meritfed.aggregators import SgdFull
-from meritfed.engine import TASK_SOFTMAX, ExperimentSpec
+from meritfed.cli import parse_config
+from meritfed.engine import ExperimentSpec
 from meritfed.errors import ConfigError, MeritFedError
 from meritfed.tasks import (
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
+    MeanTask,
     MeanValidationOracle,
     PopulationMeanOracle,
+    SoftmaxTask,
     SoftmaxValidationOracle,
     generate_mean_shards,
     softmax_accuracy,
@@ -65,7 +68,7 @@ class TestMeanGrad:
         np.testing.assert_array_equal(mean_grad(batch.mean(axis=0), batch), np.zeros(2))
 
     def test_empty_batch_rejected(self):
-        spec = ExperimentSpec(methods=[SgdFull("sgd-full", 0.01)], batch_size=0)
+        spec = ExperimentSpec(methods=[SgdFull("sgd-full", 0.01)], task=MeanTask(), batch_size=0)
         with pytest.raises(ConfigError, match="batch size 0"):
             spec.validate()
 
@@ -308,8 +311,32 @@ class TestSoftmaxGeneration:
                 assert abs(np.linalg.norm(centers[i] - centers[j]) - 4.0) <= 1e-12
 
     def test_too_few_features_rejected(self):
-        with pytest.raises(ConfigError):
-            softmax_class_centers(10, 4)
+        # Class centers sit on distinct feature axes.
+        spec = ExperimentSpec(methods=[SgdFull("sgd-full", 0.05)], task=SoftmaxTask(), dim=4)
+        with pytest.raises(ConfigError, match="n_classes <= dim=4, got n_classes=10"):
+            spec.validate()
+
+    def test_validation_set_drawn_only_on_request(self):
+        # Each held-out shard has its own stream: leaving out the validation
+        # set changes neither the client shards nor the test set.
+        def generate(validation_size):
+            return softmax_task_generate(
+                group_counts=(1, 1, 1),
+                alpha=0.5,
+                feature_dim=10,
+                n_classes=10,
+                shard_size=20,
+                master_seed=5,
+                validation_size=validation_size,
+                test_size=30,
+            )
+
+        shards, validation, test = generate(40)
+        bare_shards, nothing, bare_test = generate(None)
+        assert validation.samples.shape == (40, 10) and nothing is None
+        for a, b in zip(shards + [test], bare_shards + [bare_test]):
+            np.testing.assert_array_equal(a.samples, b.samples)
+            np.testing.assert_array_equal(a.labels, b.labels)
 
 
 class TestSoftmaxLoss:
@@ -400,11 +427,25 @@ class TestSoftmaxOracle:
         assert oracle.size == 80
 
     def test_distribution_spec_validation(self):
-        # The run spec checks the task kind and the mixing fraction.
-        def spec(**kwargs):
-            return ExperimentSpec(methods=[SgdFull("sgd-full", 0.05)], **kwargs)
+        # The config maps the task name to a task class; the softmax task
+        # checks its own settings and the run settings it cannot serve.
+        with pytest.raises(ConfigError, match="unknown task 'image-net'; known: mean, softmax"):
+            parse_config("", preset="mean-mu-0.1", overrides=["task=image-net"])
 
-        with pytest.raises(ConfigError, match="unknown task"):
-            spec(task="image-net").validate()
-        with pytest.raises(ConfigError, match="mixing fraction"):
-            spec(task=TASK_SOFTMAX, mixing_alpha=0.0).validate()
+        def spec(task=None, **kwargs):
+            task = task or SoftmaxTask()
+            return ExperimentSpec(methods=[SgdFull("sgd-full", 0.05)], task=task, **kwargs)
+
+        spec().validate()
+        rejected = [
+            (spec(SoftmaxTask(mixing_alpha=0.0)), "mixing fraction must lie in"),
+            (spec(SoftmaxTask(test_size=0)), "softmax task needs test_size >= 1"),
+            (spec(SoftmaxTask(n_classes=6)), "need 7 <= n_classes"),
+            (spec(SoftmaxTask(n_classes=11)), "n_classes <= dim=10, got n_classes=11"),
+            (spec(exact_gradients=True), "exact gradients are only defined"),
+            (spec(validation_mode="population"), "population validation is only defined"),
+            (spec(SoftmaxTask(test_size=2**62)), r"shape \(4611686018427387904, 10\) is too large"),
+        ]
+        for bad, message in rejected:
+            with pytest.raises(ConfigError, match=message):
+                bad.validate()
