@@ -102,6 +102,15 @@ WEIGHTS_COLUMNS = ("seed", "round", "method", "client_index", "weight")
 THEOREM_COLUMNS = ("seed",) + _columns(ConvergenceRow)
 
 
+# ExperimentSpec fields that take the RunConfig field of the same name as it
+# is; task and methods are names there, built into objects here.
+_SPEC_FIELDS_FROM_CONFIG = tuple(
+    name
+    for name in _columns(ExperimentSpec)
+    if name in CONFIG_SCHEMA and name not in ("task", "methods")
+)
+
+
 def _mean_preset(group2_shift: float, md_lr: float) -> dict:
     return {
         "task": TASK_MEAN,
@@ -367,28 +376,15 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
         raise ConfigError(f"unknown task {config.task!r}; known: {TASK_MEAN}, {TASK_SOFTMAX}")
     attack = None
     if config.byzantine_count > 0:
-        attack = AttackSpec(
-            kind=config.attack_kind,
-            sigma=config.attack_sigma,
-            epsilon=config.attack_epsilon,
-            z=config.attack_z,
-            shift_sign=config.attack_shift_sign,
-        )
+        fields = _columns(AttackSpec)
+        attack = AttackSpec(**{name: getattr(config, f"attack_{name}") for name in fields})
     return ExperimentSpec(
         methods=[_method_from_label(label, config) for label in config.methods],
         task=task,
-        dim=config.dim,
         group_counts=(config.group1_count, config.group2_count, config.group3_count),
-        byzantine_count=config.byzantine_count,
         attack=attack,
-        shard_size=config.shard_size,
-        batch_size=config.batch_size,
-        rounds=config.rounds,
-        validation_size=config.validation_size,
-        validation_mode=config.validation_mode,
-        exact_gradients=config.exact_gradients,
         master_seed=master_seed,
-        weight_log_every=config.weight_log_every,
+        **{name: getattr(config, name) for name in _SPEC_FIELDS_FROM_CONFIG},
     )
 
 

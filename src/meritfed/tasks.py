@@ -120,6 +120,97 @@ def softmax_task_generate(
     return shards, validation, test
 
 
+def pairwise_row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Column sums of a (k, m) array, each rounded as numpy rounds a row sum.
+
+    `ndarray.sum(axis=1)` of a C-ordered (m, k) array adds each length-k row
+    in numpy's pairwise order: below 8 terms one by one from 0.0; up to 128
+    terms into 8 accumulators r0..r7 over strides of 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail terms in order; past
+    128 terms the two halves, split at a multiple of 8, each the same way;
+    and the reduction adds the result to 0.0. Here the same additions run on
+    the transposed (k, m) layout, one contiguous length-m operation each.
+    terms is used as the accumulators, so it is overwritten.
+    """
+    k = terms.shape[0]
+    if k < 8:
+        out.fill(0.0)
+        for row in terms:
+            out += row
+        return out
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        pairwise_row_sums(terms[:half], out)
+        out += pairwise_row_sums(terms[half:], np.empty_like(out))
+        return out
+    acc = terms[:8]
+    blocks = k - k % 8
+    for start in range(8, blocks, 8):
+        acc += terms[start : start + 8]
+    np.add(acc[0::2], acc[1::2], out=acc[0::2])
+    np.add(acc[0::4], acc[2::4], out=acc[0::4])
+    np.add(acc[0], acc[4], out=out)
+    for row in terms[blocks:]:
+        out += row
+    out += 0.0  # the reduction's initial 0.0, which turns a -0.0 sum into 0.0
+    return out
+
+
+class SoftmaxRows:
+    """Mean cross-entropy of a linear softmax classifier on fixed rows, and its gradient.
+
+    Built once per row set, it checks the batch and the label range, keeps
+    each row's label position in a (n_classes, rows) layout, and owns the
+    scratch its calls write into, so a call makes no (rows, n_classes)
+    temporary. Each step is bit-identical to the row-wise computation in
+    (rows, n_classes) layout: logits, row max, exp, row sum, log, exp. The
+    reductions run over the classes of the transposed layout (the sums in
+    numpy's pairwise order, `pairwise_row_sums`), and the gradient matmul
+    gets the probabilities back in (rows, n_classes) layout, because BLAS
+    rounds differently for the other one.
+    """
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
+        features = np.atleast_2d(np.asarray(features, dtype=float))
+        labels = np.asarray(labels)
+        m = features.shape[0]
+        if m == 0:
+            raise MeritFedError("softmax loss requested on an empty batch")
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise MeritFedError(f"label outside class range [0, {n_classes})")
+        self.features = features
+        self.n_classes = n_classes
+        self.label_index = labels.astype(np.intp) * m + np.arange(m)
+        self._rows = np.empty((m, n_classes))  # logits, then exps as (n_classes, m), then probs
+        self._classes = np.empty((n_classes, m))
+        self._row_values = np.empty((2, m))
+
+    def loss_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss and (n_classes, feature_dim) gradient at theta of that shape."""
+        theta = np.asarray(theta, dtype=float)
+        features, k = self.features, self.n_classes
+        m = features.shape[0]
+        if theta.shape != (k, features.shape[1]):
+            shapes = f"theta shape {theta.shape} does not match features {features.shape}"
+            raise MeritFedError(shapes)
+        rows, shifted = self._rows, self._classes
+        norm, picked = self._row_values
+        np.matmul(features, theta.T, out=rows)
+        np.copyto(shifted, rows.T)
+        np.maximum.reduce(shifted, axis=0, out=norm)
+        np.subtract(shifted, norm, out=shifted)
+        pairwise_row_sums(np.exp(shifted, out=rows.reshape(k, m)), norm)
+        np.log(norm, out=norm)
+        flat = shifted.reshape(-1)
+        np.take(flat, self.label_index, out=picked)
+        loss = float(np.mean(np.subtract(norm, picked, out=picked)))
+        np.subtract(shifted, norm, out=shifted)
+        np.exp(shifted, out=shifted)
+        flat[self.label_index] -= 1.0
+        np.copyto(rows, shifted.T)
+        return loss, rows.T @ features / m
+
+
 def softmax_loss_grad(
     theta: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -128,24 +219,7 @@ def softmax_loss_grad(
     theta has shape (n_classes, feature_dim); the gradient has the same shape.
     """
     theta = np.asarray(theta, dtype=float)
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels)
-    if features.shape[0] == 0:
-        raise MeritFedError("softmax loss requested on an empty batch")
-    if theta.ndim != 2 or features.shape[1] != theta.shape[1]:
-        raise MeritFedError(f"theta shape {theta.shape} does not match features {features.shape}")
-    n_classes = theta.shape[0]
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise MeritFedError(f"label outside class range [0, {n_classes})")
-    logits = features @ theta.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    m = features.shape[0]
-    loss = float(np.mean(log_norm - shifted[np.arange(m), labels]))
-    probs = np.exp(shifted - log_norm[:, None])
-    probs[np.arange(m), labels] -= 1.0
-    grad = probs.T @ features / m
-    return loss, grad
+    return SoftmaxRows(features, labels, len(theta)).loss_grad(theta)
 
 
 def softmax_accuracy(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -209,20 +283,30 @@ class MeanValidationOracle(SampleOracle):
 
 
 class SoftmaxValidationOracle(SampleOracle):
-    """Empirical cross-entropy objective over a held-out labeled sample set."""
+    """Empirical cross-entropy objective over a held-out labeled sample set.
+
+    The full set is one SoftmaxRows kernel, built here and reused by every
+    call. The labels are a read-only copy, so the kernel's label positions
+    cannot go stale and minibatches read the same labels.
+    """
 
     def __init__(self, shard: DatasetShard, n_classes: int) -> None:
         super().__init__(shard.samples.shape[0])
-        self.shard = shard
+        self.samples = shard.samples
+        self.labels = np.array(shard.labels)
+        self.labels.flags.writeable = False
         self.n_classes = n_classes
+        self.full_set = SoftmaxRows(self.samples, self.labels, n_classes)
 
     def evaluate_rows(self, x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(x, dtype=float).reshape(self.n_classes, -1)
-        loss, grad = softmax_loss_grad(theta, self.shard.samples[rows], self.shard.labels[rows])
-        return loss, grad.ravel()
+        return self._evaluate(x, SoftmaxRows(self.samples[rows], self.labels[rows], self.n_classes))
 
     def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.evaluate_rows(x, slice(None))
+        return self._evaluate(x, self.full_set)
+
+    def _evaluate(self, x: np.ndarray, kernel: SoftmaxRows) -> tuple[float, np.ndarray]:
+        loss, grad = kernel.loss_grad(np.asarray(x, dtype=float).reshape(self.n_classes, -1))
+        return loss, grad.ravel()
 
 
 class PopulationMeanOracle:

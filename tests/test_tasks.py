@@ -1,12 +1,18 @@
 """Tests for task objectives, data generation, and validation oracles.
 
 Oracles: closed-form Gaussian moments (E||xi||^2 = d, batch-mean covariance
-I/b), long-run gradient descent for the mixture fixed point, and central
-finite differences for the softmax gradient.
+I/b), long-run gradient descent for the mixture fixed point, central
+finite differences for the softmax gradient, and the row-wise softmax in
+(rows, classes) layout (`reference_softmax_loss_grad`), which the softmax
+kernel must match bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meritfed import streams
 from meritfed.aggregators import SgdFull
@@ -14,14 +20,17 @@ from meritfed.cli import parse_config
 from meritfed.engine import ExperimentSpec
 from meritfed.errors import ConfigError, MeritFedError
 from meritfed.tasks import (
+    DatasetShard,
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
     MeanTask,
     MeanValidationOracle,
     PopulationMeanOracle,
+    SoftmaxRows,
     SoftmaxTask,
     SoftmaxValidationOracle,
     generate_mean_shards,
+    pairwise_row_sums,
     softmax_accuracy,
     softmax_class_centers,
     softmax_loss_grad,
@@ -339,6 +348,57 @@ class TestSoftmaxGeneration:
             np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def reference_softmax_loss_grad(theta, features, labels):
+    """Row-wise softmax loss and gradient in (rows, classes) layout, with numpy's own reductions."""
+    logits = features @ theta.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    m = features.shape[0]
+    loss = float(np.mean(log_norm - shifted[np.arange(m), labels]))
+    probs = np.exp(shifted - log_norm[:, None])
+    probs[np.arange(m), labels] -= 1.0
+    grad = probs.T @ features / m
+    return loss, grad
+
+
+class TestSoftmaxKernelMatchesReference:
+    # Rows 1-300 and the 4,000 of the softmax presets' validation set;
+    # classes 3-20 cover the pairwise sum's branches below 8, 8-15 and 16+
+    # terms; theta scales up to 1e4 push most exps to underflow.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.one_of(st.integers(min_value=1, max_value=300), st.just(4000)),
+        n_classes=st.integers(min_value=3, max_value=20),
+        extra_dims=st.integers(min_value=0, max_value=4),
+        log_scale=st.floats(min_value=-2.0, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bit_identical(self, rows, n_classes, extra_dims, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((rows, n_classes + extra_dims))
+        labels = rng.integers(0, n_classes, size=rows)
+        theta = rng.standard_normal((n_classes, n_classes + extra_dims)) * 10.0**log_scale
+        kernel = SoftmaxRows(features, labels, n_classes)
+        expected_loss, expected_grad = reference_softmax_loss_grad(theta, features, labels)
+        for _ in range(2):  # the second call reuses the scratch of the first
+            loss, grad = kernel.loss_grad(theta)
+            assert loss == expected_loss
+            assert np.array_equal(grad, expected_grad)
+
+    @pytest.mark.parametrize("terms", list(range(1, 41)) + [128, 129, 300])
+    def test_row_sums_round_as_numpy(self, terms):
+        # Terms of mixed sign and magnitude make the order of the additions
+        # show in the rounding; the all -0.0 row pins the reduction's 0.0 start.
+        rng = np.random.default_rng(terms)
+        values = rng.standard_normal((64, terms)) * 10.0 ** rng.uniform(-8, 8, size=(64, terms))
+        values[0] = -0.0
+        out = np.empty(64)
+        sums = pairwise_row_sums(np.ascontiguousarray(values.T), out)
+        assert sums is out
+        np.testing.assert_array_equal(np.signbit(sums), np.signbit(values.sum(axis=1)))
+        assert np.array_equal(sums, values.sum(axis=1))
+
+
 class TestSoftmaxLoss:
     def test_zero_parameters_give_log_classes(self):
         features = np.random.default_rng(0).standard_normal((20, 4))
@@ -425,6 +485,56 @@ class TestSoftmaxOracle:
         assert value == direct_value
         np.testing.assert_array_equal(grad, direct_grad.ravel())
         assert oracle.size == 80
+
+    @staticmethod
+    def validation_oracle(rows=4000, n_classes=10):
+        rng = np.random.default_rng(5)
+        shard = DatasetShard(
+            samples=rng.standard_normal((rows, n_classes)),
+            labels=rng.integers(0, n_classes, size=rows),
+        )
+        return shard, SoftmaxValidationOracle(shard, n_classes)
+
+    def test_full_set_call_allocates_less_than_one_rows_by_classes_array(self):
+        # The full-set kernel keeps its scratch between calls, so a warm call
+        # allocates no (rows, classes) float64 array: 4000 * 10 * 8 bytes.
+        _, oracle = self.validation_oracle()
+        x = np.random.default_rng(6).standard_normal(100)
+        oracle.evaluate(x)
+        tracemalloc.start()
+        try:
+            oracle.evaluate(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 10 * 8
+
+    def test_label_index_cannot_go_stale(self):
+        shard, oracle = self.validation_oracle(rows=50, n_classes=4)
+        x = np.random.default_rng(7).standard_normal(16)
+        value, grad = oracle.evaluate(x)
+        with pytest.raises(ValueError, match="read-only"):
+            oracle.labels[0] = (oracle.labels[0] + 1) % 4
+        shard.labels[:] = (shard.labels + 1) % 4
+        again_value, again_grad = oracle.evaluate(x)
+        assert again_value == value
+        assert np.array_equal(again_grad, grad)
+        rows = np.arange(50)
+        assert oracle.evaluate_rows(x, rows)[0] == value
+
+    def test_checks_at_construction_and_per_call(self):
+        # The batch and label checks run once, at construction; the theta
+        # shape check on every call.
+        with pytest.raises(MeritFedError, match=r"label outside class range \[0, 3\)"):
+            SoftmaxValidationOracle(DatasetShard(np.zeros((2, 4)), np.array([0, 3])), 3)
+        with pytest.raises(MeritFedError, match="empty batch"):
+            SoftmaxRows(np.empty((0, 4)), np.array([], dtype=int), 3)
+        _, oracle = self.validation_oracle(rows=20, n_classes=4)
+        for bad in (np.zeros(12), np.zeros(20)):
+            with pytest.raises(MeritFedError, match="does not match features"):
+                oracle.evaluate(bad)
+        with pytest.raises(MeritFedError, match=r"theta shape \(3, 4\) does not match"):
+            SoftmaxRows(np.zeros((2, 4)), np.array([0, 1]), 4).loss_grad(np.zeros((3, 4)))
 
     def test_distribution_spec_validation(self):
         # The config maps the task name to a task class; the softmax task
