@@ -2,9 +2,9 @@
 
 Each preset runs with `--set seeds=2` and a round cap: 12 rounds for
 `mean-mu-*`, 30 for `theorem-mean`, 40 for `byzantine-*` and 6 for
-`softmax-*`. `byzantine-rn` and `mean-mu-0.1` run once more at base seed
-2^32 + 5, whose stream entropy has more than one 32-bit word for the master
-seed. Run from a checkout:
+`softmax-*`. `byzantine-rn`, `mean-mu-0.1` and `softmax-alpha-0.5` run once
+more at base seed 2^32 + 5, whose stream entropy has more than one 32-bit
+word for the master seed. Run from a checkout:
 
     python3 scripts/preset_hashes.py                 # this checkout only
     python3 scripts/preset_hashes.py --parent DIR    # DIR (another checkout) vs this one
@@ -24,7 +24,7 @@ from meritfed.cli import PRESETS  # noqa: E402
 ROUND_CAPS = {"mean-mu-": 12, "theorem-mean": 30, "byzantine-": 40, "softmax-": 6}
 FILES = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
 MULTI_WORD_SEED = 2**32 + 5
-MULTI_WORD_PRESETS = ("byzantine-rn", "mean-mu-0.1")
+MULTI_WORD_PRESETS = ("byzantine-rn", "mean-mu-0.1", "softmax-alpha-0.5")
 
 
 def preset_hashes(root: str, preset: str, seed: int | None = None) -> list[str]:

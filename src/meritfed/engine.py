@@ -227,11 +227,10 @@ class RunState:
 
     def state_metrics(self, label: str, round_index: int, delta: Optional[float]) -> RoundMetrics:
         x = self.points[label]
-        val_loss, _ = self.task.oracle.evaluate(x)
         return RoundMetrics(
             round_index=round_index,
             method=label,
-            val_loss=float(val_loss),
+            val_loss=self.task.oracle.value(x),
             delta=delta,
             **self.task.metric_fields(x),
         )

@@ -35,6 +35,9 @@ CLASS_CENTER_DISTANCE = 4.0
 MEAN_SMOOTHNESS = 2.0
 MEAN_PL_CONSTANT = 2.0
 
+# Rows per step when the mean oracle computes its rows' squared norms.
+NORM_CHUNK_ROWS = 4096
+
 
 @dataclass
 class DatasetShard:
@@ -99,15 +102,21 @@ def softmax_task_generate(
     validation_size: Optional[int],
     test_size: int,
 ) -> tuple[list[DatasetShard], Optional[DatasetShard], DatasetShard]:
-    """Client shards plus held-out validation (None without validation_size) and test shards."""
+    """Client shards plus held-out validation (None without validation_size) and test shards.
+
+    The client shards are written into one (n, shard_size, feature_dim)
+    feature block and one (n, shard_size) label block; each shard's samples
+    and labels are views of them, and the blocks are their common `base`.
+    """
     centers = softmax_class_centers(n_classes, feature_dim)
     group_of = [1] * group_counts[0] + [2] * group_counts[1] + [3] * group_counts[2]
-    shards = []
+    features = np.empty((len(group_of), shard_size, feature_dim))
+    labels = np.empty((len(group_of), shard_size), dtype=np.int64)
     keys = [(streams.SHARDS, i) for i in range(len(group_of))]
     for i, rng in enumerate(streams.substreams(master_seed, keys)):
-        labels = _softmax_labels_for_group(rng, shard_size, group_of[i], alpha, n_classes)
-        features = centers[labels] + rng.standard_normal((shard_size, feature_dim))
-        shards.append(DatasetShard(samples=features, labels=labels))
+        labels[i] = _softmax_labels_for_group(rng, shard_size, group_of[i], alpha, n_classes)
+        np.add(centers[labels[i]], rng.standard_normal((shard_size, feature_dim)), out=features[i])
+    shards = [DatasetShard(samples=f, labels=y) for f, y in zip(features, labels)]
 
     def held_out(tag: int, count: int) -> DatasetShard:
         rng = streams.substream(master_seed, tag)
@@ -157,58 +166,77 @@ def pairwise_row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class SoftmaxRows:
-    """Mean cross-entropy of a linear softmax classifier on fixed rows, and its gradient.
+    """Mean cross-entropy of a linear softmax classifier on fixed row sets, and its gradient.
 
-    Built once per row set, it checks the batch and the label range, keeps
-    each row's label position in a (n_classes, rows) layout, and owns the
-    scratch its calls write into, so a call makes no (rows, n_classes)
-    temporary. Each step is bit-identical to the row-wise computation in
-    (rows, n_classes) layout: logits, row max, exp, row sum, log, exp. The
-    reductions run over the classes of the transposed layout (the sums in
-    numpy's pairwise order, `pairwise_row_sums`), and the gradient matmul
-    gets the probabilities back in (rows, n_classes) layout, because BLAS
-    rounds differently for the other one.
+    One kernel serves a stack of s row sets of m rows each: features
+    (s, m, d) and labels (s, m), giving s losses and an (s, n_classes, d)
+    gradient per call. A 2-D row set (m, d) is a stack of one, and its calls
+    return one float loss and an (n_classes, d) gradient. Built once per
+    stack, it checks the rows and the label range, keeps each row's label
+    position in a (n_classes, s * m) layout, and owns the scratch its calls
+    write into, so a call makes no (rows, n_classes) temporary. Each step is
+    bit-identical to the row-wise computation on each member in
+    (m, n_classes) layout: logits, row max, exp, row sum, log, exp. The logits
+    and the gradient are one matmul per member, because BLAS picks its kernel
+    by shape and rounds a flat (s * m, d) product or the transposed product
+    differently. The reductions run over the classes of the transposed
+    layout (the sums in numpy's pairwise order, `pairwise_row_sums`), and the
+    gradient matmul gets the probabilities back in (m, n_classes) layout.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         labels = np.asarray(labels)
-        m = features.shape[0]
+        self.stacked = features.ndim == 3
+        if not self.stacked:
+            features, labels = features[None], labels[None]
+        s, m = features.shape[:2]
         if m == 0:
             raise MeritFedError("softmax loss requested on an empty batch")
         if labels.min() < 0 or labels.max() >= n_classes:
             raise MeritFedError(f"label outside class range [0, {n_classes})")
         self.features = features
         self.n_classes = n_classes
-        self.label_index = labels.astype(np.intp) * m + np.arange(m)
-        self._rows = np.empty((m, n_classes))  # logits, then exps as (n_classes, m), then probs
-        self._classes = np.empty((n_classes, m))
-        self._row_values = np.empty((2, m))
+        self.label_index = labels.astype(np.intp).reshape(-1) * (s * m) + np.arange(s * m)
+        self._rows = np.empty((s, m, n_classes))  # logits, then exps as (n_classes, s * m), then probs
+        self._classes = np.empty((n_classes, s * m))
+        self._row_values = np.empty((2, s * m))
 
-    def loss_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and (n_classes, feature_dim) gradient at theta of that shape."""
-        theta = np.asarray(theta, dtype=float)
-        features, k = self.features, self.n_classes
-        m = features.shape[0]
-        if theta.shape != (k, features.shape[1]):
-            shapes = f"theta shape {theta.shape} does not match features {features.shape}"
-            raise MeritFedError(shapes)
+    def loss(self, theta: np.ndarray):
+        """Loss at theta of shape (n_classes, feature_dim): an (s,) array for a stack."""
+        losses = self._losses(theta)
+        return losses if self.stacked else float(losses[0])
+
+    def loss_grad(self, theta: np.ndarray):
+        """Loss and gradient at theta: (s,) losses and (s, n_classes, feature_dim) for a stack."""
+        losses = self._losses(theta)
         rows, shifted = self._rows, self._classes
-        norm, picked = self._row_values
-        np.matmul(features, theta.T, out=rows)
-        np.copyto(shifted, rows.T)
-        np.maximum.reduce(shifted, axis=0, out=norm)
-        np.subtract(shifted, norm, out=shifted)
-        pairwise_row_sums(np.exp(shifted, out=rows.reshape(k, m)), norm)
-        np.log(norm, out=norm)
-        flat = shifted.reshape(-1)
-        np.take(flat, self.label_index, out=picked)
-        loss = float(np.mean(np.subtract(norm, picked, out=picked)))
+        s, m, k = rows.shape
+        norm = self._row_values[0]
         np.subtract(shifted, norm, out=shifted)
         np.exp(shifted, out=shifted)
-        flat[self.label_index] -= 1.0
-        np.copyto(rows, shifted.T)
-        return loss, rows.T @ features / m
+        shifted.reshape(-1)[self.label_index] -= 1.0
+        np.copyto(rows, shifted.reshape(k, s, m).transpose(1, 2, 0))
+        grads = rows.transpose(0, 2, 1) @ self.features / m
+        return (losses, grads) if self.stacked else (float(losses[0]), grads[0])
+
+    def _losses(self, theta: np.ndarray) -> np.ndarray:
+        """Each member's loss; leaves the shifted logits and the log-normalizers in scratch."""
+        theta = np.asarray(theta, dtype=float)
+        features, rows, shifted = self.features, self._rows, self._classes
+        s, m, k = rows.shape
+        if theta.shape != (k, features.shape[2]):
+            shapes = f"theta shape {theta.shape} does not match features {features.shape}"
+            raise MeritFedError(shapes)
+        norm, picked = self._row_values
+        np.matmul(features, theta.T, out=rows)
+        np.copyto(shifted.reshape(k, s, m), rows.transpose(2, 0, 1))
+        np.maximum.reduce(shifted, axis=0, out=norm)
+        np.subtract(shifted, norm, out=shifted)
+        pairwise_row_sums(np.exp(shifted, out=rows.reshape(k, s * m)), norm)
+        np.log(norm, out=norm)
+        np.take(shifted.reshape(-1), self.label_index, out=picked)
+        return np.mean(np.subtract(norm, picked, out=picked).reshape(s, m), axis=1)
 
 
 def softmax_loss_grad(
@@ -231,9 +259,11 @@ def softmax_accuracy(theta: np.ndarray, features: np.ndarray, labels: np.ndarray
 class SampleOracle:
     """Validation objective over a held-out sample set of `size` rows.
 
-    evaluate(x) uses the full set; evaluate(x, minibatch=m, rng=rng) uses m
-    rows drawn without replacement from rng. Subclasses provide the full-set
-    evaluation and the evaluation on given rows.
+    evaluate(x) gives the loss and gradient on the full set;
+    evaluate(x, minibatch=m, rng=rng) uses m rows drawn without replacement
+    from rng. value(x) is the full-set loss alone, equal to evaluate(x)[0].
+    Subclasses provide value, the full-set evaluation and the evaluation on
+    given rows.
     """
 
     def __init__(self, size: int) -> None:
@@ -261,7 +291,9 @@ class MeanValidationOracle(SampleOracle):
     """Empirical mean-estimation objective over a held-out sample set.
 
     f_hat(x) = mean_i ||x - xi_i||^2 evaluated in O(d) through the precomputed
-    sample mean and mean squared norm.
+    sample mean and mean squared norm. Each row's squared norm is kept, and is
+    computed a fixed number of rows at a time, so building the oracle makes no
+    temporary the size of the samples.
     """
 
     def __init__(self, samples: np.ndarray) -> None:
@@ -269,17 +301,23 @@ class MeanValidationOracle(SampleOracle):
         super().__init__(samples.shape[0])
         self.samples = samples
         self.mean = samples.mean(axis=0)
-        self.mean_sq_norm = float(np.mean((samples * samples).sum(axis=1)))
+        self.row_sq_norms = np.empty(self.size)
+        for start in range(0, self.size, NORM_CHUNK_ROWS):
+            chunk = samples[start : start + NORM_CHUNK_ROWS]
+            np.sum(chunk * chunk, axis=1, out=self.row_sq_norms[start : start + len(chunk)])
+        self.mean_sq_norm = float(np.mean(self.row_sq_norms))
+
+    def value(self, x: np.ndarray) -> float:
+        x = np.asarray(x, dtype=float)
+        return float(x @ x - 2.0 * (x @ self.mean) + self.mean_sq_norm)
 
     def evaluate_rows(self, x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-        subset = self.samples[rows]
-        sub_mean = subset.mean(axis=0)
-        value = float(x @ x - 2.0 * (x @ sub_mean) + np.mean((subset * subset).sum(axis=1)))
+        sub_mean = self.samples[rows].mean(axis=0)
+        value = float(x @ x - 2.0 * (x @ sub_mean) + np.mean(self.row_sq_norms[rows]))
         return value, 2.0 * (x - sub_mean)
 
     def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value = float(x @ x - 2.0 * (x @ self.mean) + self.mean_sq_norm)
-        return value, 2.0 * (x - self.mean)
+        return self.value(x), 2.0 * (x - self.mean)
 
 
 class SoftmaxValidationOracle(SampleOracle):
@@ -304,9 +342,15 @@ class SoftmaxValidationOracle(SampleOracle):
     def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         return self._evaluate(x, self.full_set)
 
+    def value(self, x: np.ndarray) -> float:
+        return self.full_set.loss(self._theta(x))
+
     def _evaluate(self, x: np.ndarray, kernel: SoftmaxRows) -> tuple[float, np.ndarray]:
-        loss, grad = kernel.loss_grad(np.asarray(x, dtype=float).reshape(self.n_classes, -1))
+        loss, grad = kernel.loss_grad(self._theta(x))
         return loss, grad.ravel()
+
+    def _theta(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float).reshape(self.n_classes, -1)
 
 
 class PopulationMeanOracle:
@@ -321,6 +365,9 @@ class PopulationMeanOracle:
 
     def __init__(self, center: np.ndarray) -> None:
         self.center = np.asarray(center, dtype=float)
+
+    def value(self, x: np.ndarray) -> float:
+        return self.evaluate(x)[0]
 
     def evaluate(
         self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
@@ -513,17 +560,23 @@ class SoftmaxTask(Task):
             validation_size=spec.validation_size if extra else None,
             test_size=self.test_size,
         )
+        # Batches take rows from the flat views of the blocks the shards view,
+        # offset by each client's first row, as in MeanTask.
+        self._flat_samples = self.shards[0].samples.base.reshape(-1, spec.dim)
+        self._flat_labels = self.shards[0].labels.base.reshape(-1)
+        self._row_offsets = np.arange(spec.n_clients)[:, None] * spec.shard_size
         self.oracle = SoftmaxValidationOracle(validation if extra else self.shards[0], self.n_classes)
         self.start = np.zeros(self.model_dim(spec.dim))
 
-    def round_basis(self, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each client's batch of the round as (features, labels)."""
-        return [(shard.samples[r], shard.labels[r]) for shard, r in zip(self.shards, rows)]
+    def round_basis(self, rows: np.ndarray) -> SoftmaxRows:
+        """One kernel over the stack of the clients' batches of the round."""
+        index = rows + self._row_offsets
+        features = np.take(self._flat_samples, index, axis=0)
+        return SoftmaxRows(features, np.take(self._flat_labels, index), self.n_classes)
 
-    def honest_gradients(self, x: np.ndarray, basis: list) -> np.ndarray:
-        theta = x.reshape(self.n_classes, -1)
-        grads = [softmax_loss_grad(theta, features, labels)[1].ravel() for features, labels in basis]
-        return np.array(grads)
+    def honest_gradients(self, x: np.ndarray, basis: SoftmaxRows) -> np.ndarray:
+        _, grads = basis.loss_grad(x.reshape(self.n_classes, -1))
+        return grads.reshape(len(grads), -1)
 
     def metric_fields(self, x: np.ndarray) -> dict:
         theta = x.reshape(self.n_classes, -1)

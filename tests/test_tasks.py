@@ -4,7 +4,8 @@ Oracles: closed-form Gaussian moments (E||xi||^2 = d, batch-mean covariance
 I/b), long-run gradient descent for the mixture fixed point, central
 finite differences for the softmax gradient, and the row-wise softmax in
 (rows, classes) layout (`reference_softmax_loss_grad`), which the softmax
-kernel must match bit for bit.
+kernel must match bit for bit on a single row set and on every member of a
+stack.
 """
 
 import tracemalloc
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from meritfed import streams
 from meritfed.aggregators import SgdFull
-from meritfed.cli import parse_config
-from meritfed.engine import ExperimentSpec
+from meritfed.cli import build_experiment, parse_config
+from meritfed.engine import ExperimentSpec, RunState
 from meritfed.errors import ConfigError, MeritFedError
 from meritfed.tasks import (
     DatasetShard,
@@ -246,6 +247,50 @@ class TestValidationOracles:
         with pytest.raises(ConfigError):
             MeanValidationOracle(np.empty((0, 3)))
 
+    def test_value_equals_loss_of_evaluate(self):
+        rng = np.random.default_rng(14)
+        features, labels = rng.standard_normal((300, 6)), rng.integers(0, 4, size=300)
+        shard = DatasetShard(samples=features, labels=labels)
+        cases = [
+            (MeanValidationOracle(rng.standard_normal((500, 6))), 6),
+            (PopulationMeanOracle(rng.standard_normal(6)), 6),
+            (SoftmaxValidationOracle(shard, 4), 24),
+        ]
+        for oracle, size in cases:
+            for _ in range(5):
+                x = rng.standard_normal(size) * 3.0
+                value = oracle.value(x)
+                assert isinstance(value, float)
+                assert value == oracle.evaluate(x)[0]
+
+    def test_row_norms_and_minibatch_match_direct_computation(self):
+        # The kept row norms, built a chunk of rows at a time, are the
+        # row-wise squared norms bit for bit, across more than one chunk.
+        rng = np.random.default_rng(15)
+        samples = rng.standard_normal((10000, 7)) * 3.0
+        oracle = MeanValidationOracle(samples)
+        squares = (samples * samples).sum(axis=1)
+        assert np.array_equal(oracle.row_sq_norms, squares)
+        assert oracle.mean_sq_norm == float(np.mean(squares))
+        x = rng.standard_normal(7)
+        rows = rng.choice(10000, size=300, replace=False)
+        subset = samples[rows]
+        sub_mean = subset.mean(axis=0)
+        expected = float(x @ x - 2.0 * (x @ sub_mean) + np.mean((subset * subset).sum(axis=1)))
+        assert oracle.evaluate_rows(x, rows)[0] == expected
+
+    def test_construction_makes_no_samples_sized_temporary(self):
+        # 100,000 x 10 rows are 8,000,000 bytes; squaring them at once would
+        # allocate that much again.
+        samples = np.random.default_rng(16).standard_normal((100000, 10))
+        tracemalloc.start()
+        try:
+            MeanValidationOracle(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_population_oracle_is_true_loss(self):
         center = np.array([1.0, -1.0])
         oracle = PopulationMeanOracle(center)
@@ -385,6 +430,44 @@ class TestSoftmaxKernelMatchesReference:
             assert loss == expected_loss
             assert np.array_equal(grad, expected_grad)
 
+    # A stack of s row sets gives each member the row-wise result; s = 1
+    # keeps the stacked shapes, so a one-client round stays (1, ...).
+    @settings(max_examples=150, deadline=None)
+    @given(
+        members=st.integers(min_value=1, max_value=24),
+        rows=st.sampled_from([1, 2, 7, 8, 9, 75, 130, 300]),
+        n_classes=st.integers(min_value=2, max_value=20),
+        dim=st.integers(min_value=1, max_value=15),
+        log_scale=st.floats(min_value=-2.0, max_value=2.5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stack_members_bit_identical(self, members, rows, n_classes, dim, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((members, rows, dim))
+        labels = rng.integers(0, n_classes, size=(members, rows))
+        theta = rng.standard_normal((n_classes, dim)) * 10.0**log_scale
+        kernel = SoftmaxRows(features, labels, n_classes)
+        for _ in range(2):  # the second call reuses the scratch of the first
+            losses, grads = kernel.loss_grad(theta)
+            values = kernel.loss(theta)
+            assert losses.shape == values.shape == (members,)
+            assert grads.shape == (members, n_classes, dim)
+            for i in range(members):
+                expected = reference_softmax_loss_grad(theta, features[i], labels[i])
+                assert losses[i] == values[i] == expected[0]
+                assert np.array_equal(grads[i], expected[1])
+
+    def test_loss_only_call_equals_loss_of_loss_grad(self):
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((193, 12))
+        labels = rng.integers(0, 12, size=193)
+        theta = rng.standard_normal((12, 12))
+        kernel = SoftmaxRows(features, labels, 12)
+        value = kernel.loss(theta)
+        assert isinstance(value, float)
+        expected_loss, _ = reference_softmax_loss_grad(theta, features, labels)
+        assert value == kernel.loss_grad(theta)[0] == expected_loss
+
     @pytest.mark.parametrize("terms", list(range(1, 41)) + [128, 129, 300])
     def test_row_sums_round_as_numpy(self, terms):
         # Terms of mixed sign and magnitude make the order of the additions
@@ -494,6 +577,25 @@ class TestSoftmaxOracle:
             labels=rng.integers(0, n_classes, size=rows),
         )
         return shard, SoftmaxValidationOracle(shard, n_classes)
+
+    def test_honest_gradients_equal_per_client_kernels(self):
+        # One round of the softmax-alpha-0.5 preset at a point away from the
+        # start: the stacked kernel gives each client's row-wise gradient.
+        spec = build_experiment(parse_config("", preset="softmax-alpha-0.5"), master_seed=0)
+        state = RunState(spec)
+        task = state.task
+        rows = state.round_draws(3).rows
+        x = np.random.default_rng(12).standard_normal(task.model_dim(spec.dim))
+        theta = x.reshape(task.n_classes, -1)
+        expected = np.array(
+            [
+                softmax_loss_grad(theta, shard.samples[r], shard.labels[r])[1].ravel()
+                for shard, r in zip(task.shards, rows)
+            ]
+        )
+        gradients = task.honest_gradients(x, task.round_basis(rows))
+        assert gradients.shape == (spec.n_clients, task.model_dim(spec.dim))
+        assert np.array_equal(gradients, expected)
 
     def test_full_set_call_allocates_less_than_one_rows_by_classes_array(self):
         # The full-set kernel keeps its scratch between calls, so a warm call
