@@ -8,6 +8,9 @@ word for the master seed. Run from a checkout:
 
     python3 scripts/preset_hashes.py                 # this checkout only
     python3 scripts/preset_hashes.py --parent DIR    # DIR (another checkout) vs this one
+
+It exits 1 when any run failed or, with --parent, when any file differs
+between the two checkouts, and 0 otherwise.
 """
 
 import argparse
@@ -23,6 +26,7 @@ from meritfed.cli import PRESETS  # noqa: E402
 
 ROUND_CAPS = {"mean-mu-": 12, "theorem-mean": 30, "byzantine-": 40, "softmax-": 6}
 FILES = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
+RUN_FAILED = "run failed"
 MULTI_WORD_SEED = 2**32 + 5
 MULTI_WORD_PRESETS = ("byzantine-rn", "mean-mu-0.1", "softmax-alpha-0.5")
 
@@ -37,7 +41,7 @@ def preset_hashes(root: str, preset: str, seed: int | None = None) -> list[str]:
         if seed is not None:
             command += ["--seed", str(seed)]
         if subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode != 0:
-            return ["run failed"] * len(FILES)
+            return [RUN_FAILED] * len(FILES)
         hashes = []
         for name in FILES:
             with open(os.path.join(out, name), "rb") as handle:
@@ -45,7 +49,7 @@ def preset_hashes(root: str, preset: str, seed: int | None = None) -> list[str]:
         return hashes
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="checkout to compare against this one")
     args = parser.parse_args()
@@ -55,13 +59,16 @@ def main() -> None:
     print("| --- | --- | " + " | ".join("---" for _ in headers) + " |")
     runs = [(preset, None) for preset in PRESETS]
     runs += [(preset, MULTI_WORD_SEED) for preset in MULTI_WORD_PRESETS]
+    ok = True
     for preset, seed in runs:
         columns = [preset_hashes(root, preset, seed) for root in roots]
         label = preset if seed is None else f"{preset} --seed {seed}"
         for row, name in enumerate(FILES):
-            cells = " | ".join(column[row] for column in columns)
-            print(f"| `{label}` | `{name}` | {cells} |", flush=True)
+            cells = [column[row] for column in columns]
+            ok = ok and RUN_FAILED not in cells and len(set(cells)) == 1
+            print(f"| `{label}` | `{name}` | {' | '.join(cells)} |", flush=True)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

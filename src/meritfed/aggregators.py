@@ -2,7 +2,7 @@
 
 Each compared method is one rule object: merit-based solving of the
 validation objective (`MeritFed`), uniform averaging (`SgdFull`), oracle
-averaging over the clients known to share the target distribution
+averaging over the first `group_size` clients, the target group
 (`SgdIdeal`), angle-based weighting through a Gompertz mapping (`FedAdp`),
 a one-step multiplicative cosine-similarity heuristic (`Tawt`), and uniform
 random client sampling (`FedAvg`). A rule holds its label, its model step,
@@ -99,24 +99,20 @@ class SgdFull(Rule):
 
 @dataclass
 class SgdIdeal(Rule):
-    """Uniform averaging over the known target-distribution clients only."""
+    """Uniform averaging over the target group only: clients 0 .. group_size-1."""
 
-    ideal_indices: tuple[int, ...]
+    group_size: int
     bound_holds_under_attack: ClassVar[bool] = True
 
     def check(self, n_clients: int, validation_rows: int) -> None:
-        if not self.ideal_indices:
-            raise ConfigError(f"{self.label}: oracle averaging needs a nonempty client set")
-        if min(self.ideal_indices) < 0 or max(self.ideal_indices) >= n_clients:
+        if not 1 <= self.group_size <= n_clients:
             raise ConfigError(
-                f"{self.label}: client set {list(self.ideal_indices)} out of range "
-                f"for n={n_clients}"
+                f"{self.label}: target group size {self.group_size} out of range for n={n_clients}"
             )
 
     def weights(self, x, gradients, oracle, rng):
-        indices = np.asarray(sorted(set(int(i) for i in self.ideal_indices)), dtype=int)
         w = np.zeros(gradients.shape[0])
-        w[indices] = 1.0 / indices.size
+        w[: self.group_size] = 1.0 / self.group_size
         return w, None
 
 

@@ -14,8 +14,6 @@ All floats are written with 17 significant digits so reruns are
 byte-comparable; blank cells mean "not defined for this task or round".
 """
 
-from __future__ import annotations
-
 import argparse
 import concurrent.futures
 import contextlib
@@ -24,9 +22,8 @@ import json
 import math
 import os
 import sys
-import typing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
@@ -47,47 +44,60 @@ TASK_SOFTMAX = "softmax"
 
 @dataclass
 class RunConfig:
-    """Validated flat configuration, one field per schema key."""
+    """Validated flat configuration, one field per schema key.
 
-    task: str
-    dim: int
-    group1_count: int
-    group2_count: int
-    group3_count: int
-    byzantine_count: int
-    attack_kind: str
-    attack_sigma: float
-    attack_epsilon: float
-    attack_z: float
-    attack_shift_sign: int
-    group2_shift: float
-    shard_size: int
-    batch_size: int
-    model_step: float
-    rounds: int
-    validation_size: int
-    validation_mode: str
-    exact_gradients: bool
-    weight_log_every: int
-    mixing_alpha: float
-    n_classes: int
-    test_size: int
-    methods: tuple
-    md_steps: int
-    md_lr: float
-    md_smoothing: float
-    smd_minibatch: int
-    fedadp_alpha: float
-    tawt_step: float
-    seeds: int
-    base_seed: int
+    The defaults are the `mean-mu-0.1` preset; every other preset names only
+    the keys where it differs from them.
+    """
+
+    task: str = TASK_MEAN
+    dim: int = 10
+    group1_count: int = 5
+    group2_count: int = 95
+    group3_count: int = 50
+    byzantine_count: int = 0
+    attack_kind: str = ATTACK_NONE
+    attack_sigma: float = 1.0
+    attack_epsilon: float = 0.1
+    attack_z: float = 100.0
+    attack_shift_sign: int = -1
+    group2_shift: float = 0.1
+    shard_size: int = 1000
+    batch_size: int = 100
+    model_step: float = 0.01
+    rounds: int = 2000
+    validation_size: int = 100000
+    validation_mode: str = MODE_EXTRA
+    exact_gradients: bool = False
+    weight_log_every: int = 10
+    mixing_alpha: float = 0.5
+    n_classes: int = 10
+    test_size: int = 4000
+    methods: tuple = (
+        "meritfed-md",
+        "meritfed-smd",
+        "sgd-full",
+        "sgd-ideal",
+        "fedadp",
+        "tawt",
+        "fedavg-5",
+        "fedavg-10",
+    )
+    md_steps: int = 50
+    md_lr: float = 12.5
+    md_smoothing: float = 1e-4
+    smd_minibatch: int = 100
+    fedadp_alpha: float = 5.0
+    tawt_step: float = 0.0
+    seeds: int = 3
+    base_seed: int = 0
     preset: Optional[str] = None
 
 
 # Configuration schema: key -> python type, one key per RunConfig field.
 # Every key is required in a preset-free config file.
 CONFIG_SCHEMA = {
-    key: kind for key, kind in typing.get_type_hints(RunConfig).items() if key != "preset"
+    field.name: field.type for field in dataclasses.fields(RunConfig) if field.name != "preset"
 }
 
 
@@ -111,108 +121,62 @@ _SPEC_FIELDS_FROM_CONFIG = tuple(
 )
 
 
-def _mean_preset(group2_shift: float, md_lr: float) -> dict:
-    return {
-        "task": TASK_MEAN,
-        "dim": 10,
-        "group1_count": 5,
-        "group2_count": 95,
-        "group3_count": 50,
-        "byzantine_count": 0,
-        "attack_kind": ATTACK_NONE,
-        "attack_sigma": 1.0,
-        "attack_epsilon": 0.1,
-        "attack_z": 100.0,
-        "attack_shift_sign": -1,
-        "group2_shift": group2_shift,
-        "shard_size": 1000,
-        "batch_size": 100,
-        "model_step": 0.01,
-        "rounds": 2000,
-        "validation_size": 100000,
-        "validation_mode": MODE_EXTRA,
-        "exact_gradients": False,
-        "weight_log_every": 10,
-        "mixing_alpha": 0.5,
-        "n_classes": 10,
-        "test_size": 4000,
-        "methods": (
-            "meritfed-md",
-            "meritfed-smd",
-            "sgd-full",
-            "sgd-ideal",
-            "fedadp",
-            "tawt",
-            "fedavg-5",
-            "fedavg-10",
-        ),
-        "md_steps": 50,
-        "md_lr": md_lr,
-        "md_smoothing": 1e-4,
-        "smd_minibatch": 100,
-        "fedadp_alpha": 5.0,
-        "tawt_step": 0.0,
-        "seeds": 3,
-        "base_seed": 0,
-    }
+def _preset(**changes) -> Callable[[], dict]:
+    """A preset as its changes to the RunConfig defaults.
 
+    Each call returns a fresh dict of every schema key, in schema order.
+    """
 
-def _byzantine_preset(attack_kind: str) -> dict:
-    values = _mean_preset(group2_shift=0.1, md_lr=3.5)
-    values.update(
-        group2_count=0,
-        group3_count=0,
-        byzantine_count=50,
-        attack_kind=attack_kind,
-        rounds=1000,
-        methods=("meritfed-md", "sgd-full", "sgd-ideal"),
-        md_steps=10,
-    )
+    def values() -> dict:
+        config = RunConfig(**changes)
+        return {key: getattr(config, key) for key in CONFIG_SCHEMA}
+
     return values
 
 
-def _theorem_preset() -> dict:
-    values = _mean_preset(group2_shift=0.1, md_lr=3.5)
-    values.update(
+_BYZANTINE = dict(
+    group2_count=0,
+    group3_count=0,
+    byzantine_count=50,
+    rounds=1000,
+    methods=("meritfed-md", "sgd-full", "sgd-ideal"),
+    md_steps=10,
+    md_lr=3.5,
+)
+
+# mixing_alpha keeps its default, 0.5, unless a preset names it.
+_SOFTMAX = dict(
+    task=TASK_SOFTMAX,
+    group1_count=1,
+    group2_count=10,
+    group3_count=9,
+    batch_size=75,
+    model_step=0.05,
+    rounds=300,
+    validation_size=4000,
+    weight_log_every=1,
+    methods=("meritfed-md", "sgd-ideal"),
+    md_steps=30,
+    md_lr=5.0,
+)
+
+PRESETS = {
+    "mean-mu-0.1": _preset(),
+    "mean-mu-0.01": _preset(group2_shift=0.01, md_lr=4.5),
+    "mean-mu-0.001": _preset(group2_shift=0.001, md_lr=3.5),
+    "theorem-mean": _preset(
         group2_count=0,
         group3_count=0,
         shard_size=100000,
         methods=("meritfed-md", "sgd-ideal"),
-    )
-    return values
-
-
-def _softmax_preset(mixing_alpha: float) -> dict:
-    values = _mean_preset(group2_shift=0.1, md_lr=5.0)
-    values.update(
-        task=TASK_SOFTMAX,
-        group1_count=1,
-        group2_count=10,
-        group3_count=9,
-        shard_size=1000,
-        batch_size=75,
-        model_step=0.05,
-        rounds=300,
-        validation_size=4000,
-        weight_log_every=1,
-        mixing_alpha=mixing_alpha,
-        methods=("meritfed-md", "sgd-ideal"),
-        md_steps=30,
-    )
-    return values
-
-
-PRESETS = {
-    "mean-mu-0.1": lambda: _mean_preset(0.1, 12.5),
-    "mean-mu-0.01": lambda: _mean_preset(0.01, 4.5),
-    "mean-mu-0.001": lambda: _mean_preset(0.001, 3.5),
-    "theorem-mean": _theorem_preset,
-    "byzantine-bf": lambda: _byzantine_preset("bit-flip"),
-    "byzantine-rn": lambda: _byzantine_preset("random-noise"),
-    "byzantine-ipm": lambda: _byzantine_preset("ipm"),
-    "byzantine-alie": lambda: _byzantine_preset("alie"),
-    "softmax-alpha-0.5": lambda: _softmax_preset(0.5),
-    "softmax-alpha-0.99": lambda: _softmax_preset(0.99),
+        md_lr=3.5,
+    ),
+    "byzantine-bf": _preset(**_BYZANTINE, attack_kind="bit-flip"),
+    "byzantine-rn": _preset(**_BYZANTINE, attack_kind="random-noise"),
+    "byzantine-ipm": _preset(**_BYZANTINE, attack_kind="ipm"),
+    "byzantine-alie": _preset(**_BYZANTINE, attack_kind="alie"),
+    "softmax-alpha-0.5": _preset(**_SOFTMAX),
+    "softmax-alpha-0.99": _preset(**_SOFTMAX, mixing_alpha=0.99),
 }
 
 
@@ -354,7 +318,7 @@ def _method_from_label(label: str, config: RunConfig) -> Rule:
         "meritfed-smd": lambda: meritfed(ESTIMATOR_EXACT, config.smd_minibatch),
         "meritfed-zo": lambda: meritfed(ESTIMATOR_ZO, 0),
         "sgd-full": lambda: SgdFull(label, step),
-        "sgd-ideal": lambda: SgdIdeal(label, step, ideal_indices=tuple(range(config.group1_count))),
+        "sgd-ideal": lambda: SgdIdeal(label, step, group_size=config.group1_count),
         "fedadp": lambda: FedAdp(label, step, alpha=config.fedadp_alpha),
         "tawt": lambda: Tawt(
             label, step, step_size=config.tawt_step if config.tawt_step != 0 else config.md_lr

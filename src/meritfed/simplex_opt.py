@@ -134,8 +134,9 @@ class MdConfig:
 
     step_size is consumed literally by the multiplicative update. minibatch=0
     evaluates step gradients on the full validation set; minibatch>0 draws a
-    fresh validation subset per step. The zeroth-order estimator draws a fresh
-    unit direction per step from rng.
+    fresh validation subset per step of the exact estimator. The zeroth-order
+    estimator draws a fresh unit direction per step from rng, scores both
+    probes on the full validation set and takes no minibatch.
     """
 
     step_size: float
@@ -156,6 +157,8 @@ class MdConfig:
             raise MeritFedError(f"unknown estimator {self.estimator!r}")
         if self.minibatch < 0:
             raise MeritFedError(f"minibatch must be >= 0, got {self.minibatch}")
+        if self.estimator == ESTIMATOR_ZO and self.minibatch > 0:
+            raise MeritFedError(f"zeroth-order estimator takes no minibatch, got {self.minibatch}")
 
     @property
     def reads_rng(self) -> bool:
@@ -213,9 +216,10 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
     Runs cfg.step_count multiplicative updates from the uniform vector, each
     driven by the exact chain-rule gradient (full validation set, or a fresh
     minibatch per step when cfg.minibatch > 0) or by the two-point estimator
-    along a fresh random unit direction. Every iterate is scored on the full
-    validation set; the best-scoring iterate is returned together with the
-    solver-accuracy proxy phi(last iterate) - phi(best iterate) >= 0.
+    along a fresh random unit direction. Every iterate and every two-point
+    probe is scored on the full validation set; the best-scoring iterate is
+    returned together with the solver-accuracy proxy
+    phi(last iterate) - phi(best iterate) >= 0.
 
     Scoring an iterate also returns the oracle gradient at its candidate
     point, so the exact full-set estimator takes the next step's gradient
@@ -240,8 +244,7 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
             if cfg.rng is None:
                 raise NumericInputError("zeroth-order estimator needs an rng for directions")
             direction = unit_sphere_vector(cfg.rng, obj.n)
-            phi = _step_objective(obj, cfg)
-            g = zo_two_point_estimate(phi, w, cfg.smoothing, direction)
+            g = zo_two_point_estimate(obj.value, w, cfg.smoothing, direction)
         w = entropic_md_step(w, g, cfg.step_size)
         last_value, val_grad = obj.evaluate(w)
         if last_value < best_value:
@@ -249,19 +252,6 @@ def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, floa
             best_w = w
     delta_estimate = max(last_value - best_value, 0.0)
     return best_w, delta_estimate
-
-
-def _step_objective(obj: WeightObjective, cfg: MdConfig) -> Callable[[np.ndarray], float]:
-    """Objective evaluator for one zeroth-order step.
-
-    With a positive minibatch, one validation subset is drawn and held fixed
-    across the step's two-point evaluation pair.
-    """
-    oracle = obj.loss_oracle
-    if cfg.minibatch > 0 and hasattr(oracle, "sample_rows"):
-        rows = oracle.sample_rows(cfg.minibatch, cfg.rng)
-        return lambda v: float(oracle.evaluate_rows(obj.candidate(v), rows)[0])
-    return lambda v: obj.value(v)
 
 
 def simplex_grid(n: int, resolution: float) -> np.ndarray:

@@ -271,9 +271,6 @@ class SampleOracle:
             raise ConfigError("validation set is empty")
         self.size = size
 
-    def sample_rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.size, size=count, replace=False)
-
     def evaluate(
         self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
     ) -> tuple[float, np.ndarray]:
@@ -284,7 +281,7 @@ class SampleOracle:
             return self._evaluate_all(x)
         if rng is None:
             raise ConfigError("minibatch evaluation needs an rng")
-        return self.evaluate_rows(x, self.sample_rows(minibatch, rng))
+        return self.evaluate_rows(x, rng.choice(self.size, size=minibatch, replace=False))
 
 
 class MeanValidationOracle(SampleOracle):

@@ -49,8 +49,8 @@ def full_weights(n):
     return weights(SgdFull("sgd-full", 0.01), np.ones((n, 1)))[0]
 
 
-def ideal_weights(indices, n):
-    rule = SgdIdeal("sgd-ideal", 0.01, ideal_indices=tuple(indices))
+def ideal_weights(group_size, n):
+    rule = SgdIdeal("sgd-ideal", 0.01, group_size=group_size)
     rule.check(n, 0)
     return weights(rule, np.ones((n, 1)))[0]
 
@@ -88,21 +88,21 @@ class TestFixedRules:
         np.testing.assert_array_equal(full_weights(7), uniform_weights(7))
 
     def test_ideal_first_five(self):
-        w = ideal_weights(range(5), 150)
+        w = ideal_weights(5, 150)
         assert np.all(w[:5] == 0.2)
         assert np.all(w[5:] == 0.0)
 
     def test_ideal_singleton(self):
-        np.testing.assert_array_equal(ideal_weights([0], 5), [1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(ideal_weights(1, 5), [1, 0, 0, 0, 0])
 
     def test_ideal_full_set_degenerates_to_uniform(self):
-        np.testing.assert_array_equal(ideal_weights(range(6), 6), full_weights(6))
+        np.testing.assert_array_equal(ideal_weights(6, 6), full_weights(6))
 
     def test_ideal_empty_rejected(self):
         with pytest.raises(ConfigError):
-            ideal_weights([], 5)
+            ideal_weights(0, 5)
         with pytest.raises(ConfigError):
-            ideal_weights([5], 5)
+            ideal_weights(6, 5)
 
 
 class TestAngle:
@@ -180,7 +180,7 @@ class TestStreamTags:
         assert MeritFed("smd", 0.1, md=md(minibatch=10)).stream_tag == streams.MD
         assert MeritFed("zo", 0.1, md=md(estimator=ESTIMATOR_ZO)).stream_tag == streams.MD
         assert FedAvg("fedavg-2", 0.1, sample_count=2).stream_tag == streams.METHOD
-        ideal = SgdIdeal("sgd-ideal", 0.1, ideal_indices=(0,))
+        ideal = SgdIdeal("sgd-ideal", 0.1, group_size=1)
         for rule in (SgdFull("sgd-full", 0.1), ideal, fedadp(), tawt(1.0)):
             assert rule.stream_tag is None
 
@@ -423,7 +423,7 @@ class TestMeritFedRule:
             obj = WeightObjective(x=x, gradients=g, model_step=0.2, loss_oracle=oracle)
             md = MdConfig(step_size=2.0, step_count=100, estimator=ESTIMATOR_EXACT)
             w, delta = meritfed_weights(x, g, 0.2, md, oracle)
-            reference = ideal_weights(range(2), 5)
+            reference = ideal_weights(2, 5)
             assert obj.value(w) <= obj.value(reference) + delta + 1e-3
 
 
@@ -459,7 +459,7 @@ class TestMethodConfigValidation:
     # Constructor and config-time checks of the rule classes.
 
     def test_ideal_requires_indices(self):
-        rule = SgdIdeal("ideal", 0.01, ideal_indices=())
+        rule = SgdIdeal("ideal", 0.01, group_size=0)
         with pytest.raises(ConfigError):
             rule.check(5, 0)
 

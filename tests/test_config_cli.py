@@ -5,8 +5,11 @@ replay of written CSV numbers against an in-process run.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -65,7 +68,29 @@ class TestSchema:
             build_experiment(config, master_seed=0)
 
 
+# sha256 of json.dumps(PRESETS[name](), sort_keys=True) for every preset: a
+# slipped value, or a value of another type (100 for 100.0), changes it.
+PRESET_DIGESTS = {
+    "mean-mu-0.1": "4df78165e1e0573e09143a65e868d518a944763220e0ae0bd8ae73a575800caa",
+    "mean-mu-0.01": "bbb2c8396f835da11f6901924e618edb3a99aa4a1d966ee2d1c62beab759affc",
+    "mean-mu-0.001": "28b9a2219a8b6a3d2423107c573790be05b33ec665869fdd15e362f03c8d190e",
+    "theorem-mean": "59afdac342fd469efd1f94c03b5d6995590802841871d1db0f4e93775fad0d2b",
+    "byzantine-bf": "0575bfa40da367765eb60a675fb674661bb6095d2d5847c4aa5c4014e615fc14",
+    "byzantine-rn": "ce86a3c96542e81bccad1aa7ca6643e289b676e0f079631d8d75d4e55c267f1a",
+    "byzantine-ipm": "79389627f2a97fe523c2ea19cd49887bbcc57183912b7437f62bd3f2bfb8336d",
+    "byzantine-alie": "da86f98ddc9c8c85e1ace89370e9f8d79ad2efb18846b4b39c6771fb6b19909c",
+    "softmax-alpha-0.5": "4afd508dc122b2c338367a16728865df53d9ab009da6ab18c71cb0763b247cd3",
+    "softmax-alpha-0.99": "2d803d75b82466c3a87e669eb9d925926ecc885459ce32eb786147c05932f24e",
+}
+
+
 class TestPresetPins:
+    @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+    def test_preset_values_are_pinned(self, name):
+        assert set(PRESETS) == set(PRESET_DIGESTS)
+        text = json.dumps(PRESETS[name](), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRESET_DIGESTS[name]
+
     def test_population_mean_preset(self):
         c = parse_config("", preset="mean-mu-0.1")
         assert (c.group1_count, c.group2_count, c.group3_count) == (5, 95, 50)
@@ -196,7 +221,7 @@ class TestMethodLabels:
     def test_oracle_set_is_target_group(self):
         config = parse_config("", preset="mean-mu-0.1")
         method = _method_from_label("sgd-ideal", config)
-        assert method.ideal_indices == (0, 1, 2, 3, 4)
+        assert method.group_size == 5
 
     def test_sampled_count_from_suffix(self):
         config = parse_config("", preset="mean-mu-0.1")
@@ -402,6 +427,7 @@ class TestMainEntryPoint:
             ("byzantine-rn", ["base_seed=-3"]),
             # More elements than numpy can index (and no memory can hold).
             ("mean-mu-0.1", ["dim=99999999999999999999"]),
+            ("mean-mu-0.1", ["group1_count=4611686018427387904"]),
         ]
         float_keys = [key for key, kind in CONFIG_SCHEMA.items() if kind is float]
         assert len(float_keys) == 10
@@ -423,6 +449,22 @@ class TestMainEntryPoint:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, (overrides, err)
             assert not out.exists()
+
+    def test_runs_under_cprofile(self, tmp_path):
+        # Under `python -m cProfile -m meritfed.cli` the module runs as
+        # __main__ while sys.modules["__main__"] is cProfile's.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        profile = str(tmp_path / "p.prof")
+        command = [sys.executable, "-m", "cProfile", "-o", profile, "-m", "meritfed.cli"]
+        done = subprocess.run(
+            command + ["run", "--list-presets"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == sorted(PRESET_DIGESTS)
 
     def test_unallocatable_run_exits_one(self, tmp_path, capsys):
         # 150 shards of 1e11 rows in dimension 10 are 1.07 PiB: numpy can

@@ -45,8 +45,8 @@ def full_method(step=0.01, label="sgd-full"):
     return SgdFull(label, step)
 
 
-def ideal_method(indices, step=0.01, label="sgd-ideal"):
-    return SgdIdeal(label, step, ideal_indices=tuple(indices))
+def ideal_method(group_size, step=0.01, label="sgd-ideal"):
+    return SgdIdeal(label, step, group_size=group_size)
 
 
 def meritfed_method(step=0.01, label="meritfed-md", md_steps=30, md_step_size=2.0):
@@ -194,7 +194,7 @@ class TestExactGradientTrajectories:
         # trajectory is the same contraction regardless of groups 2 and 3.
         step, rounds = 0.05, 10
         spec = small_spec(
-            methods=[ideal_method([0, 1], step=step)],
+            methods=[ideal_method(2, step=step)],
             group_counts=(2, 5, 3),
             exact_gradients=True,
             rounds=rounds,
@@ -249,7 +249,7 @@ class TestStochasticReplay:
         # that client's shard.
         step, rounds = 0.05, 8
         spec = small_spec(
-            methods=[ideal_method([0], step=step)], group_counts=(1, 2, 1), rounds=rounds
+            methods=[ideal_method(1, step=step)], group_counts=(1, 2, 1), rounds=rounds
         )
         result = run_experiment(spec)
         x = np.ones(spec.dim)
@@ -507,7 +507,7 @@ class TestConvergenceReport:
 
     def test_byzantine_restricts_applicability(self):
         spec = small_spec(
-            methods=[full_method(), meritfed_method(), ideal_method([0, 1])],
+            methods=[full_method(), meritfed_method(), ideal_method(2)],
             group_counts=(2, 0, 0),
             byzantine_count=2,
             attack=AttackSpec(kind=ATTACK_BIT_FLIP),
@@ -527,7 +527,7 @@ class TestConvergenceReport:
 
 class TestSoftmaxEngine:
     def test_run_completes_with_accuracy_metrics(self):
-        spec = softmax_spec(methods=[full_method(step=0.05), ideal_method([0], step=0.05)])
+        spec = softmax_spec(methods=[full_method(step=0.05), ideal_method(1, step=0.05)])
         result = run_experiment(spec)
         assert result.mixture_direction is None
         assert result.convergence == []
@@ -540,7 +540,7 @@ class TestSoftmaxEngine:
 
     def test_softmax_training_reduces_validation_loss(self):
         spec = softmax_spec(
-            methods=[ideal_method([0], step=0.1)],
+            methods=[ideal_method(1, step=0.1)],
             group_counts=(1, 0, 0),
             shard_size=200,
             batch_size=50,

@@ -19,7 +19,6 @@ from meritfed.simplex_opt import (
     ESTIMATOR_ZO,
     MdConfig,
     WeightObjective,
-    _step_objective,
     check_weights,
     entropic_md_step,
     simplex_grid,
@@ -436,7 +435,7 @@ def solve_weights_two_calls(obj, cfg):
             g = obj.gradient(w, minibatch=cfg.minibatch, rng=cfg.rng)
         else:
             direction = unit_sphere_vector(cfg.rng, obj.n)
-            g = zo_two_point_estimate(_step_objective(obj, cfg), w, cfg.smoothing, direction)
+            g = zo_two_point_estimate(obj.value, w, cfg.smoothing, direction)
         w = entropic_md_step(w, g, cfg.step_size)
         last_value = obj.value(w)
         if last_value < best_value:
@@ -564,3 +563,7 @@ class TestMdConfigValidation:
     def test_unknown_estimator(self):
         with pytest.raises(Exception):
             MdConfig(step_size=1.0, step_count=1, estimator="newton")
+
+    def test_zeroth_order_takes_no_minibatch(self):
+        with pytest.raises(MeritFedError, match="zeroth-order estimator takes no minibatch"):
+            MdConfig(step_size=1.0, step_count=1, estimator=ESTIMATOR_ZO, minibatch=10)
