@@ -1,16 +1,20 @@
-"""Print the sha256 of the four output files of every preset as a markdown table.
+"""Print the sha256 of the four output files of every run of `RUNS` as a markdown table.
 
 Each preset runs with `--set seeds=2` and a round cap: 12 rounds for
 `mean-mu-*`, 30 for `theorem-mean`, 40 for `byzantine-*` and 6 for
 `softmax-*`. `byzantine-rn`, `mean-mu-0.1` and `softmax-alpha-0.5` run once
 more at base seed 2^32 + 5, whose stream entropy has more than one 32-bit
-word for the master seed. Run from a checkout:
+word for the master seed. Two more runs at the same caps cover the solver
+paths no preset takes: the zeroth-order solver, and the minibatch solver on
+the softmax task and with a minibatch as large as the validation set. Run
+from a checkout:
 
     python3 scripts/preset_hashes.py                 # this checkout only
     python3 scripts/preset_hashes.py --parent DIR    # DIR (another checkout) vs this one
 
 It exits 1 when any run failed or, with --parent, when any file differs
-between the two checkouts, and 0 otherwise.
+between the two checkouts, and 0 otherwise. `tests/test_output_contract.py`
+runs the same `RUNS` in-process against recorded digests.
 """
 
 import argparse
@@ -29,24 +33,54 @@ FILES = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
 RUN_FAILED = "run failed"
 MULTI_WORD_SEED = 2**32 + 5
 MULTI_WORD_PRESETS = ("byzantine-rn", "mean-mu-0.1", "softmax-alpha-0.5")
+SOLVER_RUNS = (
+    ("softmax-alpha-0.5", ("methods=meritfed-md,meritfed-smd,meritfed-zo", "smd_minibatch=500")),
+    (
+        "mean-mu-0.1",
+        ("methods=meritfed-zo,meritfed-smd", "validation_mode=reuse-train", "smd_minibatch=1000"),
+    ),
+)
 
 
-def preset_hashes(root: str, preset: str, seed: int | None = None) -> list[str]:
-    """The sha256 of each output file of one preset run from the checkout at root."""
+def _capped(preset: str, changes: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """Config overrides of one run: two seeds, the preset's round cap, then changes."""
     rounds = next(cap for prefix, cap in ROUND_CAPS.items() if preset.startswith(prefix))
+    return ("seeds=2", f"rounds={rounds}") + changes
+
+
+# Each run as (label, preset, config overrides); a label names the run in the table.
+RUNS = (
+    [(preset, preset, _capped(preset)) for preset in PRESETS]
+    + [
+        (f"{preset} --seed {MULTI_WORD_SEED}", preset, _capped(preset, (f"base_seed={MULTI_WORD_SEED}",)))
+        for preset in MULTI_WORD_PRESETS
+    ]
+    + [
+        (" ".join([preset] + [f"--set {change}" for change in changes]), preset, _capped(preset, changes))
+        for preset, changes in SOLVER_RUNS
+    ]
+)
+
+
+def file_digests(out_dir: str) -> list[str]:
+    """The sha256 of each output file in out_dir, in FILES order."""
+    digests = []
+    for name in FILES:
+        with open(os.path.join(out_dir, name), "rb") as handle:
+            digests.append(hashlib.sha256(handle.read()).hexdigest())
+    return digests
+
+
+def run_hashes(root: str, preset: str, overrides: tuple[str, ...]) -> list[str]:
+    """The sha256 of each output file of one run from the checkout at root."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     with tempfile.TemporaryDirectory() as out:
         command = [sys.executable, "-m", "meritfed.cli", "run", "--preset", preset, "--out", out]
-        command += ["--set", "seeds=2", "--set", f"rounds={rounds}"]
-        if seed is not None:
-            command += ["--seed", str(seed)]
+        for override in overrides:
+            command += ["--set", override]
         if subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode != 0:
             return [RUN_FAILED] * len(FILES)
-        hashes = []
-        for name in FILES:
-            with open(os.path.join(out, name), "rb") as handle:
-                hashes.append(f"`{hashlib.sha256(handle.read()).hexdigest()}`")
-        return hashes
+        return [f"`{digest}`" for digest in file_digests(out)]
 
 
 def main() -> int:
@@ -57,12 +91,9 @@ def main() -> int:
     headers = ["parent", "change"] if args.parent else ["sha256"]
     print("| preset | file | " + " | ".join(headers) + " |")
     print("| --- | --- | " + " | ".join("---" for _ in headers) + " |")
-    runs = [(preset, None) for preset in PRESETS]
-    runs += [(preset, MULTI_WORD_SEED) for preset in MULTI_WORD_PRESETS]
     ok = True
-    for preset, seed in runs:
-        columns = [preset_hashes(root, preset, seed) for root in roots]
-        label = preset if seed is None else f"{preset} --seed {seed}"
+    for label, preset, overrides in RUNS:
+        columns = [run_hashes(root, preset, overrides) for root in roots]
         for row, name in enumerate(FILES):
             cells = [column[row] for column in columns]
             ok = ok and RUN_FAILED not in cells and len(set(cells)) == 1

@@ -17,7 +17,6 @@ orthogonal to the reference (angle pi/2).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
@@ -82,11 +81,10 @@ class MeritFed(Rule):
         return streams.MD if self.md.reads_rng else None
 
     def weights(self, x, gradients, oracle, rng):
-        md = dataclasses.replace(self.md, rng=rng)
         objective = WeightObjective(
             x=x, gradients=gradients, model_step=self.model_step, loss_oracle=oracle
         )
-        return solve_weights(objective, md)
+        return solve_weights(objective, self.md, rng)
 
 
 @dataclass

@@ -132,11 +132,11 @@ def zo_two_point_estimate(
 class MdConfig:
     """Inner-solver settings for the aggregation-weight subproblem.
 
-    step_size is consumed literally by the multiplicative update. minibatch=0
-    evaluates step gradients on the full validation set; minibatch>0 draws a
-    fresh validation subset per step of the exact estimator. The zeroth-order
-    estimator draws a fresh unit direction per step from rng, scores both
-    probes on the full validation set and takes no minibatch.
+    step_size is consumed literally by the multiplicative update. The exact
+    estimator steps on the full-set gradient, or with minibatch>0 (and below
+    the set size) on fresh validation rows per step. The zeroth-order
+    estimator takes no minibatch. solve_weights draws the rows and the
+    zeroth-order directions from the rng it is given.
     """
 
     step_size: float
@@ -144,7 +144,6 @@ class MdConfig:
     estimator: str = ESTIMATOR_EXACT
     smoothing: float = 1e-4
     minibatch: int = 0
-    rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
         if self.step_size <= 0.0:
@@ -162,7 +161,7 @@ class MdConfig:
 
     @property
     def reads_rng(self) -> bool:
-        """Whether solve_weights draws from rng: only the exact full-set solver draws nothing."""
+        """Whether solve_weights needs an rng: only the exact full-set solver draws nothing."""
         return self.estimator == ESTIMATOR_ZO or self.minibatch > 0
 
 
@@ -170,8 +169,9 @@ class MdConfig:
 class WeightObjective:
     """The weight subproblem: evaluate f_hat at x - model_step * sum_i w_i g_i.
 
-    loss_oracle must expose evaluate(point, minibatch=0, rng=None) returning
-    (value, gradient) of the validation objective, and a size attribute.
+    loss_oracle has a size (its validation rows) and evaluate(point), the
+    full-set (value, gradient). solve_weights also calls its value(point)
+    for zeroth-order probes and gradient_rows(point, rows) for minibatch steps.
     """
 
     x: np.ndarray
@@ -199,52 +199,45 @@ class WeightObjective:
     def value(self, w: np.ndarray) -> float:
         return self.evaluate(w)[0]
 
-    def gradient(self, w: np.ndarray, minibatch: int = 0, rng=None) -> np.ndarray:
-        """Exact chain-rule gradient in w, optionally on a validation minibatch."""
-        return weight_gradient_exact(
-            self.x,
-            self.gradients,
-            self.model_step,
-            lambda y: self.loss_oracle.evaluate(y, minibatch=minibatch, rng=rng)[1],
-            w,
-        )
 
-
-def solve_weights(obj: WeightObjective, cfg: MdConfig) -> tuple[np.ndarray, float]:
+def solve_weights(
+    obj: WeightObjective, cfg: MdConfig, rng: Optional[np.random.Generator] = None
+) -> tuple[np.ndarray, float]:
     """Approximately minimize the weight subproblem over the simplex.
 
     Runs cfg.step_count multiplicative updates from the uniform vector, each
-    driven by the exact chain-rule gradient (full validation set, or a fresh
-    minibatch per step when cfg.minibatch > 0) or by the two-point estimator
-    along a fresh random unit direction. Every iterate and every two-point
-    probe is scored on the full validation set; the best-scoring iterate is
-    returned together with the solver-accuracy proxy
+    driven by the exact chain-rule gradient or by the two-point estimator
+    along a fresh random unit direction from rng. Every iterate and every
+    two-point probe is scored on the full validation set; the best-scoring
+    iterate is returned together with the solver-accuracy proxy
     phi(last iterate) - phi(best iterate) >= 0.
 
     Scoring an iterate also returns the oracle gradient at its candidate
-    point, so the exact full-set estimator takes the next step's gradient
-    from it by the chain rule: one oracle call per iterate. The minibatch
-    and zeroth-order steps need their own oracle calls.
+    point, so the exact estimator steps on it by the chain rule: one oracle
+    call per iterate. Only when 0 < cfg.minibatch < oracle size does a step
+    draw cfg.minibatch rows without replacement from rng and use the
+    gradient on them. The bound and the rng are checked before any call.
     """
-    oracle_size = getattr(obj.loss_oracle, "size", None)
-    if cfg.minibatch > 0 and oracle_size is not None and cfg.minibatch > oracle_size:
-        raise MeritFedError(
-            f"minibatch {cfg.minibatch} exceeds validation set size {oracle_size}"
-        )
+    oracle = obj.loss_oracle
+    if cfg.minibatch > oracle.size:
+        raise MeritFedError(f"minibatch {cfg.minibatch} exceeds validation set size {oracle.size}")
+    if cfg.reads_rng and rng is None:
+        raise MeritFedError(f"{cfg.estimator} solver with minibatch {cfg.minibatch} needs an rng")
+    draws_rows = 0 < cfg.minibatch < oracle.size
+    probe = lambda v: oracle.value(obj.candidate(v))
     w = uniform_weights(obj.n)
     best_w = w
     best_value, val_grad = obj.evaluate(w)
     last_value = best_value
     for _ in range(cfg.step_count):
-        if not cfg.reads_rng:
-            g = _chain_rule(obj.gradients, obj.model_step, val_grad)
-        elif cfg.estimator == ESTIMATOR_EXACT:
-            g = obj.gradient(w, minibatch=cfg.minibatch, rng=cfg.rng)
+        if cfg.estimator == ESTIMATOR_ZO:
+            direction = unit_sphere_vector(rng, obj.n)
+            g = zo_two_point_estimate(probe, w, cfg.smoothing, direction)
         else:
-            if cfg.rng is None:
-                raise NumericInputError("zeroth-order estimator needs an rng for directions")
-            direction = unit_sphere_vector(cfg.rng, obj.n)
-            g = zo_two_point_estimate(obj.value, w, cfg.smoothing, direction)
+            if draws_rows:
+                rows = rng.choice(oracle.size, size=cfg.minibatch, replace=False)
+                val_grad = oracle.gradient_rows(obj.candidate(w), rows)
+            g = _chain_rule(obj.gradients, obj.model_step, val_grad)
         w = entropic_md_step(w, g, cfg.step_size)
         last_value, val_grad = obj.evaluate(w)
         if last_value < best_value:

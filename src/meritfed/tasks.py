@@ -259,11 +259,10 @@ def softmax_accuracy(theta: np.ndarray, features: np.ndarray, labels: np.ndarray
 class SampleOracle:
     """Validation objective over a held-out sample set of `size` rows.
 
-    evaluate(x) gives the loss and gradient on the full set;
-    evaluate(x, minibatch=m, rng=rng) uses m rows drawn without replacement
-    from rng. value(x) is the full-set loss alone, equal to evaluate(x)[0].
-    Subclasses provide value, the full-set evaluation and the evaluation on
-    given rows.
+    evaluate(x) gives the loss and gradient on the full set, value(x) the
+    full-set loss alone, equal to evaluate(x)[0], and gradient_rows(x, rows)
+    the gradient on the given rows alone. Subclasses provide all three; the
+    rows are drawn by the caller.
     """
 
     def __init__(self, size: int) -> None:
@@ -271,25 +270,13 @@ class SampleOracle:
             raise ConfigError("validation set is empty")
         self.size = size
 
-    def evaluate(
-        self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
-    ) -> tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        if minibatch < 0 or minibatch > self.size:
-            raise ConfigError(f"minibatch {minibatch} out of range for validation size {self.size}")
-        if minibatch in (0, self.size):
-            return self._evaluate_all(x)
-        if rng is None:
-            raise ConfigError("minibatch evaluation needs an rng")
-        return self.evaluate_rows(x, rng.choice(self.size, size=minibatch, replace=False))
-
 
 class MeanValidationOracle(SampleOracle):
     """Empirical mean-estimation objective over a held-out sample set.
 
     f_hat(x) = mean_i ||x - xi_i||^2 evaluated in O(d) through the precomputed
-    sample mean and mean squared norm. Each row's squared norm is kept, and is
-    computed a fixed number of rows at a time, so building the oracle makes no
+    sample mean and mean squared norm. The rows' squared norms are computed a
+    fixed number of rows at a time, so building the oracle makes no
     temporary the size of the samples.
     """
 
@@ -298,23 +285,22 @@ class MeanValidationOracle(SampleOracle):
         super().__init__(samples.shape[0])
         self.samples = samples
         self.mean = samples.mean(axis=0)
-        self.row_sq_norms = np.empty(self.size)
+        row_sq_norms = np.empty(self.size)
         for start in range(0, self.size, NORM_CHUNK_ROWS):
             chunk = samples[start : start + NORM_CHUNK_ROWS]
-            np.sum(chunk * chunk, axis=1, out=self.row_sq_norms[start : start + len(chunk)])
-        self.mean_sq_norm = float(np.mean(self.row_sq_norms))
+            np.sum(chunk * chunk, axis=1, out=row_sq_norms[start : start + len(chunk)])
+        self.mean_sq_norm = float(np.mean(row_sq_norms))
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         return float(x @ x - 2.0 * (x @ self.mean) + self.mean_sq_norm)
 
-    def evaluate_rows(self, x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-        sub_mean = self.samples[rows].mean(axis=0)
-        value = float(x @ x - 2.0 * (x @ sub_mean) + np.mean(self.row_sq_norms[rows]))
-        return value, 2.0 * (x - sub_mean)
-
-    def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
         return self.value(x), 2.0 * (x - self.mean)
+
+    def gradient_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return 2.0 * (np.asarray(x, dtype=float) - self.samples[rows].mean(axis=0))
 
 
 class SoftmaxValidationOracle(SampleOracle):
@@ -322,7 +308,7 @@ class SoftmaxValidationOracle(SampleOracle):
 
     The full set is one SoftmaxRows kernel, built here and reused by every
     call. The labels are a read-only copy, so the kernel's label positions
-    cannot go stale and minibatches read the same labels.
+    cannot go stale and row subsets read the same labels.
     """
 
     def __init__(self, shard: DatasetShard, n_classes: int) -> None:
@@ -333,18 +319,16 @@ class SoftmaxValidationOracle(SampleOracle):
         self.n_classes = n_classes
         self.full_set = SoftmaxRows(self.samples, self.labels, n_classes)
 
-    def evaluate_rows(self, x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-        return self._evaluate(x, SoftmaxRows(self.samples[rows], self.labels[rows], self.n_classes))
-
-    def _evaluate_all(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self._evaluate(x, self.full_set)
-
     def value(self, x: np.ndarray) -> float:
         return self.full_set.loss(self._theta(x))
 
-    def _evaluate(self, x: np.ndarray, kernel: SoftmaxRows) -> tuple[float, np.ndarray]:
-        loss, grad = kernel.loss_grad(self._theta(x))
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, grad = self.full_set.loss_grad(self._theta(x))
         return loss, grad.ravel()
+
+    def gradient_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        kernel = SoftmaxRows(self.samples[rows], self.labels[rows], self.n_classes)
+        return kernel.loss_grad(self._theta(x))[1].ravel()
 
     def _theta(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.n_classes, -1)
@@ -355,7 +339,7 @@ class PopulationMeanOracle:
 
     Evaluates the true expected loss ||x - center||^2 + d; used by
     verification runs that need an exact validation gradient. It holds no
-    rows, so no minibatch can be drawn from it.
+    rows, so it has no gradient_rows and no minibatch can be drawn from it.
     """
 
     size = 0
@@ -366,9 +350,7 @@ class PopulationMeanOracle:
     def value(self, x: np.ndarray) -> float:
         return self.evaluate(x)[0]
 
-    def evaluate(
-        self, x: np.ndarray, minibatch: int = 0, rng: Optional[np.random.Generator] = None
-    ) -> tuple[float, np.ndarray]:
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
         r = x - self.center
         return float(r @ r) + float(self.center.size), 2.0 * r

@@ -3,7 +3,8 @@
 Oracles: brute-force simplex grids for the solver, central finite
 differences for the exact weight gradient, Monte Carlo sphere averages
 for the two-point estimator, and a copy of the solver loop that asks the
-validation oracle separately for each iterate's value and gradient.
+validation oracle separately for each iterate's value and gradient and
+draws its minibatch rows from the same stream.
 """
 
 import math
@@ -38,9 +39,12 @@ class QuadraticOracle:
         self.target = np.asarray(target, dtype=float)
         self.size = 1
 
-    def evaluate(self, point, minibatch=0, rng=None):
+    def evaluate(self, point):
         r = point - self.target
         return float(r @ r), 2.0 * r
+
+    def value(self, point):
+        return self.evaluate(point)[0]
 
 
 def quadratic_objective(x, gradients, model_step, target):
@@ -59,6 +63,63 @@ def simplex_vectors(n):
         .filter(lambda v: v.sum() > 1e-6)
         .map(lambda v: v / v.sum())
     )
+
+
+class CountingOracle:
+    """Passes the three oracle calls through to an oracle and counts each kind."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.size = inner.size
+        self.calls = {"evaluate": 0, "value": 0, "gradient_rows": 0}
+
+    def evaluate(self, point):
+        self.calls["evaluate"] += 1
+        return self.inner.evaluate(point)
+
+    def value(self, point):
+        self.calls["value"] += 1
+        return self.inner.value(point)
+
+    def gradient_rows(self, point, rows):
+        self.calls["gradient_rows"] += 1
+        return self.inner.gradient_rows(point, rows)
+
+
+def solve_weights_two_calls(obj, cfg, rng):
+    """The solver loop that scores each iterate and asks again for its gradient."""
+    oracle = obj.loss_oracle
+    w = uniform_weights(obj.n)
+    best_w = w
+    best_value = obj.value(w)
+    last_value = best_value
+    for _ in range(cfg.step_count):
+        if cfg.estimator == ESTIMATOR_EXACT:
+            if cfg.minibatch:
+                rows = rng.choice(oracle.size, size=cfg.minibatch, replace=False)
+                val_grad = lambda y: oracle.gradient_rows(y, rows)
+            else:
+                val_grad = lambda y: oracle.evaluate(y)[1]
+            g = weight_gradient_exact(obj.x, obj.gradients, obj.model_step, val_grad, w)
+        else:
+            direction = unit_sphere_vector(rng, obj.n)
+            g = zo_two_point_estimate(obj.value, w, cfg.smoothing, direction)
+        w = entropic_md_step(w, g, cfg.step_size)
+        last_value = obj.value(w)
+        if last_value < best_value:
+            best_value = last_value
+            best_w = w
+    return best_w, max(last_value - best_value, 0.0)
+
+
+def mean_oracle(rng, d):
+    return MeanValidationOracle(rng.standard_normal((200, d)) + rng.standard_normal(d))
+
+
+def softmax_oracle(rng, d, n_classes=3):
+    labels = rng.integers(0, n_classes, size=200)
+    samples = rng.standard_normal((200, d)) + 2.0 * np.eye(n_classes, d)[labels]
+    return SoftmaxValidationOracle(DatasetShard(samples=samples, labels=labels), n_classes)
 
 
 class TestUniformWeights:
@@ -350,34 +411,14 @@ class TestSolveWeights:
             step_count=400,
             estimator=ESTIMATOR_ZO,
             smoothing=1e-4,
-            rng=np.random.default_rng(5),
         )
-        w, _ = solve_weights(obj, cfg)
+        w, _ = solve_weights(obj, cfg, np.random.default_rng(5))
         assert obj.value(w) <= 0.26
 
     def test_minibatch_variant_improves_objective(self):
         rng = np.random.default_rng(42)
         samples = rng.standard_normal((500, 2)) + np.array([0.1, -0.2])
-
-        class SampleOracle:
-            def __init__(self, rows):
-                self.rows = rows
-                self.size = len(rows)
-                self.mean = rows.mean(axis=0)
-
-            def evaluate(self, point, minibatch=0, rng=None):
-                if minibatch:
-                    batch = self.rows[rng.choice(self.size, size=minibatch, replace=False)]
-                else:
-                    batch = self.rows
-                center = batch.mean(axis=0)
-                r = point - center
-                value = float(r @ r) + float(
-                    (batch * batch).sum(axis=1).mean() - center @ center
-                )
-                return value, 2.0 * r
-
-        oracle = SampleOracle(samples)
+        oracle = MeanValidationOracle(samples)
         g = rng.standard_normal((4, 2))
         obj = WeightObjective(
             x=np.array([1.0, 1.0]), gradients=g, model_step=0.2, loss_oracle=oracle
@@ -387,71 +428,40 @@ class TestSolveWeights:
             step_count=60,
             estimator=ESTIMATOR_EXACT,
             minibatch=50,
-            rng=np.random.default_rng(3),
         )
-        w, delta = solve_weights(obj, cfg)
+        w, delta = solve_weights(obj, cfg, np.random.default_rng(3))
         start = obj.value(uniform_weights(4))
         assert obj.value(w) <= start + 1e-12
         assert delta >= 0.0
 
     def test_minibatch_larger_than_validation_rejected(self):
-        obj = quadratic_objective(np.array([1.0]), np.array([[1.0]]), 0.1, target=np.zeros(1))
-        cfg = MdConfig(
-            step_size=1.0,
-            step_count=5,
-            estimator=ESTIMATOR_EXACT,
-            minibatch=10,
-            rng=np.random.default_rng(0),
+        oracle = CountingOracle(QuadraticOracle(np.zeros(1)))
+        obj = WeightObjective(
+            x=np.array([1.0]), gradients=np.array([[1.0]]), model_step=0.1, loss_oracle=oracle
         )
-        with pytest.raises(Exception):
+        cfg = MdConfig(step_size=1.0, step_count=5, estimator=ESTIMATOR_EXACT, minibatch=10)
+        with pytest.raises(MeritFedError, match="minibatch 10 exceeds validation set size 1"):
+            solve_weights(obj, cfg, np.random.default_rng(0))
+        assert oracle.calls == {"evaluate": 0, "value": 0, "gradient_rows": 0}
+
+    @pytest.mark.parametrize(
+        "settings", [dict(minibatch=20), dict(estimator=ESTIMATOR_ZO)], ids=["minibatch", "zeroth-order"]
+    )
+    def test_solver_that_draws_needs_an_rng(self, settings):
+        rng = np.random.default_rng(0)
+        oracle = CountingOracle(mean_oracle(rng, 3))
+        obj = WeightObjective(
+            x=rng.standard_normal(3),
+            gradients=rng.standard_normal((5, 3)),
+            model_step=0.3,
+            loss_oracle=oracle,
+        )
+        cfg = MdConfig(step_size=1.0, step_count=3, **settings)
+        assert cfg.reads_rng
+        with pytest.raises(MeritFedError, match="needs an rng") as caught:
             solve_weights(obj, cfg)
-
-
-class CountingOracle:
-    """Passes evaluate through to an oracle and counts full-set and minibatch calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.size = inner.size
-        self.full_calls = 0
-        self.minibatch_calls = 0
-
-    def evaluate(self, point, minibatch=0, rng=None):
-        if minibatch:
-            self.minibatch_calls += 1
-        else:
-            self.full_calls += 1
-        return self.inner.evaluate(point, minibatch=minibatch, rng=rng)
-
-
-def solve_weights_two_calls(obj, cfg):
-    """The solver loop that scores each iterate and asks again for its gradient."""
-    w = uniform_weights(obj.n)
-    best_w = w
-    best_value = obj.value(w)
-    last_value = best_value
-    for _ in range(cfg.step_count):
-        if cfg.estimator == ESTIMATOR_EXACT:
-            g = obj.gradient(w, minibatch=cfg.minibatch, rng=cfg.rng)
-        else:
-            direction = unit_sphere_vector(cfg.rng, obj.n)
-            g = zo_two_point_estimate(obj.value, w, cfg.smoothing, direction)
-        w = entropic_md_step(w, g, cfg.step_size)
-        last_value = obj.value(w)
-        if last_value < best_value:
-            best_value = last_value
-            best_w = w
-    return best_w, max(last_value - best_value, 0.0)
-
-
-def mean_oracle(rng, d):
-    return MeanValidationOracle(rng.standard_normal((200, d)) + rng.standard_normal(d))
-
-
-def softmax_oracle(rng, d, n_classes=3):
-    labels = rng.integers(0, n_classes, size=200)
-    samples = rng.standard_normal((200, d)) + 2.0 * np.eye(n_classes, d)[labels]
-    return SoftmaxValidationOracle(DatasetShard(samples=samples, labels=labels), n_classes)
+        assert type(caught.value) is MeritFedError
+        assert oracle.calls == {"evaluate": 0, "value": 0, "gradient_rows": 0}
 
 
 SOLVER_SETTINGS = {
@@ -473,23 +483,21 @@ class TestSolverOracleCalls:
             model_step=0.3,
             loss_oracle=oracle,
         )
-        cfg = MdConfig(
-            step_size=1.0, step_count=self.STEPS, rng=np.random.default_rng(seed), **settings
-        )
-        solve_weights(obj, cfg)
-        return oracle
+        cfg = MdConfig(step_size=1.0, step_count=self.STEPS, **settings)
+        solve_weights(obj, cfg, np.random.default_rng(seed))
+        return oracle.calls
 
     def test_exact_full_set_one_call_per_iterate(self):
-        oracle = self.solve(SOLVER_SETTINGS["exact"])
-        assert (oracle.full_calls, oracle.minibatch_calls) == (self.STEPS + 1, 0)
+        calls = self.solve(SOLVER_SETTINGS["exact"])
+        assert calls == {"evaluate": self.STEPS + 1, "value": 0, "gradient_rows": 0}
 
     def test_minibatch_scores_on_full_set_and_steps_on_minibatch(self):
-        oracle = self.solve(SOLVER_SETTINGS["minibatch"])
-        assert (oracle.full_calls, oracle.minibatch_calls) == (self.STEPS + 1, self.STEPS)
+        calls = self.solve(SOLVER_SETTINGS["minibatch"])
+        assert calls == {"evaluate": self.STEPS + 1, "value": 0, "gradient_rows": self.STEPS}
 
     def test_zeroth_order_two_probes_and_a_score_per_step(self):
-        oracle = self.solve(SOLVER_SETTINGS["zeroth-order"])
-        assert (oracle.full_calls, oracle.minibatch_calls) == (3 * self.STEPS + 1, 0)
+        calls = self.solve(SOLVER_SETTINGS["zeroth-order"])
+        assert calls == {"evaluate": self.STEPS + 1, "value": 2 * self.STEPS, "gradient_rows": 0}
 
     @pytest.mark.parametrize("settings", SOLVER_SETTINGS.values(), ids=SOLVER_SETTINGS.keys())
     def test_reads_rng_says_whether_the_solver_draws(self, settings):
@@ -500,15 +508,17 @@ class TestSolverOracleCalls:
             model_step=0.3,
             loss_oracle=mean_oracle(rng, 3),
         )
-        cfg = MdConfig(step_size=1.0, step_count=self.STEPS, rng=np.random.default_rng(1), **settings)
-        before = cfg.rng.bit_generator.state
-        solve_weights(obj, cfg)
-        assert (cfg.rng.bit_generator.state != before) == cfg.reads_rng
+        cfg = MdConfig(step_size=1.0, step_count=self.STEPS, **settings)
+        stream = np.random.default_rng(1)
+        before = stream.bit_generator.state
+        solve_weights(obj, cfg, stream)
+        assert (stream.bit_generator.state != before) == cfg.reads_rng
         assert cfg.reads_rng == (settings != SOLVER_SETTINGS["exact"])
 
 
 class TestSolverMatchesTwoCallLoop:
-    # Reusing the scoring call's gradient changes no bit of the result.
+    # Reusing the scoring call's gradient, and scoring probes with value,
+    # changes no bit of the result.
 
     @pytest.mark.parametrize("make_oracle", [mean_oracle, softmax_oracle])
     @pytest.mark.parametrize("settings", SOLVER_SETTINGS.values(), ids=SOLVER_SETTINGS.keys())
@@ -523,14 +533,9 @@ class TestSolverMatchesTwoCallLoop:
                 model_step=float(rng.uniform(0.05, 0.5)),
                 loss_oracle=oracle,
             )
-
-            def cfg():
-                return MdConfig(
-                    step_size=2.0, step_count=25, rng=np.random.default_rng(seed), **settings
-                )
-
-            best_w, delta = solve_weights(obj, cfg())
-            expected_w, expected_delta = solve_weights_two_calls(obj, cfg())
+            cfg = MdConfig(step_size=2.0, step_count=25, **settings)
+            best_w, delta = solve_weights(obj, cfg, np.random.default_rng(seed))
+            expected_w, expected_delta = solve_weights_two_calls(obj, cfg, np.random.default_rng(seed))
             assert np.array_equal(best_w, expected_w), seed
             assert delta == expected_delta, seed
 

@@ -20,6 +20,7 @@ from meritfed.aggregators import SgdFull
 from meritfed.cli import build_experiment, parse_config
 from meritfed.engine import ExperimentSpec, RunState
 from meritfed.errors import ConfigError, MeritFedError
+from meritfed.simplex_opt import MdConfig, WeightObjective, solve_weights
 from meritfed.tasks import (
     DatasetShard,
     MEAN_PL_CONSTANT,
@@ -212,15 +213,28 @@ class TestValidationOracles:
         assert abs(value - direct) <= 1e-12 * max(1.0, direct)
         np.testing.assert_allclose(grad, 2.0 * (x - samples.mean(axis=0)), rtol=1e-12)
 
-    def test_full_minibatch_equals_full_set(self):
+    @staticmethod
+    def solver_objective(rows):
+        # The solver over a mean oracle of the given number of rows.
         rng = np.random.default_rng(3)
-        samples = rng.standard_normal((40, 4))
-        oracle = MeanValidationOracle(samples)
-        x = rng.standard_normal(4)
-        v0, g0 = oracle.evaluate(x, minibatch=0)
-        v1, g1 = oracle.evaluate(x, minibatch=40, rng=np.random.default_rng(0))
-        assert v0 == v1
-        np.testing.assert_array_equal(g0, g1)
+        return WeightObjective(
+            x=rng.standard_normal(4),
+            gradients=rng.standard_normal((5, 4)),
+            model_step=0.3,
+            loss_oracle=MeanValidationOracle(rng.standard_normal((rows, 4))),
+        )
+
+    def test_full_minibatch_equals_full_set(self):
+        # A solver minibatch of all 40 rows steps on the full-set gradient
+        # and draws nothing.
+        obj = self.solver_objective(40)
+        w0, delta0 = solve_weights(obj, MdConfig(step_size=1.0, step_count=5, minibatch=0))
+        stream = np.random.default_rng(0)
+        before = stream.bit_generator.state
+        w1, delta1 = solve_weights(obj, MdConfig(step_size=1.0, step_count=5, minibatch=40), stream)
+        assert delta0 == delta1
+        np.testing.assert_array_equal(w0, w1)
+        assert stream.bit_generator.state == before
 
     def test_minibatch_gradient_unbiased(self):
         # Averaging the minibatch gradient over 1e4 without-replacement draws
@@ -234,14 +248,14 @@ class TestValidationOracles:
         total = np.zeros(10)
         draws = 10000
         for _ in range(draws):
-            _, g = oracle.evaluate(x, minibatch=100, rng=stream)
-            total += g
+            total += oracle.gradient_rows(x, stream.choice(1000, size=100, replace=False))
         np.testing.assert_allclose(total / draws, full, atol=1e-2)
 
     def test_oversized_minibatch_rejected(self):
-        oracle = MeanValidationOracle(np.zeros((10, 2)))
-        with pytest.raises(ConfigError):
-            oracle.evaluate(np.zeros(2), minibatch=11, rng=np.random.default_rng(0))
+        obj = self.solver_objective(10)
+        cfg = MdConfig(step_size=1.0, step_count=5, minibatch=11)
+        with pytest.raises(MeritFedError, match="minibatch 11 exceeds validation set size 10"):
+            solve_weights(obj, cfg, np.random.default_rng(0))
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ConfigError):
@@ -264,20 +278,19 @@ class TestValidationOracles:
                 assert value == oracle.evaluate(x)[0]
 
     def test_row_norms_and_minibatch_match_direct_computation(self):
-        # The kept row norms, built a chunk of rows at a time, are the
-        # row-wise squared norms bit for bit, across more than one chunk.
+        # The mean squared norm, from row norms built a chunk of rows at a
+        # time, is that of the row-wise squared norms bit for bit, across
+        # more than one chunk; the gradient on given rows is that of their
+        # mean.
         rng = np.random.default_rng(15)
         samples = rng.standard_normal((10000, 7)) * 3.0
         oracle = MeanValidationOracle(samples)
         squares = (samples * samples).sum(axis=1)
-        assert np.array_equal(oracle.row_sq_norms, squares)
         assert oracle.mean_sq_norm == float(np.mean(squares))
         x = rng.standard_normal(7)
         rows = rng.choice(10000, size=300, replace=False)
-        subset = samples[rows]
-        sub_mean = subset.mean(axis=0)
-        expected = float(x @ x - 2.0 * (x @ sub_mean) + np.mean((subset * subset).sum(axis=1)))
-        assert oracle.evaluate_rows(x, rows)[0] == expected
+        expected = 2.0 * (x - samples[rows].mean(axis=0))
+        assert np.array_equal(oracle.gradient_rows(x, rows), expected)
 
     def test_construction_makes_no_samples_sized_temporary(self):
         # 100,000 x 10 rows are 8,000,000 bytes; squaring them at once would
@@ -621,8 +634,7 @@ class TestSoftmaxOracle:
         again_value, again_grad = oracle.evaluate(x)
         assert again_value == value
         assert np.array_equal(again_grad, grad)
-        rows = np.arange(50)
-        assert oracle.evaluate_rows(x, rows)[0] == value
+        assert np.array_equal(oracle.gradient_rows(x, np.arange(50)), grad)
 
     def test_checks_at_construction_and_per_call(self):
         # The batch and label checks run once, at construction; the theta
