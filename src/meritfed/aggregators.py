@@ -17,7 +17,6 @@ orthogonal to the reference (angle pi/2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -116,8 +115,7 @@ class SgdIdeal(Rule):
 
 def angle(a: np.ndarray, b: np.ndarray) -> float:
     """Angle between two nonzero vectors in radians, in [0, pi]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -134,23 +132,24 @@ def gompertz_map(xi: np.ndarray, alpha: float) -> np.ndarray:
 def _angles_to_reference(gradients: np.ndarray) -> Optional[np.ndarray]:
     """Each client's angle to client 0's gradient; None when that gradient is zero.
 
-    A zero client gradient counts as orthogonal to the reference (pi/2).
-    Bit for bit this is `angle(gradients[0], g)` of each nonzero row g: the
-    dot products and norms are the same 1-D `dot` calls (a matrix-vector
-    product would round differently), and the clip and arccos run once over
-    all rows.
+    A zero client gradient counts as orthogonal to the reference: its cos
+    stays 0, and arccos(0) is pi/2. For a C-contiguous set, as the engine
+    passes, this is bit for bit `angle(gradients[0], g)` of each nonzero
+    row g. The dot products and squared norms are two stacked
+    (1, d) @ (d, 1) matmuls: numpy runs each member of the stack through
+    the same BLAS `ddot` that the 1-D `g0 @ g` calls, so each sum keeps its
+    order. The matrix-vector product `gradients @ g0` goes to `dgemv`
+    instead, which sums in another order and rounds differently. The clip
+    and arccos run once over all rows.
     """
-    g0 = gradients[0]
-    dots = np.array([float(g0 @ g) for g in gradients])
-    norms = np.array([math.sqrt(g.dot(g)) for g in gradients])
+    rows = gradients[:, None, :]
+    dots = (rows @ gradients[0][:, None])[:, 0, 0]
+    norms = np.sqrt(rows @ gradients[:, :, None])[:, 0, 0]
     if norms[0] == 0.0:
         return None
-    nonzero = norms > 0.0
     cos = np.zeros_like(norms)
-    np.divide(dots, norms[0] * norms, out=cos, where=nonzero)
-    angles = np.arccos(np.clip(cos, -1.0, 1.0))
-    angles[~nonzero] = np.pi / 2
-    return angles
+    np.divide(dots, norms[0] * norms, out=cos, where=norms > 0.0)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 @dataclass

@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -110,6 +111,8 @@ def _columns(record_type) -> tuple[str, ...]:
 METRICS_COLUMNS = ("seed", "round") + _columns(RoundMetrics)[1:]
 WEIGHTS_COLUMNS = ("seed", "round", "method", "client_index", "weight")
 THEOREM_COLUMNS = ("seed",) + _columns(ConvergenceRow)
+_metric_cells = operator.attrgetter(*_columns(RoundMetrics))
+_theorem_cells = operator.attrgetter(*_columns(ConvergenceRow))
 
 
 # ExperimentSpec fields that take the RunConfig field of the same name as it
@@ -362,31 +365,32 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _csv_line(cells: tuple) -> str:
+    return ",".join(map(_format_cell, cells)) + "\n"
+
+
 def _seed_payload(config: RunConfig, master_seed: int) -> dict:
-    """Run one seed and flatten everything the writers need (picklable)."""
+    """Run one seed and format everything the writers need (picklable)."""
     spec = build_experiment(config, master_seed=master_seed)
     result = run_experiment(spec)
-    weight_rows = [
-        (master_seed, round_index, method, client, float(value))
-        for round_index, method, vector in result.weight_rows
-        for client, value in enumerate(vector)
-    ]
-    direction = (
-        None if result.mixture_direction is None else [float(v) for v in result.mixture_direction]
-    )
+    direction = result.mixture_direction
     return {
         "seed": master_seed,
-        "metrics": [(master_seed,) + dataclasses.astuple(m) for m in result.metrics],
-        "weights": weight_rows,
-        "theorem": [(master_seed,) + dataclasses.astuple(row) for row in result.convergence],
-        "mixture_direction": direction,
+        "metrics": [_csv_line((master_seed, *_metric_cells(m))) for m in result.metrics],
+        # Every weights.csv cell is an int, a label or a float: one f-string a row.
+        "weights": [
+            f"{master_seed},{round_index},{method},{client},{value:.17g}\n"
+            for round_index, method, vector in result.weight_rows
+            for client, value in enumerate(vector.tolist())
+        ],
+        "theorem": [_csv_line((master_seed, *_theorem_cells(row))) for row in result.convergence],
+        "mixture_direction": None if direction is None else direction.tolist(),
     }
 
 
-def _write_csv(handle, columns: tuple, rows: list) -> None:
+def _write_csv(handle, columns: tuple, lines: list) -> None:
     handle.write(",".join(columns) + "\n")
-    for row in rows:
-        handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+    handle.writelines(lines)
 
 
 def _write_json(handle, document: dict) -> None:
@@ -427,9 +431,8 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     else:
         payloads = [_seed_payload(config, seed) for seed in seeds]
 
-    metrics_rows = [row for payload in payloads for row in payload["metrics"]]
-    weight_rows = [row for payload in payloads for row in payload["weights"]]
-    theorem_rows = [row for payload in payloads for row in payload["theorem"]]
+    tables = ("metrics", "weights", "theorem")
+    lines = {table: [line for payload in payloads for line in payload[table]] for table in tables}
     manifest = {
         "version": __version__,
         "preset": config.preset,
@@ -442,9 +445,9 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     _write_outputs(
         out_dir,
         [
-            ("metrics.csv", lambda h: _write_csv(h, METRICS_COLUMNS, metrics_rows)),
-            ("weights.csv", lambda h: _write_csv(h, WEIGHTS_COLUMNS, weight_rows)),
-            ("theorem.csv", lambda h: _write_csv(h, THEOREM_COLUMNS, theorem_rows)),
+            ("metrics.csv", lambda h: _write_csv(h, METRICS_COLUMNS, lines["metrics"])),
+            ("weights.csv", lambda h: _write_csv(h, WEIGHTS_COLUMNS, lines["weights"])),
+            ("theorem.csv", lambda h: _write_csv(h, THEOREM_COLUMNS, lines["theorem"])),
             ("manifest.json", lambda h: _write_json(h, manifest)),
         ],
     )

@@ -94,11 +94,8 @@ class ExperimentSpec:
         if self.weight_log_every < 1:
             raise ConfigError("weight_log_every must be >= 1")
         self.task.check(self)
-        validation_rows = {
-            MODE_EXTRA: self.validation_size,
-            MODE_REUSE_TRAIN: self.shard_size,
-            MODE_POPULATION: 0,
-        }[self.validation_mode]
+        rows_by_mode = {MODE_EXTRA: self.validation_size, MODE_REUSE_TRAIN: self.shard_size, MODE_POPULATION: 0}
+        validation_rows = rows_by_mode[self.validation_mode]
         for rule in self.methods:
             rule.check(self.n_clients, validation_rows)
         # Arrays that grow with the config (the task checks its own): a round's

@@ -52,7 +52,7 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     The exponent is shifted by its maximum over the support before
     exponentiation, which keeps the update exactly invariant to adding a
     constant to g and rules out overflow. Entries of w that are exactly zero
-    stay zero.
+    take the exponent -inf, so they stay zero.
     """
     w = np.asarray(w, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -60,11 +60,9 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
         raise MeritFedError(f"gradient shape {g.shape} does not match weights {w.shape}")
     if not np.all(np.isfinite(g)):
         raise NumericInputError("mirror-descent step received a non-finite gradient")
-    support = w > 0.0
-    z = -step_size * g[support]
+    z = np.where(w > 0.0, -step_size * g, -np.inf)
     z -= z.max()
-    out = np.zeros_like(w)
-    out[support] = w[support] * np.exp(z)
+    out = w * np.exp(z)
     total = float(out.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise MeritFedError("multiplicative update produced no positive mass")
@@ -170,8 +168,8 @@ class WeightObjective:
     """The weight subproblem: evaluate f_hat at x - model_step * sum_i w_i g_i.
 
     loss_oracle has a size (its validation rows) and evaluate(point), the
-    full-set (value, gradient). solve_weights also calls its value(point)
-    for zeroth-order probes and gradient_rows(point, rows) for minibatch steps.
+    full-set (value, gradient), which value(w) reads. solve_weights also calls
+    its value(point), the loss alone, and gradient_rows(point, rows).
     """
 
     x: np.ndarray
@@ -191,13 +189,8 @@ class WeightObjective:
     def candidate(self, w: np.ndarray) -> np.ndarray:
         return self.x - self.model_step * (np.asarray(w, dtype=float) @ self.gradients)
 
-    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """Full-set value and oracle gradient at the candidate point, in one oracle call."""
-        value, val_grad = self.loss_oracle.evaluate(self.candidate(w))
-        return float(value), val_grad
-
     def value(self, w: np.ndarray) -> float:
-        return self.evaluate(w)[0]
+        return float(self.loss_oracle.evaluate(self.candidate(w))[0])
 
 
 def solve_weights(
@@ -212,11 +205,12 @@ def solve_weights(
     iterate is returned together with the solver-accuracy proxy
     phi(last iterate) - phi(best iterate) >= 0.
 
-    Scoring an iterate also returns the oracle gradient at its candidate
-    point, so the exact estimator steps on it by the chain rule: one oracle
-    call per iterate. Only when 0 < cfg.minibatch < oracle size does a step
-    draw cfg.minibatch rows without replacement from rng and use the
-    gradient on them. The bound and the rng are checked before any call.
+    Only the exact estimator on the full set steps on the oracle gradient at
+    an iterate, so only it scores with oracle.evaluate, which returns both;
+    the other paths score with the loss alone, oracle.value. With
+    0 < cfg.minibatch < oracle size, a step takes the gradient on
+    cfg.minibatch rows drawn from rng without replacement. The bound and the
+    rng are checked before any call.
     """
     oracle = obj.loss_oracle
     if cfg.minibatch > oracle.size:
@@ -224,10 +218,12 @@ def solve_weights(
     if cfg.reads_rng and rng is None:
         raise MeritFedError(f"{cfg.estimator} solver with minibatch {cfg.minibatch} needs an rng")
     draws_rows = 0 < cfg.minibatch < oracle.size
+    full_set_steps = cfg.estimator == ESTIMATOR_EXACT and not draws_rows
+    score = oracle.evaluate if full_set_steps else lambda point: (oracle.value(point), None)
     probe = lambda v: oracle.value(obj.candidate(v))
     w = uniform_weights(obj.n)
-    best_w = w
-    best_value, val_grad = obj.evaluate(w)
+    best_w, point = w, obj.candidate(w)
+    best_value, val_grad = score(point)
     last_value = best_value
     for _ in range(cfg.step_count):
         if cfg.estimator == ESTIMATOR_ZO:
@@ -236,10 +232,11 @@ def solve_weights(
         else:
             if draws_rows:
                 rows = rng.choice(oracle.size, size=cfg.minibatch, replace=False)
-                val_grad = oracle.gradient_rows(obj.candidate(w), rows)
+                val_grad = oracle.gradient_rows(point, rows)
             g = _chain_rule(obj.gradients, obj.model_step, val_grad)
         w = entropic_md_step(w, g, cfg.step_size)
-        last_value, val_grad = obj.evaluate(w)
+        point = obj.candidate(w)
+        last_value, val_grad = score(point)
         if last_value < best_value:
             best_value = last_value
             best_w = w

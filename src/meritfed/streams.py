@@ -9,7 +9,8 @@ parallel execution schedule.
 The stream contract: the stream of (master_seed, *key) is a PCG64 generator in
 exactly the state of
 `np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, *key)))`.
-This module derives those states itself, for many keys at once: numpy's
+This module derives those states itself, for many keys of one arity with
+32-bit indices at once (other keys take numpy's SeedSequence): numpy's
 SeedSequence entropy pool and `generate_state(4, np.uint64)` run as uint32
 array arithmetic with one row per key, and numpy's PCG64 seeding takes the
 resulting words. The hash constants depend only on the position of a word, so
@@ -171,19 +172,16 @@ def substreams(master_seed: int, keys: Iterable[tuple[int, ...]]) -> list[np.ran
 
     Each generator is its own object, in the same state as `substream` gives.
     """
+    keys = list(keys)
     seed = _entropy_words(master_seed)
-    entropy = []
-    for key in keys:
-        words = list(seed)
-        for index in key:
-            words += _entropy_words(index)
-        entropy.append(words)
-    by_length: dict[int, list[int]] = {}
-    for row, words in enumerate(entropy):
-        by_length.setdefault(len(words), []).append(row)
-    seed_words = np.empty((len(entropy), 4), dtype=np.uint64)
-    for rows in by_length.values():
-        seed_words[rows] = _seed_words(np.array([entropy[r] for r in rows], dtype=np.uint32))
+    table = np.asarray(keys) if len(set(map(len, keys))) == 1 else np.empty(0)
+    if table.dtype.kind in "iu" and table.size and table.min() >= 0 and table.max() <= _MASK32:
+        # Keys of one arity with one-word indices: one (keys, words) entropy array.
+        seed_block = np.broadcast_to(np.array(seed, dtype=np.uint32), (len(keys), len(seed)))
+        seed_words = _seed_words(np.hstack([seed_block, table.astype(np.uint32)]))
+    else:
+        # Mixed arities or indices past 32 bits: numpy's own derivation, key by key.
+        seed_words = [np.random.SeedSequence((master_seed, *key)).generate_state(4, np.uint64) for key in keys]
     return [np.random.Generator(np.random.PCG64(_DerivedSeed(words))) for words in seed_words]
 
 

@@ -300,7 +300,8 @@ class MeanValidationOracle(SampleOracle):
         return self.value(x), 2.0 * (x - self.mean)
 
     def gradient_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return 2.0 * (np.asarray(x, dtype=float) - self.samples[rows].mean(axis=0))
+        batch_sum = np.add.reduce(np.take(self.samples, rows, axis=0), axis=0)
+        return 2.0 * (np.asarray(x, dtype=float) - batch_sum / len(rows))
 
 
 class SoftmaxValidationOracle(SampleOracle):
@@ -470,7 +471,12 @@ class MeanTask(Task):
         """Each client's batch mean of the round, or its center under exact gradients."""
         if rows is None:
             return self.centers
-        return np.take(self._flat_samples, rows + self._row_offsets, axis=0).mean(axis=1)
+        index = rows + self._row_offsets
+        if self._flat_samples.shape[1] == 1:  # numpy sums each contiguous batch pairwise
+            return np.take(self._flat_samples, index, axis=0).mean(axis=1)
+        # Summed over axis 0, a (batch, n, d) gather adds in the order .mean(axis=1)
+        # has on the (n, batch, d) gather above, but n * d values at a time.
+        return np.add.reduce(np.take(self._flat_samples, index.T, axis=0), axis=0) / rows.shape[1]
 
     def honest_gradients(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
         return 2.0 * (x - basis)

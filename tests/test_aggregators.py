@@ -170,6 +170,28 @@ class TestAnglesToReference:
         assert np.array_equal(_angles_to_reference(gradients), angles_by_loop(gradients))
         assert _angles_to_reference(np.array([np.zeros(3), a])) is None
 
+    @pytest.mark.parametrize("layout", ["fortran", "column-slice", "strided-columns", "strided-rows"])
+    def test_non_contiguous_gradient_sets(self, layout):
+        # Each stack member's ddot reads the rows with their strides, as the
+        # 1-D dot calls of a per-row loop do. angle() is no reference here:
+        # np.linalg.norm sums a contiguous copy of a strided row.
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((60, 80)) * 10.0 ** rng.integers(-5, 6, size=(60, 1))
+        gradients = {
+            "fortran": np.asfortranarray(base[:, :40]),
+            "column-slice": base[:, :40],
+            "strided-columns": base[:, ::2],
+            "strided-rows": base[::2],
+        }[layout]
+        assert not gradients.flags.c_contiguous
+        g0 = gradients[0]
+        dots = np.array([float(g0 @ g) for g in gradients])
+        norms = np.array([math.sqrt(g.dot(g)) for g in gradients])
+        expected = np.arccos(np.clip(dots / (norms[0] * norms), -1.0, 1.0))
+        assert np.array_equal(_angles_to_reference(gradients), expected)
+        contiguous = np.ascontiguousarray(gradients)
+        assert np.array_equal(_angles_to_reference(contiguous), angles_by_loop(contiguous))
+
 
 class TestStreamTags:
     def test_rules_declare_the_stream_they_read(self):

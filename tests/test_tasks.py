@@ -312,6 +312,39 @@ class TestValidationOracles:
         np.testing.assert_array_equal(grad, -2.0 * center)
 
 
+class TestMeanRoundBasis:
+    # The round's batch means, summed along the outer axis of a
+    # batch-position-major gather, equal each client's own batch mean bit for
+    # bit, and so does the oracle's gradient on given rows at d = 1, where
+    # numpy sums a contiguous batch pairwise.
+
+    @pytest.mark.parametrize(
+        "n, shard_size, batch, dim",
+        [(150, 1000, 100, 10), (7, 40, 1, 5), (7, 40, 40, 5), (1, 40, 13, 5), (9, 40, 20, 1)],
+        ids=["mean-mu-0.1", "batch-1", "batch-is-shard", "one-client", "dim-1"],
+    )
+    def test_equals_each_clients_batch_mean(self, n, shard_size, batch, dim):
+        overrides = [
+            f"group1_count={n}", "group2_count=0", "group3_count=0", f"shard_size={shard_size}",
+            f"batch_size={batch}", f"dim={dim}", "methods=sgd-full", "seeds=1",
+        ]
+        state = RunState(build_experiment(parse_config("", preset="mean-mu-0.1", overrides=overrides)))
+        task = state.task
+        for round_index in range(3):
+            rows = state.round_draws(round_index).rows
+            expected = np.array([shard.samples[r].mean(axis=0) for shard, r in zip(task.shards, rows)])
+            assert np.array_equal(task.round_basis(rows), expected)
+
+    def test_gradient_rows_at_dimension_one(self):
+        rng = np.random.default_rng(17)
+        samples = rng.standard_normal((500, 1)) * 3.0
+        oracle = MeanValidationOracle(samples)
+        x = rng.standard_normal(1)
+        for size in (1, 7, 8, 130, 500):
+            rows = rng.choice(500, size=size, replace=False)
+            assert np.array_equal(oracle.gradient_rows(x, rows), 2.0 * (x - samples[rows].mean(axis=0)))
+
+
 class TestSoftmaxGeneration:
     def test_alpha_one_group2_matches_group1_label_set(self):
         shards, _, _ = softmax_task_generate(
