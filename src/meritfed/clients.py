@@ -47,6 +47,11 @@ class AttackSpec:
         if self.shift_sign not in (-1, 1):
             raise ConfigError(f"shift sign must be -1 or 1, got {self.shift_sign}")
 
+    @property
+    def reads_own(self) -> bool:
+        """Whether the messages read the attackers' own honest gradients; colluders' do not."""
+        return self.kind in (ATTACK_BIT_FLIP, ATTACK_RANDOM_NOISE)
+
 
 def attack_ipm(honest_gradients: list[np.ndarray], epsilon: float) -> np.ndarray:
     """Inner-product manipulation: the scaled negative honest mean.

@@ -153,10 +153,11 @@ class ConvergenceRow:
 class RoundDraws:
     """Everything one round draws, from one stream derivation.
 
-    rows holds every client's batch rows (None under exact gradients), noise
-    the Byzantine block's standard-normal rows (None without a random-noise
-    attack), and method_streams each rule's stream of the round (None for a
-    rule that reads none).
+    rows holds every client's batch rows (None under exact gradients; a
+    Byzantine block whose own gradients the attack never reads repeats client
+    0's rows), noise the Byzantine block's standard-normal rows (None without
+    a random-noise attack), and method_streams each rule's stream of the
+    round (None for a rule that reads none).
     """
 
     rows: Optional[np.ndarray]
@@ -207,7 +208,8 @@ class RunState:
         """
         spec = self.spec
         n, t = spec.n_clients, round_index
-        batch = [] if spec.exact_gradients else [(streams.BATCH, i, t) for i in range(n)]
+        drawn = n if spec.byzantine_count == 0 or spec.attack.reads_own else n - spec.byzantine_count
+        batch = [] if spec.exact_gradients else [(streams.BATCH, i, t) for i in range(drawn)]
         noise = []
         if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:
             noise = [(streams.ATTACK_NOISE, i, t) for i in range(n - spec.byzantine_count, n)]
@@ -215,6 +217,7 @@ class RunState:
         methods = [(tag, m, t) for m, tag in enumerate(tags) if tag is not None]
         rngs = iter(streams.substreams(spec.master_seed, batch + noise + methods))
         rows = [next(rngs).choice(spec.shard_size, spec.batch_size, replace=False) for _ in batch]
+        rows += rows[:1] * (n - drawn)
         noise_rows = [next(rngs).standard_normal(self.task.model_dim(spec.dim)) for _ in noise]
         return RoundDraws(
             rows=np.array(rows) if batch else None,
@@ -261,7 +264,7 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
                 spec.attack, gradients[byzantine], gradients[: spec.group_counts[0]], draws.noise
             )
 
-        if not np.all(np.isfinite(gradients)):
+        if not np.isfinite(gradients).all():
             raise NumericInputError(f"round {round_index}: non-finite client message")
 
         # Phase 3: weights, the model update (which checks them), metrics at

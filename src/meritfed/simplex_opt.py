@@ -9,6 +9,7 @@ two-point zeroth-order estimator, and the inner solver loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,9 +38,9 @@ def check_weights(w: np.ndarray, n: Optional[int] = None) -> np.ndarray:
         raise MeritFedError(f"weights must be a nonempty vector, got shape {w.shape}")
     if n is not None and w.size != n:
         raise MeritFedError(f"expected {n} weights, got {w.size}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericInputError("weights contain non-finite entries")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise NumericInputError(f"weights contain negative entries (min {w.min()})")
     if abs(float(w.sum()) - 1.0) > SIMPLEX_SUM_TOL:
         raise NumericInputError(f"weights sum to {w.sum()!r}, expected 1 within {SIMPLEX_SUM_TOL}")
@@ -58,15 +59,17 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     g = np.asarray(g, dtype=float)
     if g.shape != w.shape:
         raise MeritFedError(f"gradient shape {g.shape} does not match weights {w.shape}")
-    if not np.all(np.isfinite(g)):
+    if np.count_nonzero(np.isfinite(g)) < g.size:  # one C call; ndarray.all wraps in Python
         raise NumericInputError("mirror-descent step received a non-finite gradient")
     z = np.where(w > 0.0, -step_size * g, -np.inf)
-    z -= z.max()
-    out = w * np.exp(z)
-    total = float(out.sum())
-    if not np.isfinite(total) or total <= 0.0:
+    z -= np.maximum.reduce(z)
+    np.exp(z, out=z)
+    z *= w
+    total = np.add.reduce(z)
+    if not math.isfinite(total) or total <= 0.0:
         raise MeritFedError("multiplicative update produced no positive mass")
-    return out / total
+    z /= total
+    return z
 
 
 def checked_gradient_set(
@@ -96,12 +99,7 @@ def weight_gradient_exact(
     """
     x, gradients = checked_gradient_set(x, gradients)
     candidate = x - model_step * (np.asarray(w, dtype=float) @ gradients)
-    return _chain_rule(gradients, model_step, val_grad(candidate))
-
-
-def _chain_rule(gradients: np.ndarray, model_step: float, val_grad: np.ndarray) -> np.ndarray:
-    """Weight gradient -model_step * <g_i, val_grad> from the gradient at the candidate."""
-    return -model_step * (gradients @ np.asarray(val_grad, dtype=float))
+    return -model_step * (gradients @ np.asarray(val_grad(candidate), dtype=float))
 
 
 def zo_two_point_estimate(
@@ -212,7 +210,7 @@ def solve_weights(
     cfg.minibatch rows drawn from rng without replacement. The bound and the
     rng are checked before any call.
     """
-    oracle = obj.loss_oracle
+    oracle, x, gradients, model_step = obj.loss_oracle, obj.x, obj.gradients, obj.model_step
     if cfg.minibatch > oracle.size:
         raise MeritFedError(f"minibatch {cfg.minibatch} exceeds validation set size {oracle.size}")
     if cfg.reads_rng and rng is None:
@@ -222,7 +220,8 @@ def solve_weights(
     score = oracle.evaluate if full_set_steps else lambda point: (oracle.value(point), None)
     probe = lambda v: oracle.value(obj.candidate(v))
     w = uniform_weights(obj.n)
-    best_w, point = w, obj.candidate(w)
+    # WeightObjective.candidate and weight_gradient_exact's chain rule, inline.
+    best_w, point = w, x - model_step * (w @ gradients)
     best_value, val_grad = score(point)
     last_value = best_value
     for _ in range(cfg.step_count):
@@ -233,9 +232,9 @@ def solve_weights(
             if draws_rows:
                 rows = rng.choice(oracle.size, size=cfg.minibatch, replace=False)
                 val_grad = oracle.gradient_rows(point, rows)
-            g = _chain_rule(obj.gradients, obj.model_step, val_grad)
+            g = -model_step * (gradients @ val_grad)
         w = entropic_md_step(w, g, cfg.step_size)
-        point = obj.candidate(w)
+        point = x - model_step * (w @ gradients)
         last_value, val_grad = score(point)
         if last_value < best_value:
             best_value = last_value

@@ -293,14 +293,14 @@ class MeanValidationOracle(SampleOracle):
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(x @ x - 2.0 * (x @ self.mean) + self.mean_sq_norm)
+        return float(x.dot(x) - 2.0 * x.dot(self.mean) + self.mean_sq_norm)
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
         return self.value(x), 2.0 * (x - self.mean)
 
     def gradient_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        batch_sum = np.add.reduce(np.take(self.samples, rows, axis=0), axis=0)
+        batch_sum = np.add.reduce(self.samples.take(rows, axis=0), axis=0)
         return 2.0 * (np.asarray(x, dtype=float) - batch_sum / len(rows))
 
 

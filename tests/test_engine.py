@@ -707,6 +707,31 @@ class TestRoundStreams:
         for key, state_at_open in zip(keys, states):
             assert state_at_open == streams.substream(spec.master_seed, *key).bit_generator.state
 
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_attacker_batches_are_drawn_only_when_the_attack_reads_them(self, kind, monkeypatch):
+        # The colluding attacks read the target group's messages only, so the
+        # Byzantine block (clients 4 and 5) opens no batch stream and repeats
+        # client 0's rows.
+        spec, t = small_spec(byzantine_count=2, attack=AttackSpec(kind=kind)), self.ROUND
+        state = RunState(spec)
+        opened = []
+        derive = streams.substreams
+
+        def recording(master_seed, keys):
+            opened.extend(keys)
+            return derive(master_seed, keys)
+
+        monkeypatch.setattr(streams, "substreams", recording)
+        rows = state.round_draws(t).rows
+        batch_clients = [key[1] for key in opened if key[0] == streams.BATCH]
+        expected = per_client_rows(spec, t)
+        if kind in (ATTACK_BIT_FLIP, ATTACK_RANDOM_NOISE):
+            assert batch_clients == list(range(6))
+        else:
+            assert batch_clients == list(range(4))
+            expected[4:] = [expected[0]] * 2
+        assert np.array_equal(rows, np.array(expected))
+
     def test_each_rule_gets_its_stream_of_the_round(self):
         spec, t = self.spec(), self.ROUND
         method_streams = RunState(spec).round_draws(t).method_streams

@@ -47,6 +47,29 @@ class QuadraticOracle:
         return self.evaluate(point)[0]
 
 
+class SpoilingOracle(QuadraticOracle):
+    """A quadratic oracle whose gradients pass through spoil from the given gradient call on."""
+
+    def __init__(self, target, spoil, from_call):
+        super().__init__(target)
+        self.size = 10
+        self.spoil, self.from_call, self.gradient_calls = spoil, from_call, 0
+
+    def gradient(self, point):
+        self.gradient_calls += 1
+        grad = QuadraticOracle.evaluate(self, point)[1]
+        return self.spoil(grad) if self.gradient_calls >= self.from_call else grad
+
+    def evaluate(self, point):
+        return self.value(point), self.gradient(point)
+
+    def value(self, point):
+        return QuadraticOracle.evaluate(self, point)[0]
+
+    def gradient_rows(self, point, rows):
+        return self.gradient(point)
+
+
 def quadratic_objective(x, gradients, model_step, target):
     return WeightObjective(
         x=np.asarray(x, dtype=float),
@@ -468,6 +491,30 @@ class TestSolveWeights:
         with pytest.raises(MeritFedError, match="minibatch 10 exceeds validation set size 1"):
             solve_weights(obj, cfg, np.random.default_rng(0))
         assert oracle.calls == {"evaluate": 0, "value": 0, "gradient_rows": 0}
+
+    @pytest.mark.parametrize("minibatch", [0, 2], ids=["full-set", "minibatch"])
+    @pytest.mark.parametrize(
+        "spoil, error, match",
+        [
+            (lambda grad: np.full_like(grad, np.nan), NumericInputError, "non-finite gradient"),
+            (lambda grad: grad[:, None], MeritFedError, r"gradient shape \(4, 1\) does not match"),
+        ],
+        ids=["non-finite", "column"],
+    )
+    def test_solver_steps_keep_the_step_checks(self, minibatch, spoil, error, match):
+        # The solver forms the weight gradient itself; a bad oracle gradient at
+        # the third iterate still stops the solve in entropic_md_step, and a
+        # (d, 1) gradient is rejected rather than broadcast to (n, n).
+        rng = np.random.default_rng(4)
+        oracle = SpoilingOracle(np.zeros(3), spoil, from_call=3)
+        obj = WeightObjective(
+            x=rng.standard_normal(3), gradients=rng.standard_normal((4, 3)), model_step=0.2, loss_oracle=oracle
+        )
+        cfg = MdConfig(step_size=1.0, step_count=10, minibatch=minibatch)
+        with pytest.raises(error, match=match) as caught:
+            solve_weights(obj, cfg, np.random.default_rng(0))
+        assert type(caught.value) is error
+        assert oracle.gradient_calls == 3
 
     @pytest.mark.parametrize(
         "settings", [dict(minibatch=20), dict(estimator=ESTIMATOR_ZO)], ids=["minibatch", "zeroth-order"]
