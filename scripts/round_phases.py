@@ -2,8 +2,8 @@
 
     python3 scripts/round_phases.py PRESET ROUNDS [PARENT_CHECKOUT]
 
-Five fresh processes per checkout, alternating, each time `RunState.round_draws`, each
-rule's `weights` and `run_round`. The table gives the median over processes of each phase's
+Five fresh processes per checkout, alternating, each time `RunState.round_draws`, the task's
+`round_basis`, each rule's `weights` and `run_round`. The table gives the median over processes of each phase's
 median over rounds 5 and up, in ms. BLAS runs on one thread unless the environment says otherwise.
 """
 
@@ -29,6 +29,7 @@ def phase_medians(preset: str, rounds: int) -> dict:
             return result
         return wrapper
     state.round_draws = timed("round_draws", state.round_draws)
+    state.task.round_basis = timed("round_basis", state.task.round_basis)
     for rule in state.rules:
         rule.weights = timed(rule.label, rule.weights)
     run_round = timed("whole round", engine.run_round)

@@ -52,6 +52,7 @@ class Rule:
     # Whether the convergence bounds are claimed for this rule under attack.
     bound_holds_under_attack: ClassVar[bool] = False
     stream_tag: ClassVar[Optional[int]] = None
+    reads_validation_rows: ClassVar[bool] = False  # weights reads rows, not only full-set losses
 
     def __post_init__(self) -> None:
         if self.model_step <= 0.0:
@@ -78,6 +79,10 @@ class MeritFed(Rule):
     @property
     def stream_tag(self) -> Optional[int]:
         return streams.MD if self.md.reads_rng else None
+
+    @property
+    def reads_validation_rows(self) -> bool:
+        return self.md.minibatch > 0
 
     def weights(self, x, gradients, oracle, rng):
         objective = WeightObjective(

@@ -60,6 +60,11 @@ class ExperimentSpec:
     def n_clients(self) -> int:
         return int(sum(self.group_counts)) + int(self.byzantine_count)
 
+    @property
+    def batch_clients(self) -> int:
+        """Clients whose batches a round reads: all but a Byzantine block whose attack reads none."""
+        return self.n_clients - (0 if self.attack is None or self.attack.reads_own else self.byzantine_count)
+
     def validate(self) -> None:
         if self.rounds < 1:
             raise ConfigError(f"round count must be >= 1, got {self.rounds}")
@@ -207,8 +212,7 @@ class RunState:
         method; a method stream is keyed by the method's slot and the round.
         """
         spec = self.spec
-        n, t = spec.n_clients, round_index
-        drawn = n if spec.byzantine_count == 0 or spec.attack.reads_own else n - spec.byzantine_count
+        n, t, drawn = spec.n_clients, round_index, spec.batch_clients
         batch = [] if spec.exact_gradients else [(streams.BATCH, i, t) for i in range(drawn)]
         noise = []
         if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:

@@ -261,8 +261,8 @@ class SampleOracle:
 
     evaluate(x) gives the loss and gradient on the full set, value(x) the
     full-set loss alone, equal to evaluate(x)[0], and gradient_rows(x, rows)
-    the gradient on the given rows alone. Subclasses provide all three; the
-    rows are drawn by the caller.
+    the gradient on the given rows alone (it raises if the oracle kept no
+    rows). Subclasses provide all three; the rows are drawn by the caller.
     """
 
     def __init__(self, size: int) -> None:
@@ -282,13 +282,29 @@ class MeanValidationOracle(SampleOracle):
 
     def __init__(self, samples: np.ndarray) -> None:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        super().__init__(samples.shape[0])
-        self.samples = samples
-        self.mean = samples.mean(axis=0)
-        row_sq_norms = np.empty(self.size)
-        for start in range(0, self.size, NORM_CHUNK_ROWS):
-            chunk = samples[start : start + NORM_CHUNK_ROWS]
-            np.sum(chunk * chunk, axis=1, out=row_sq_norms[start : start + len(chunk)])
+        self._set_sq_norm(len(samples), lambda start: samples[start : start + NORM_CHUNK_ROWS])
+        self.samples, self.mean = samples, samples.mean(axis=0)
+
+    @classmethod
+    def streamed(cls, rng: np.random.Generator, size: int, dim: int, keep_rows: bool) -> MeanValidationOracle:
+        """The oracle over rng.standard_normal((size, dim)), bit for bit; it keeps the rows if keep_rows."""
+        if keep_rows or dim == 1:  # at dim 1 numpy sums the column pairwise, not as one fold
+            return cls(rng.standard_normal((size, dim)))
+        oracle, buffer = cls.__new__(cls), np.empty((min(size, NORM_CHUNK_ROWS) + 1, dim))
+        def chunk(start: int) -> np.ndarray:  # .mean(axis=0) at dim >= 2 is a left fold over the rows
+            block = buffer[: 1 + min(NORM_CHUNK_ROWS, size - start)]  # row 0 holds the sum so far
+            rng.standard_normal(out=block[1:])
+            block[0] = np.add.reduce(block if start else block[1:], axis=0)
+            return block[1:]
+        oracle._set_sq_norm(size, chunk)
+        oracle.samples, oracle.mean = None, buffer[0] / size
+        return oracle
+
+    def _set_sq_norm(self, size: int, chunk) -> None:  # chunk(start): the rows from start on
+        super().__init__(size)
+        row_sq_norms = np.empty(size)
+        for start in range(0, size, NORM_CHUNK_ROWS):
+            np.sum(np.square(chunk(start)), axis=1, out=row_sq_norms[start : start + NORM_CHUNK_ROWS])
         self.mean_sq_norm = float(np.mean(row_sq_norms))
 
     def value(self, x: np.ndarray) -> float:
@@ -300,6 +316,8 @@ class MeanValidationOracle(SampleOracle):
         return self.value(x), 2.0 * (x - self.mean)
 
     def gradient_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if self.samples is None:
+            raise MeritFedError("this mean validation oracle kept no rows to draw a minibatch from")
         batch_sum = np.add.reduce(self.samples.take(rows, axis=0), axis=0)
         return 2.0 * (np.asarray(x, dtype=float) - batch_sum / len(rows))
 
@@ -455,28 +473,30 @@ class MeanTask(Task):
         if not spec.exact_gradients:
             self.shards = generate_mean_shards(seed, self.centers, spec.shard_size)
             # Batch means take rows from the flat (n * shard_size, d) view of
-            # the block the shards view, offset by each client's first row.
+            # the block the shards view, offset by each read client's first row.
             self._flat_samples = self.shards[0].samples.base.reshape(-1, d)
-            self._row_offsets = np.arange(n)[:, None] * spec.shard_size
+            self._row_offsets = np.arange(spec.batch_clients)[:, None] * spec.shard_size
         if spec.validation_mode == MODE_POPULATION:
             self.oracle = PopulationMeanOracle(np.zeros(d))
         elif spec.validation_mode == MODE_REUSE_TRAIN:
             self.oracle = MeanValidationOracle(self.shards[0].samples)
         else:
             rng = streams.substream(seed, streams.VALIDATION)
-            self.oracle = MeanValidationOracle(rng.standard_normal((spec.validation_size, d)))
+            keep_rows = any(rule.reads_validation_rows for rule in spec.methods)
+            self.oracle = MeanValidationOracle.streamed(rng, spec.validation_size, d, keep_rows)
         self.start = np.ones(d)
 
     def round_basis(self, rows: Optional[np.ndarray]) -> np.ndarray:
-        """Each client's batch mean of the round, or its center under exact gradients."""
+        """Batch means (client 0's past spec.batch_clients), or the centers under exact gradients."""
         if rows is None:
             return self.centers
-        index = rows + self._row_offsets
+        index = rows[: len(self._row_offsets)] + self._row_offsets
         if self._flat_samples.shape[1] == 1:  # numpy sums each contiguous batch pairwise
-            return np.take(self._flat_samples, index, axis=0).mean(axis=1)
-        # Summed over axis 0, a (batch, n, d) gather adds in the order .mean(axis=1)
-        # has on the (n, batch, d) gather above, but n * d values at a time.
-        return np.add.reduce(np.take(self._flat_samples, index.T, axis=0), axis=0) / rows.shape[1]
+            means = np.take(self._flat_samples, index, axis=0).mean(axis=1)
+        else:  # a (batch, n, d) gather summed over axis 0 adds as .mean(axis=1), n * d values a step
+            means = np.add.reduce(np.take(self._flat_samples, index.T, axis=0), axis=0) / rows.shape[1]
+        fill = len(rows) - len(index)
+        return np.concatenate([means, means[[0] * fill]]) if fill else means
 
     def honest_gradients(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
         return 2.0 * (x - basis)

@@ -344,6 +344,103 @@ class TestMeanRoundBasis:
             rows = rng.choice(500, size=size, replace=False)
             assert np.array_equal(oracle.gradient_rows(x, rows), 2.0 * (x - samples[rows].mean(axis=0)))
 
+    @pytest.mark.parametrize("kind", ["ipm", "alie", "random-noise"])
+    def test_byzantine_rows_are_averaged_only_when_the_attack_reads_them(self, kind):
+        # The colluding attacks overwrite the Byzantine rows unread, so the
+        # basis gives them client 0's mean; random-noise reads each
+        # attacker's own batch mean.
+        overrides = ["seeds=1", f"attack_kind={kind}"]
+        state = RunState(build_experiment(parse_config("", preset="byzantine-ipm", overrides=overrides)))
+        task, honest = state.task, state.spec.n_clients - state.spec.byzantine_count
+        for round_index in range(2):
+            rows = state.round_draws(round_index).rows
+            basis = task.round_basis(rows)
+            expected = np.array([shard.samples[r].mean(axis=0) for shard, r in zip(task.shards, rows)])
+            assert basis.shape == expected.shape
+            assert np.array_equal(basis[:honest], expected[:honest])
+            if kind == "random-noise":
+                assert np.array_equal(basis, expected)
+            else:
+                assert all(np.array_equal(row, basis[0]) for row in basis[honest:])
+
+
+class TestStreamedMeanOracle:
+    # The oracle built chunk by chunk from the validation stream keeps no
+    # rows and equals the oracle over the whole draw bit for bit; the mean
+    # task keeps the rows only where a solver minibatch reads them, or at
+    # d = 1, where numpy sums the column pairwise.
+
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 100000])
+    @pytest.mark.parametrize("dim", [2, 3, 10, 64])
+    def test_equals_the_oracle_over_the_whole_draw(self, dim, size):
+        whole_rng, streamed_rng = np.random.default_rng(size + dim), np.random.default_rng(size + dim)
+        whole = MeanValidationOracle(whole_rng.standard_normal((size, dim)))
+        streamed = MeanValidationOracle.streamed(streamed_rng, size, dim, False)
+        assert streamed.samples is None and streamed.size == size
+        assert np.array_equal(streamed.mean, whole.mean)
+        assert streamed.mean_sq_norm == whole.mean_sq_norm
+        assert streamed_rng.bit_generator.state == whole_rng.bit_generator.state
+        for x in np.random.default_rng(dim).standard_normal((3, dim)) * 2.0:
+            assert streamed.value(x) == whole.value(x)
+            value, grad = streamed.evaluate(x)
+            assert value == whole.evaluate(x)[0]
+            assert np.array_equal(grad, whole.evaluate(x)[1])
+
+    def test_dimension_one_keeps_the_rows(self):
+        samples = np.random.default_rng(4).standard_normal((9000, 1))
+        streamed = MeanValidationOracle.streamed(np.random.default_rng(4), 9000, 1, False)
+        assert np.array_equal(streamed.samples, samples)
+        assert np.array_equal(streamed.mean, samples.mean(axis=0))
+
+    def test_gradient_rows_without_rows_raises(self):
+        oracle = MeanValidationOracle.streamed(np.random.default_rng(5), 100, 3, False)
+        with pytest.raises(MeritFedError, match="kept no rows"):
+            oracle.gradient_rows(np.zeros(3), np.arange(10))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ConfigError, match="validation set is empty"):
+            MeanValidationOracle.streamed(np.random.default_rng(5), 0, 3, False)
+
+    @staticmethod
+    def oracle(preset, *overrides):
+        config = parse_config("", preset=preset, overrides=["seeds=1", *overrides])
+        return RunState(build_experiment(config)).task.oracle
+
+    @pytest.mark.parametrize(
+        "preset, overrides, kept",
+        [
+            ("mean-mu-0.1", (), True),
+            ("mean-mu-0.1", ("methods=meritfed-smd",), True),
+            ("mean-mu-0.1", ("methods=meritfed-md,sgd-ideal", "dim=1"), True),
+            ("mean-mu-0.1", ("methods=meritfed-md,fedadp,tawt,fedavg-5,sgd-full",), False),
+            ("mean-mu-0.1", ("methods=meritfed-zo",), False),
+            ("byzantine-rn", (), False),
+            ("byzantine-ipm", (), False),
+            ("byzantine-alie", (), False),
+            ("byzantine-bf", (), False),
+        ],
+    )
+    def test_rows_kept_only_for_a_solver_minibatch_or_dimension_one(self, preset, overrides, kept):
+        oracle = self.oracle(preset, *overrides)
+        assert (oracle.samples is not None) == kept
+        rng = streams.substream(0, streams.VALIDATION)
+        reference = MeanValidationOracle(rng.standard_normal((oracle.size, len(oracle.mean))))
+        assert np.array_equal(oracle.mean, reference.mean)
+        assert oracle.mean_sq_norm == reference.mean_sq_norm
+
+    def test_byzantine_run_state_holds_little_beyond_its_shards(self):
+        # byzantine-rn's 100,000 x 10 validation rows are 8,000,000 bytes;
+        # the run state keeps none of them, and building it peaks at well
+        # under 2 MiB above the 4,400,000-byte shard block.
+        spec = build_experiment(parse_config("", preset="byzantine-rn", overrides=["seeds=1"]))
+        tracemalloc.start()
+        try:
+            state = RunState(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.task.shards[0].samples.base.nbytes + 2 * 2**20
+
 
 class TestSoftmaxGeneration:
     def test_alpha_one_group2_matches_group1_label_set(self):
