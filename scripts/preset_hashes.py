@@ -6,8 +6,11 @@ Each preset runs with `--set seeds=2` and a round cap: 12 rounds for
 more at base seed 2^32 + 5, whose stream entropy has more than one 32-bit
 word for the master seed. Two more runs at the same caps cover the solver
 paths no preset takes: the zeroth-order solver, and the minibatch solver on
-the softmax task and with a minibatch as large as the validation set. Run
-from a checkout:
+the softmax task and with a minibatch as large as the validation set. Three
+more cover data paths no preset takes: the mean task's batch gather and
+kept-rows validation oracle at dimension 1; exact gradients with the
+population oracle and the grid-gap delta (three clients); and the softmax
+oracle over client 0's rows (reuse-train validation). Run from a checkout:
 
     python3 scripts/preset_hashes.py                 # this checkout only
     python3 scripts/preset_hashes.py --parent DIR    # DIR (another checkout) vs this one
@@ -40,6 +43,11 @@ SOLVER_RUNS = (
         ("methods=meritfed-zo,meritfed-smd", "validation_mode=reuse-train", "smd_minibatch=1000"),
     ),
 )
+DATA_RUNS = (
+    ("mean-mu-0.1", ("dim=1",)),
+    ("theorem-mean", ("exact_gradients=true", "validation_mode=population", "group1_count=3")),
+    ("softmax-alpha-0.5", ("validation_mode=reuse-train",)),
+)
 
 
 def _capped(preset: str, changes: tuple[str, ...] = ()) -> tuple[str, ...]:
@@ -57,7 +65,7 @@ RUNS = (
     ]
     + [
         (" ".join([preset] + [f"--set {change}" for change in changes]), preset, _capped(preset, changes))
-        for preset, changes in SOLVER_RUNS
+        for preset, changes in SOLVER_RUNS + DATA_RUNS
     ]
 )
 

@@ -52,7 +52,6 @@ class Rule:
     # Whether the convergence bounds are claimed for this rule under attack.
     bound_holds_under_attack: ClassVar[bool] = False
     stream_tag: ClassVar[Optional[int]] = None
-    reads_validation_rows: ClassVar[bool] = False  # weights reads rows, not only full-set losses
 
     def __post_init__(self) -> None:
         if self.model_step <= 0.0:
@@ -60,6 +59,10 @@ class Rule:
 
     def check(self, n_clients: int, validation_rows: int) -> None:
         """Reject, before round 0, a run this rule cannot serve."""
+
+    def reads_validation_rows(self, validation_rows: int) -> bool:
+        """Whether weights reads rows of a validation set this size, not only full-set losses."""
+        return False
 
 
 @dataclass
@@ -80,9 +83,8 @@ class MeritFed(Rule):
     def stream_tag(self) -> Optional[int]:
         return streams.MD if self.md.reads_rng else None
 
-    @property
-    def reads_validation_rows(self) -> bool:
-        return self.md.minibatch > 0
+    def reads_validation_rows(self, validation_rows: int) -> bool:
+        return self.md.draws_rows(validation_rows)
 
     def weights(self, x, gradients, oracle, rng):
         objective = WeightObjective(

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from . import __version__
 from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
-from .clients import ATTACK_KINDS, AttackSpec
+from .clients import ATTACK_NONE, AttackSpec
 from .engine import ConvergenceRow, ExperimentSpec, RoundMetrics, run_experiment
 from .errors import ConfigError, MeritFedError
 from .simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
@@ -36,8 +36,6 @@ from .tasks import MODE_EXTRA, MeanTask, SoftmaxTask
 
 OUT_DIR_ENV = "MERITFED_OUT_DIR"
 DEFAULT_OUT_DIR = "runs"
-
-ATTACK_NONE = "none"
 
 TASK_MEAN = "mean"
 TASK_SOFTMAX = "softmax"
@@ -285,13 +283,6 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"seeds must be >= 1, got {config.seeds}")
     if config.base_seed < 0:
         raise ConfigError(f"base_seed must be >= 0, got {config.base_seed}")
-    if config.attack_kind != ATTACK_NONE and config.attack_kind not in ATTACK_KINDS:
-        known = ", ".join((ATTACK_NONE,) + ATTACK_KINDS)
-        raise ConfigError(f"unknown attack_kind {config.attack_kind!r}; known: {known}")
-    if config.byzantine_count > 0 and config.attack_kind == ATTACK_NONE:
-        raise ConfigError("byzantine_count > 0 requires an attack_kind")
-    if config.attack_shift_sign not in (-1, 1):
-        raise ConfigError(f"attack_shift_sign must be -1 or 1, got {config.attack_shift_sign}")
     build_experiment(config).validate()  # full engine-side validation
 
 
@@ -341,15 +332,13 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
         task = SoftmaxTask(config.mixing_alpha, config.n_classes, config.test_size)
     else:
         raise ConfigError(f"unknown task {config.task!r}; known: {TASK_MEAN}, {TASK_SOFTMAX}")
-    attack = None
-    if config.byzantine_count > 0:
-        fields = _columns(AttackSpec)
-        attack = AttackSpec(**{name: getattr(config, f"attack_{name}") for name in fields})
+    # AttackSpec checks every attack_* value, with or without attackers.
+    attack = AttackSpec(**{name: getattr(config, f"attack_{name}") for name in _columns(AttackSpec)})
     return ExperimentSpec(
         methods=[_method_from_label(label, config) for label in config.methods],
         task=task,
         group_counts=(config.group1_count, config.group2_count, config.group3_count),
-        attack=attack,
+        attack=None if attack.kind == ATTACK_NONE else attack,
         master_seed=master_seed,
         **{name: getattr(config, name) for name in _SPEC_FIELDS_FROM_CONFIG},
     )

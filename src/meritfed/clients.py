@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 
+ATTACK_NONE = "none"  # no Byzantine block; the attack parameters are still checked
 ATTACK_BIT_FLIP = "bit-flip"
 ATTACK_RANDOM_NOISE = "random-noise"
 ATTACK_IPM = "ipm"
@@ -36,8 +37,9 @@ class AttackSpec:
     shift_sign: int = -1  # mean-shift direction; -1 shifts against the mean
 
     def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack kind {self.kind!r}")
+        if self.kind not in (ATTACK_NONE,) + ATTACK_KINDS:
+            known = ", ".join((ATTACK_NONE,) + ATTACK_KINDS)
+            raise ConfigError(f"unknown attack_kind {self.kind!r}; known: {known}")
         if self.sigma < 0.0:
             raise ConfigError(f"noise scale must be >= 0, got {self.sigma}")
         if self.epsilon <= 0.0:

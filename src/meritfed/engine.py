@@ -24,7 +24,7 @@ from .aggregators import Rule, apply_update
 from .clients import ATTACK_ALIE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
 from .errors import ConfigError, NumericInputError
 from .simplex_opt import WeightObjective, simplex_grid
-from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, DatasetShard, Task
+from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, Task
 from .tasks import check_convergence_bounds, check_indexable
 
 DELTA_ESTIMATOR_ITERATE = "iterate-gap"
@@ -158,11 +158,10 @@ class ConvergenceRow:
 class RoundDraws:
     """Everything one round draws, from one stream derivation.
 
-    rows holds every client's batch rows (None under exact gradients; a
-    Byzantine block whose own gradients the attack never reads repeats client
-    0's rows), noise the Byzantine block's standard-normal rows (None without
-    a random-noise attack), and method_streams each rule's stream of the
-    round (None for a rule that reads none).
+    rows holds the batch rows of the first spec.batch_clients clients (None
+    under exact gradients), noise the Byzantine block's standard-normal rows
+    (None without a random-noise attack), and method_streams each rule's
+    stream of the round (None for a rule that reads none).
     """
 
     rows: Optional[np.ndarray]
@@ -179,7 +178,7 @@ class ExperimentResult:
     mixture_direction: Optional[np.ndarray]
     final_points: dict[str, np.ndarray]
     oracle: object
-    shards: list[DatasetShard]
+    samples: Optional[np.ndarray]
 
 
 class RunState:
@@ -212,8 +211,8 @@ class RunState:
         method; a method stream is keyed by the method's slot and the round.
         """
         spec = self.spec
-        n, t, drawn = spec.n_clients, round_index, spec.batch_clients
-        batch = [] if spec.exact_gradients else [(streams.BATCH, i, t) for i in range(drawn)]
+        n, t = spec.n_clients, round_index
+        batch = [] if spec.exact_gradients else [(streams.BATCH, i, t) for i in range(spec.batch_clients)]
         noise = []
         if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:
             noise = [(streams.ATTACK_NOISE, i, t) for i in range(n - spec.byzantine_count, n)]
@@ -221,7 +220,6 @@ class RunState:
         methods = [(tag, m, t) for m, tag in enumerate(tags) if tag is not None]
         rngs = iter(streams.substreams(spec.master_seed, batch + noise + methods))
         rows = [next(rngs).choice(spec.shard_size, spec.batch_size, replace=False) for _ in batch]
-        rows += rows[:1] * (n - drawn)
         noise_rows = [next(rngs).standard_normal(self.task.model_dim(spec.dim)) for _ in noise]
         return RoundDraws(
             rows=np.array(rows) if batch else None,
@@ -352,5 +350,5 @@ def run_experiment(
         mixture_direction=state.task.mixture_direction,
         final_points={label: x.copy() for label, x in state.points.items()},
         oracle=state.task.oracle,
-        shards=state.task.shards,
+        samples=state.task.samples,
     )

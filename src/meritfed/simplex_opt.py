@@ -160,6 +160,10 @@ class MdConfig:
         """Whether solve_weights needs an rng: only the exact full-set solver draws nothing."""
         return self.estimator == ESTIMATOR_ZO or self.minibatch > 0
 
+    def draws_rows(self, validation_rows: int) -> bool:
+        """Whether a step draws a minibatch from a validation set this size, not the full set."""
+        return 0 < self.minibatch < validation_rows
+
 
 @dataclass
 class WeightObjective:
@@ -215,7 +219,7 @@ def solve_weights(
         raise MeritFedError(f"minibatch {cfg.minibatch} exceeds validation set size {oracle.size}")
     if cfg.reads_rng and rng is None:
         raise MeritFedError(f"{cfg.estimator} solver with minibatch {cfg.minibatch} needs an rng")
-    draws_rows = 0 < cfg.minibatch < oracle.size
+    draws_rows = cfg.draws_rows(oracle.size)
     full_set_steps = cfg.estimator == ESTIMATOR_EXACT and not draws_rows
     score = oracle.evaluate if full_set_steps else lambda point: (oracle.value(point), None)
     probe = lambda v: oracle.value(obj.candidate(v))

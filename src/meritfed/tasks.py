@@ -39,23 +39,12 @@ MEAN_PL_CONSTANT = 2.0
 NORM_CHUNK_ROWS = 4096
 
 
-@dataclass
-class DatasetShard:
-    """One client's local dataset."""
+def generate_mean_shards(master_seed: int, centers: np.ndarray, shard_size: int) -> np.ndarray:
+    """The (n, shard_size, d) block of per-client Gaussian samples around each center.
 
-    samples: np.ndarray  # (count, d) features; mean task uses these directly
-    labels: Optional[np.ndarray] = None  # softmax task only
-
-
-def generate_mean_shards(
-    master_seed: int, centers: np.ndarray, shard_size: int
-) -> list[DatasetShard]:
-    """Per-client Gaussian shards with identity covariance around each center.
-
-    Client i's shard comes from its own named stream, so shard contents are
-    independent of client count and of generation order. The shards are
-    written into one (n, shard_size, d) block; each shard's samples is a view
-    of it, and the block is their common `base`.
+    Client i's rows come from its own named stream, with identity
+    covariance, so they are independent of client count and of generation
+    order.
     """
     centers = np.asarray(centers, dtype=float)
     n, d = centers.shape
@@ -64,7 +53,7 @@ def generate_mean_shards(
     for i, rng in enumerate(streams.substreams(master_seed, keys)):
         rng.standard_normal(out=block[i])
         block[i] += centers[i]
-    return [DatasetShard(samples=samples) for samples in block]
+    return block
 
 
 def softmax_class_centers(n_classes: int, feature_dim: int) -> np.ndarray:
@@ -101,12 +90,12 @@ def softmax_task_generate(
     master_seed: int,
     validation_size: Optional[int],
     test_size: int,
-) -> tuple[list[DatasetShard], Optional[DatasetShard], DatasetShard]:
-    """Client shards plus held-out validation (None without validation_size) and test shards.
+):
+    """Client feature and label blocks, then the held-out validation and test sets.
 
-    The client shards are written into one (n, shard_size, feature_dim)
-    feature block and one (n, shard_size) label block; each shard's samples
-    and labels are views of them, and the blocks are their common `base`.
+    The blocks are (n, shard_size, feature_dim) and (n, shard_size); each
+    held-out set is a (features, labels) pair, validation None without
+    validation_size.
     """
     centers = softmax_class_centers(n_classes, feature_dim)
     group_of = [1] * group_counts[0] + [2] * group_counts[1] + [3] * group_counts[2]
@@ -116,17 +105,14 @@ def softmax_task_generate(
     for i, rng in enumerate(streams.substreams(master_seed, keys)):
         labels[i] = _softmax_labels_for_group(rng, shard_size, group_of[i], alpha, n_classes)
         np.add(centers[labels[i]], rng.standard_normal((shard_size, feature_dim)), out=features[i])
-    shards = [DatasetShard(samples=f, labels=y) for f, y in zip(features, labels)]
 
-    def held_out(tag: int, count: int) -> DatasetShard:
+    def held_out(tag: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         rng = streams.substream(master_seed, tag)
         labels = rng.choice(np.asarray(TARGET_CLASSES), size=count)
-        features = centers[labels] + rng.standard_normal((count, feature_dim))
-        return DatasetShard(samples=features, labels=labels)
+        return centers[labels] + rng.standard_normal((count, feature_dim)), labels
 
     validation = None if validation_size is None else held_out(streams.VALIDATION, validation_size)
-    test = held_out(streams.TEST_SET, test_size)
-    return shards, validation, test
+    return features, labels, validation, held_out(streams.TEST_SET, test_size)
 
 
 def pairwise_row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -330,10 +316,10 @@ class SoftmaxValidationOracle(SampleOracle):
     cannot go stale and row subsets read the same labels.
     """
 
-    def __init__(self, shard: DatasetShard, n_classes: int) -> None:
-        super().__init__(shard.samples.shape[0])
-        self.samples = shard.samples
-        self.labels = np.array(shard.labels)
+    def __init__(self, samples: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
+        super().__init__(samples.shape[0])
+        self.samples = samples
+        self.labels = np.array(labels)
         self.labels.flags.writeable = False
         self.n_classes = n_classes
         self.full_set = SoftmaxRows(self.samples, self.labels, n_classes)
@@ -425,15 +411,16 @@ class Task:
     """One objective and its client data; methods that need the run take its spec.
 
     A run calls `build(spec)` on its own copy of the spec's task, which then
-    holds the shards, the validation oracle and the start point. Each round
-    it takes `round_basis(rows)` once (rows None under exact gradients),
+    holds the clients' (n, shard_size, d) samples (None under exact
+    gradients), the validation oracle and the start point. Each round it
+    takes `round_basis(rows)` once (rows None under exact gradients),
     then per method `honest_gradients(x, basis)`, the (n, model_dim) array
     at the method's point, and `metric_fields(x)` for the metrics row. A
     task with rate_bounds also gives gradient_variance and the loss_gap and
     grad_norm_sq metric fields.
     """
 
-    shards: list[DatasetShard] = field(default_factory=list, init=False, repr=False, compare=False)
+    samples: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     oracle: object = field(default=None, init=False, repr=False, compare=False)
     start: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     mixture_direction: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
@@ -446,10 +433,15 @@ class Task:
         """Length of a model point and of a client gradient at feature dimension dim."""
         return dim
 
+    def flat_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The samples as (n * shard_size, d) rows, and each client's batch rows as indices into them."""
+        _, shard_size, d = self.samples.shape
+        return self.samples.reshape(-1, d), rows + np.arange(len(rows))[:, None] * shard_size
+
 
 @dataclass
 class MeanTask(Task):
-    """Mean estimation over identity-covariance Gaussian shards.
+    """Mean estimation over identity-covariance Gaussian client samples.
 
     Group 1 and the Byzantine block hold target-distribution data centered
     at zero (the target optimum), group 2 data centered at group2_shift on
@@ -471,31 +463,30 @@ class MeanTask(Task):
         self.centers[g1 : g1 + g2] = self.group2_shift
         self.centers[g1 + g2 : g1 + g2 + g3] = self.mixture_direction
         if not spec.exact_gradients:
-            self.shards = generate_mean_shards(seed, self.centers, spec.shard_size)
-            # Batch means take rows from the flat (n * shard_size, d) view of
-            # the block the shards view, offset by each read client's first row.
-            self._flat_samples = self.shards[0].samples.base.reshape(-1, d)
-            self._row_offsets = np.arange(spec.batch_clients)[:, None] * spec.shard_size
+            self.samples = generate_mean_shards(seed, self.centers, spec.shard_size)
         if spec.validation_mode == MODE_POPULATION:
             self.oracle = PopulationMeanOracle(np.zeros(d))
         elif spec.validation_mode == MODE_REUSE_TRAIN:
-            self.oracle = MeanValidationOracle(self.shards[0].samples)
+            self.oracle = MeanValidationOracle(self.samples[0])
         else:
             rng = streams.substream(seed, streams.VALIDATION)
-            keep_rows = any(rule.reads_validation_rows for rule in spec.methods)
+            keep_rows = any(rule.reads_validation_rows(spec.validation_size) for rule in spec.methods)
             self.oracle = MeanValidationOracle.streamed(rng, spec.validation_size, d, keep_rows)
         self.start = np.ones(d)
 
     def round_basis(self, rows: Optional[np.ndarray]) -> np.ndarray:
-        """Batch means (client 0's past spec.batch_clients), or the centers under exact gradients."""
+        """Batch means of the clients rows covers, then client 0's for an unread Byzantine block.
+
+        Under exact gradients (rows None) the basis is the centers.
+        """
         if rows is None:
             return self.centers
-        index = rows[: len(self._row_offsets)] + self._row_offsets
-        if self._flat_samples.shape[1] == 1:  # numpy sums each contiguous batch pairwise
-            means = np.take(self._flat_samples, index, axis=0).mean(axis=1)
+        flat, index = self.flat_rows(rows)
+        if flat.shape[1] == 1:  # numpy sums each contiguous batch pairwise
+            means = np.take(flat, index, axis=0).mean(axis=1)
         else:  # a (batch, n, d) gather summed over axis 0 adds as .mean(axis=1), n * d values a step
-            means = np.add.reduce(np.take(self._flat_samples, index.T, axis=0), axis=0) / rows.shape[1]
-        fill = len(rows) - len(index)
+            means = np.add.reduce(np.take(flat, index.T, axis=0), axis=0) / rows.shape[1]
+        fill = len(self.centers) - len(rows)
         return np.concatenate([means, means[[0] * fill]]) if fill else means
 
     def honest_gradients(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -522,7 +513,8 @@ class SoftmaxTask(Task):
     mixing_alpha: float = 0.5
     n_classes: int = 10
     test_size: int = 4000
-    test_shard: Optional[DatasetShard] = field(default=None, init=False, repr=False, compare=False)
+    labels: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    test_set: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def check(self, spec) -> None:
         if spec.exact_gradients:
@@ -555,7 +547,7 @@ class SoftmaxTask(Task):
 
     def build(self, spec) -> None:
         extra = spec.validation_mode == MODE_EXTRA
-        self.shards, validation, self.test_shard = softmax_task_generate(
+        self.samples, self.labels, validation, self.test_set = softmax_task_generate(
             group_counts=spec.group_counts,
             alpha=self.mixing_alpha,
             feature_dim=spec.dim,
@@ -565,19 +557,14 @@ class SoftmaxTask(Task):
             validation_size=spec.validation_size if extra else None,
             test_size=self.test_size,
         )
-        # Batches take rows from the flat views of the blocks the shards view,
-        # offset by each client's first row, as in MeanTask.
-        self._flat_samples = self.shards[0].samples.base.reshape(-1, spec.dim)
-        self._flat_labels = self.shards[0].labels.base.reshape(-1)
-        self._row_offsets = np.arange(spec.n_clients)[:, None] * spec.shard_size
-        self.oracle = SoftmaxValidationOracle(validation if extra else self.shards[0], self.n_classes)
+        validation = validation if extra else (self.samples[0], self.labels[0])
+        self.oracle = SoftmaxValidationOracle(*validation, self.n_classes)
         self.start = np.zeros(self.model_dim(spec.dim))
 
     def round_basis(self, rows: np.ndarray) -> SoftmaxRows:
         """One kernel over the stack of the clients' batches of the round."""
-        index = rows + self._row_offsets
-        features = np.take(self._flat_samples, index, axis=0)
-        return SoftmaxRows(features, np.take(self._flat_labels, index), self.n_classes)
+        flat, index = self.flat_rows(rows)
+        return SoftmaxRows(np.take(flat, index, axis=0), np.take(self.labels, index), self.n_classes)
 
     def honest_gradients(self, x: np.ndarray, basis: SoftmaxRows) -> np.ndarray:
         _, grads = basis.loss_grad(x.reshape(self.n_classes, -1))
@@ -585,4 +572,4 @@ class SoftmaxTask(Task):
 
     def metric_fields(self, x: np.ndarray) -> dict:
         theta = x.reshape(self.n_classes, -1)
-        return {"accuracy": softmax_accuracy(theta, self.test_shard.samples, self.test_shard.labels)}
+        return {"accuracy": softmax_accuracy(theta, *self.test_set)}

@@ -70,7 +70,7 @@ class TestHonestMessage:
 
     def test_zero_at_shard_mean_on_full_batch(self):
         state = RunState(honest_spec(batch_size=50))
-        x = state.task.shards[0].samples.mean(axis=0)
+        x = state.task.samples[0].mean(axis=0)
         np.testing.assert_allclose(honest_message(state, x, 0), np.zeros(4), rtol=0, atol=1e-14)
 
     def test_zero_batch_rejected(self):
@@ -211,7 +211,7 @@ class TestByzantineMessages:
 class TestValidation:
     def test_gradient_set_rejects_non_finite(self):
         state = RunState(honest_spec())
-        state.task.shards[0].samples[:] = np.nan
+        state.task.samples[0] = np.nan
         with pytest.raises(NumericInputError, match="round 1: non-finite client message"):
             run_round(state, 1)
 

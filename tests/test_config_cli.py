@@ -420,6 +420,10 @@ class TestMainEntryPoint:
             ("softmax-alpha-0.5", ["n_classes=6"]),
             ("softmax-alpha-0.5", ["test_size=0"]),
             ("byzantine-alie", ["group1_count=1"]),
+            # Attack parameters are checked with or without attackers.
+            ("mean-mu-0.1", ["attack_sigma=-1"]),
+            ("mean-mu-0.1", ["attack_epsilon=0"]),
+            ("mean-mu-0.1", ["attack_z=-5"]),
             ("mean-mu-0.1", ["methods=tawt,sgd-full", "md_lr=-1"]),
             ("mean-mu-0.1", ["methods=tawt,sgd-full", "tawt_step=-1"]),
             # A negative master seed has no stream entropy words.

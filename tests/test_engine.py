@@ -2,7 +2,7 @@
 
 Oracles: closed-form trajectories under exact gradients (plain gradient
 descent on a quadratic contracts by (1 - 2*step) per round), hand replay of
-one round from the stored shards and the shared batch streams, and direct
+one round from the stored client samples and the shared batch streams, and direct
 arithmetic for the rate-bound evaluator.
 """
 
@@ -229,7 +229,7 @@ class TestExactGradientTrajectories:
 
 class TestStochasticReplay:
     def test_one_round_matches_hand_replay_from_shards(self):
-        # Rebuild the round from the result's shards and the shared batch
+        # Rebuild the round from the result's samples and the shared batch
         # streams; the engine's update must match exactly.
         step = 0.02
         spec = small_spec(methods=[full_method(step=step)], rounds=1)
@@ -240,7 +240,7 @@ class TestStochasticReplay:
         for i in range(n):
             rng = streams.substream(spec.master_seed, streams.BATCH, i, 0)
             rows = rng.choice(spec.shard_size, size=spec.batch_size, replace=False)
-            grads[i] = 2.0 * (x0 - result.shards[i].samples[rows].mean(axis=0))
+            grads[i] = 2.0 * (x0 - result.samples[i][rows].mean(axis=0))
         expected = x0 - step * grads.mean(axis=0)
         np.testing.assert_array_equal(result.final_points["sgd-full"], expected)
 
@@ -256,7 +256,7 @@ class TestStochasticReplay:
         for t in range(rounds):
             rng = streams.substream(spec.master_seed, streams.BATCH, 0, t)
             rows = rng.choice(spec.shard_size, size=spec.batch_size, replace=False)
-            x = x - step * 2.0 * (x - result.shards[0].samples[rows].mean(axis=0))
+            x = x - step * 2.0 * (x - result.samples[0][rows].mean(axis=0))
         np.testing.assert_array_equal(result.final_points["sgd-ideal"], x)
 
 
@@ -307,8 +307,8 @@ class TestDeterminismAndCoupling:
             np.testing.assert_array_equal(r1.final_points[label], r2.final_points[label])
         assert r1.oracle is not r2.oracle
         task = spec.task
-        assert task.shards == [] and task.oracle is None and task.start is None
-        assert task.test_shard is None
+        assert task.samples is None and task.oracle is None and task.start is None
+        assert task.labels is None and task.test_set is None
 
     def test_method_set_does_not_perturb_other_methods(self):
         # Batch streams are keyed by client and round only, and the exact
@@ -603,7 +603,7 @@ class TestRoundDrawsMatchPerClientLoop:
         state = RunState(self.byzantine_spec(master_seed, validation_mode=mode))
         for t in (0, 1, 4):
             expected = [
-                state.task.shards[i].samples[rows].mean(axis=0)
+                state.task.samples[i][rows].mean(axis=0)
                 for i, rows in enumerate(per_client_rows(state.spec, t))
             ]
             rows = state.round_draws(t).rows
@@ -612,7 +612,7 @@ class TestRoundDrawsMatchPerClientLoop:
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_honest_gradient_basis_exact(self, master_seed):
         state = RunState(self.byzantine_spec(master_seed, exact_gradients=True))
-        assert state.task.shards == []
+        assert state.task.samples is None
         assert state.round_draws(2).rows is None
         assert np.array_equal(state.task.round_basis(None), state.task.centers)
 
@@ -630,8 +630,10 @@ class TestRoundDrawsMatchPerClientLoop:
         theta = x.reshape(state.task.n_classes, -1)
         for t in (0, 2):
             expected = [
-                softmax_loss_grad(theta, shard.samples[rows], shard.labels[rows])[1].ravel()
-                for shard, rows in zip(state.task.shards, per_client_rows(state.spec, t))
+                softmax_loss_grad(theta, samples[rows], labels[rows])[1].ravel()
+                for samples, labels, rows in zip(
+                    state.task.samples, state.task.labels, per_client_rows(state.spec, t)
+                )
             ]
             basis = state.task.round_basis(state.round_draws(t).rows)
             assert np.array_equal(state.task.honest_gradients(x, basis), np.array(expected))
@@ -651,11 +653,11 @@ class TestRoundDrawsMatchPerClientLoop:
     def test_mean_shards_share_one_block(self):
         spec = self.byzantine_spec(0)
         state = RunState(spec)
-        block = state.task.shards[0].samples.base
+        block = state.task.samples
+        assert isinstance(block, np.ndarray)
         assert block.shape == (spec.n_clients, spec.shard_size, spec.dim)
-        assert all(shard.samples.base is block for shard in state.task.shards)
-        # An in-place write to a shard reaches the gathered batch means.
-        state.task.shards[1].samples[:] = 7.0
+        # An in-place write to a client's samples reaches the gathered batch means.
+        block[1] = 7.0
         basis = state.task.round_basis(state.round_draws(0).rows)
         np.testing.assert_array_equal(basis[1], np.full(spec.dim, 7.0))
 
@@ -710,8 +712,8 @@ class TestRoundStreams:
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_attacker_batches_are_drawn_only_when_the_attack_reads_them(self, kind, monkeypatch):
         # The colluding attacks read the target group's messages only, so the
-        # Byzantine block (clients 4 and 5) opens no batch stream and repeats
-        # client 0's rows.
+        # Byzantine block (clients 4 and 5) opens no batch stream and draws
+        # no rows.
         spec, t = small_spec(byzantine_count=2, attack=AttackSpec(kind=kind)), self.ROUND
         state = RunState(spec)
         opened = []
@@ -729,7 +731,7 @@ class TestRoundStreams:
             assert batch_clients == list(range(6))
         else:
             assert batch_clients == list(range(4))
-            expected[4:] = [expected[0]] * 2
+            expected = expected[:4]
         assert np.array_equal(rows, np.array(expected))
 
     def test_each_rule_gets_its_stream_of_the_round(self):

@@ -29,7 +29,7 @@ from meritfed.simplex_opt import (
     zo_two_point_estimate,
 )
 from meritfed.streams import unit_sphere_vector
-from meritfed.tasks import DatasetShard, MeanValidationOracle, SoftmaxValidationOracle
+from meritfed.tasks import MeanValidationOracle, SoftmaxValidationOracle
 
 
 class QuadraticOracle:
@@ -142,7 +142,7 @@ def mean_oracle(rng, d):
 def softmax_oracle(rng, d, n_classes=3):
     labels = rng.integers(0, n_classes, size=200)
     samples = rng.standard_normal((200, d)) + 2.0 * np.eye(n_classes, d)[labels]
-    return SoftmaxValidationOracle(DatasetShard(samples=samples, labels=labels), n_classes)
+    return SoftmaxValidationOracle(samples, labels, n_classes)
 
 
 class TestUniformWeights:

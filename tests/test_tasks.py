@@ -22,7 +22,6 @@ from meritfed.engine import ExperimentSpec, RunState
 from meritfed.errors import ConfigError, MeritFedError
 from meritfed.simplex_opt import MdConfig, WeightObjective, solve_weights
 from meritfed.tasks import (
-    DatasetShard,
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
     MeanTask,
@@ -176,23 +175,23 @@ class TestShardGeneration:
         centers = np.zeros((3, 4))
         a = generate_mean_shards(9, centers, 50)
         b = generate_mean_shards(9, centers, 50)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.samples, sb.samples)
+        assert a.shape == (3, 50, 4)
+        np.testing.assert_array_equal(a, b)
 
     def test_clients_draw_independent_streams(self):
         centers = np.zeros((2, 4))
-        shards = generate_mean_shards(9, centers, 50)
-        assert not np.array_equal(shards[0].samples, shards[1].samples)
+        samples = generate_mean_shards(9, centers, 50)
+        assert not np.array_equal(samples[0], samples[1])
 
     def test_client_stream_is_stable_under_client_count(self):
         big = generate_mean_shards(3, np.zeros((5, 4)), 20)
         small = generate_mean_shards(3, np.zeros((2, 4)), 20)
-        np.testing.assert_array_equal(big[1].samples, small[1].samples)
+        np.testing.assert_array_equal(big[1], small[1])
 
     def test_center_offsets_applied(self):
         center = 5.0 * np.ones(4)
-        shard = generate_mean_shards(1, center[None, :], 2000)[0]
-        assert np.all(np.abs(shard.samples.mean(axis=0) - center) < 0.2)
+        samples = generate_mean_shards(1, center[None, :], 2000)[0]
+        assert np.all(np.abs(samples.mean(axis=0) - center) < 0.2)
 
 
 class TestValidationOracles:
@@ -264,11 +263,10 @@ class TestValidationOracles:
     def test_value_equals_loss_of_evaluate(self):
         rng = np.random.default_rng(14)
         features, labels = rng.standard_normal((300, 6)), rng.integers(0, 4, size=300)
-        shard = DatasetShard(samples=features, labels=labels)
         cases = [
             (MeanValidationOracle(rng.standard_normal((500, 6))), 6),
             (PopulationMeanOracle(rng.standard_normal(6)), 6),
-            (SoftmaxValidationOracle(shard, 4), 24),
+            (SoftmaxValidationOracle(features, labels, 4), 24),
         ]
         for oracle, size in cases:
             for _ in range(5):
@@ -332,7 +330,7 @@ class TestMeanRoundBasis:
         task = state.task
         for round_index in range(3):
             rows = state.round_draws(round_index).rows
-            expected = np.array([shard.samples[r].mean(axis=0) for shard, r in zip(task.shards, rows)])
+            expected = np.array([samples[r].mean(axis=0) for samples, r in zip(task.samples, rows)])
             assert np.array_equal(task.round_basis(rows), expected)
 
     def test_gradient_rows_at_dimension_one(self):
@@ -355,12 +353,13 @@ class TestMeanRoundBasis:
         for round_index in range(2):
             rows = state.round_draws(round_index).rows
             basis = task.round_basis(rows)
-            expected = np.array([shard.samples[r].mean(axis=0) for shard, r in zip(task.shards, rows)])
-            assert basis.shape == expected.shape
+            expected = np.array([samples[r].mean(axis=0) for samples, r in zip(task.samples, rows)])
+            assert basis.shape == task.centers.shape
             assert np.array_equal(basis[:honest], expected[:honest])
             if kind == "random-noise":
                 assert np.array_equal(basis, expected)
             else:
+                assert len(rows) == honest
                 assert all(np.array_equal(row, basis[0]) for row in basis[honest:])
 
 
@@ -414,6 +413,7 @@ class TestStreamedMeanOracle:
             ("mean-mu-0.1", ("methods=meritfed-md,sgd-ideal", "dim=1"), True),
             ("mean-mu-0.1", ("methods=meritfed-md,fedadp,tawt,fedavg-5,sgd-full",), False),
             ("mean-mu-0.1", ("methods=meritfed-zo",), False),
+            ("mean-mu-0.1", ("methods=meritfed-smd", "smd_minibatch=100000"), False),
             ("byzantine-rn", (), False),
             ("byzantine-ipm", (), False),
             ("byzantine-alie", (), False),
@@ -439,12 +439,12 @@ class TestStreamedMeanOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < state.task.shards[0].samples.base.nbytes + 2 * 2**20
+        assert peak < state.task.samples.nbytes + 2 * 2**20
 
 
 class TestSoftmaxGeneration:
     def test_alpha_one_group2_matches_group1_label_set(self):
-        shards, _, _ = softmax_task_generate(
+        _, labels, _, _ = softmax_task_generate(
             group_counts=(1, 2, 1),
             alpha=1.0,
             feature_dim=10,
@@ -454,13 +454,12 @@ class TestSoftmaxGeneration:
             validation_size=50,
             test_size=50,
         )
-        for shard in shards[1:3]:
-            assert set(np.unique(shard.labels)) <= {0, 1, 2}
+        assert set(np.unique(labels[1:3])) <= {0, 1, 2}
 
     def test_alpha_half_target_fraction(self):
         counts = []
         for seed in range(3):
-            shards, _, _ = softmax_task_generate(
+            _, labels, _, _ = softmax_task_generate(
                     group_counts=(1, 1, 1),
                 alpha=0.5,
                 feature_dim=10,
@@ -470,11 +469,11 @@ class TestSoftmaxGeneration:
                 validation_size=10,
                 test_size=10,
             )
-            counts.append(int(np.isin(shards[1].labels, [0, 1, 2]).sum()))
+            counts.append(int(np.isin(labels[1], [0, 1, 2]).sum()))
         assert abs(np.mean(counts) - 500) <= 50
 
     def test_group3_never_sees_target_classes(self):
-        shards, _, _ = softmax_task_generate(
+        _, labels, _, _ = softmax_task_generate(
             group_counts=(1, 1, 1),
             alpha=0.5,
             feature_dim=10,
@@ -484,10 +483,10 @@ class TestSoftmaxGeneration:
             validation_size=10,
             test_size=10,
         )
-        assert not np.isin(shards[2].labels, [0, 1, 2, 3, 4, 5]).any()
+        assert not np.isin(labels[2], [0, 1, 2, 3, 4, 5]).any()
 
     def test_held_out_shards_are_target_distribution(self):
-        _, validation, test = softmax_task_generate(
+        _, _, validation, test = softmax_task_generate(
             group_counts=(1, 0, 0),
             alpha=0.5,
             feature_dim=10,
@@ -497,9 +496,9 @@ class TestSoftmaxGeneration:
             validation_size=400,
             test_size=400,
         )
-        for shard in (validation, test):
-            assert set(np.unique(shard.labels)) <= {0, 1, 2}
-        assert not np.array_equal(validation.samples[:400], test.samples[:400])
+        for _, labels in (validation, test):
+            assert set(np.unique(labels)) <= {0, 1, 2}
+        assert not np.array_equal(validation[0], test[0])
 
     def test_class_centers_pairwise_distance(self):
         centers = softmax_class_centers(10, 10)
@@ -528,12 +527,11 @@ class TestSoftmaxGeneration:
                 test_size=30,
             )
 
-        shards, validation, test = generate(40)
-        bare_shards, nothing, bare_test = generate(None)
-        assert validation.samples.shape == (40, 10) and nothing is None
-        for a, b in zip(shards + [test], bare_shards + [bare_test]):
-            np.testing.assert_array_equal(a.samples, b.samples)
-            np.testing.assert_array_equal(a.labels, b.labels)
+        features, labels, validation, test = generate(40)
+        bare_features, bare_labels, nothing, bare_test = generate(None)
+        assert validation[0].shape == (40, 10) and nothing is None
+        for a, b in zip((features, labels, *test), (bare_features, bare_labels, *bare_test)):
+            np.testing.assert_array_equal(a, b)
 
 
 def reference_softmax_loss_grad(theta, features, labels):
@@ -675,7 +673,7 @@ class TestSoftmaxLoss:
         # The center matrix is the Bayes rule for equal-norm clusters; at
         # pairwise distance 4 it sits near 0.88 over 10 classes, far above
         # the 0.1 chance level, so cluster separation is real.
-        shards, _, test = softmax_task_generate(
+        _, _, _, test = softmax_task_generate(
             group_counts=(1, 0, 0),
             alpha=1.0,
             feature_dim=10,
@@ -686,12 +684,12 @@ class TestSoftmaxLoss:
             test_size=2000,
         )
         theta = softmax_class_centers(10, 10)
-        assert softmax_accuracy(theta, test.samples, test.labels) >= 0.85
+        assert softmax_accuracy(theta, *test) >= 0.85
 
 
 class TestSoftmaxOracle:
     def test_matches_direct_loss(self):
-        shards, validation, _ = softmax_task_generate(
+        _, _, validation, _ = softmax_task_generate(
             group_counts=(1, 0, 0),
             alpha=1.0,
             feature_dim=6,
@@ -701,13 +699,11 @@ class TestSoftmaxOracle:
             validation_size=80,
             test_size=10,
         )
-        oracle = SoftmaxValidationOracle(validation, n_classes=6)
+        oracle = SoftmaxValidationOracle(*validation, n_classes=6)
         rng = np.random.default_rng(2)
         x = rng.standard_normal(36)
         value, grad = oracle.evaluate(x)
-        direct_value, direct_grad = softmax_loss_grad(
-            x.reshape(6, 6), validation.samples, validation.labels
-        )
+        direct_value, direct_grad = softmax_loss_grad(x.reshape(6, 6), *validation)
         assert value == direct_value
         np.testing.assert_array_equal(grad, direct_grad.ravel())
         assert oracle.size == 80
@@ -715,11 +711,9 @@ class TestSoftmaxOracle:
     @staticmethod
     def validation_oracle(rows=4000, n_classes=10):
         rng = np.random.default_rng(5)
-        shard = DatasetShard(
-            samples=rng.standard_normal((rows, n_classes)),
-            labels=rng.integers(0, n_classes, size=rows),
-        )
-        return shard, SoftmaxValidationOracle(shard, n_classes)
+        samples = rng.standard_normal((rows, n_classes))
+        labels = rng.integers(0, n_classes, size=rows)
+        return labels, SoftmaxValidationOracle(samples, labels, n_classes)
 
     def test_honest_gradients_equal_per_client_kernels(self):
         # One round of the softmax-alpha-0.5 preset at a point away from the
@@ -732,8 +726,8 @@ class TestSoftmaxOracle:
         theta = x.reshape(task.n_classes, -1)
         expected = np.array(
             [
-                softmax_loss_grad(theta, shard.samples[r], shard.labels[r])[1].ravel()
-                for shard, r in zip(task.shards, rows)
+                softmax_loss_grad(theta, samples[r], labels[r])[1].ravel()
+                for samples, labels, r in zip(task.samples, task.labels, rows)
             ]
         )
         gradients = task.honest_gradients(x, task.round_basis(rows))
@@ -755,12 +749,12 @@ class TestSoftmaxOracle:
         assert peak < 4000 * 10 * 8
 
     def test_label_index_cannot_go_stale(self):
-        shard, oracle = self.validation_oracle(rows=50, n_classes=4)
+        labels, oracle = self.validation_oracle(rows=50, n_classes=4)
         x = np.random.default_rng(7).standard_normal(16)
         value, grad = oracle.evaluate(x)
         with pytest.raises(ValueError, match="read-only"):
             oracle.labels[0] = (oracle.labels[0] + 1) % 4
-        shard.labels[:] = (shard.labels + 1) % 4
+        labels[:] = (labels + 1) % 4
         again_value, again_grad = oracle.evaluate(x)
         assert again_value == value
         assert np.array_equal(again_grad, grad)
@@ -770,7 +764,7 @@ class TestSoftmaxOracle:
         # The batch and label checks run once, at construction; the theta
         # shape check on every call.
         with pytest.raises(MeritFedError, match=r"label outside class range \[0, 3\)"):
-            SoftmaxValidationOracle(DatasetShard(np.zeros((2, 4)), np.array([0, 3])), 3)
+            SoftmaxValidationOracle(np.zeros((2, 4)), np.array([0, 3]), 3)
         with pytest.raises(MeritFedError, match="empty batch"):
             SoftmaxRows(np.empty((0, 4)), np.array([], dtype=int), 3)
         _, oracle = self.validation_oracle(rows=20, n_classes=4)
