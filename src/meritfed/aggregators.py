@@ -41,9 +41,10 @@ class Rule:
 
     Each rule defines weights(x, gradients, oracle, rng), returning the
     round's weight vector and, for solver rules, the solver-accuracy proxy
-    (None otherwise). stream_tag names the one method stream the rule reads,
-    or is None for a rule that draws nothing; the engine passes that stream
-    of the current round as rng, and None to a rule that reads no stream.
+    (None otherwise). stream_tag names the one method stream the rule reads
+    on a validation set of a given size, or is None for a rule that draws
+    nothing; the engine passes that stream of the current round as rng, and
+    None to a rule that reads no stream.
     """
 
     label: str
@@ -51,7 +52,6 @@ class Rule:
 
     # Whether the convergence bounds are claimed for this rule under attack.
     bound_holds_under_attack: ClassVar[bool] = False
-    stream_tag: ClassVar[Optional[int]] = None
 
     def __post_init__(self) -> None:
         if self.model_step <= 0.0:
@@ -59,6 +59,10 @@ class Rule:
 
     def check(self, n_clients: int, validation_rows: int) -> None:
         """Reject, before round 0, a run this rule cannot serve."""
+
+    def stream_tag(self, validation_rows: int) -> Optional[int]:
+        """The method stream weights reads on a validation set this size, or None."""
+        return None
 
     def reads_validation_rows(self, validation_rows: int) -> bool:
         """Whether weights reads rows of a validation set this size, not only full-set losses."""
@@ -79,9 +83,8 @@ class MeritFed(Rule):
                 f"{validation_rows} rows of the validation set"
             )
 
-    @property
-    def stream_tag(self) -> Optional[int]:
-        return streams.MD if self.md.reads_rng else None
+    def stream_tag(self, validation_rows: int) -> Optional[int]:
+        return streams.MD if self.md.reads_rng(validation_rows) else None
 
     def reads_validation_rows(self, validation_rows: int) -> bool:
         return self.md.draws_rows(validation_rows)
@@ -219,7 +222,9 @@ class FedAvg(Rule):
     """Uniform weights over a uniformly random subset of sample_count clients."""
 
     sample_count: int
-    stream_tag: ClassVar[Optional[int]] = streams.METHOD
+
+    def stream_tag(self, validation_rows: int) -> Optional[int]:
+        return streams.METHOD
 
     def check(self, n_clients: int, validation_rows: int) -> None:
         if not 1 <= self.sample_count <= n_clients:

@@ -24,7 +24,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import __version__
 from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
@@ -109,7 +109,6 @@ def _columns(record_type) -> tuple[str, ...]:
 METRICS_COLUMNS = ("seed", "round") + _columns(RoundMetrics)[1:]
 WEIGHTS_COLUMNS = ("seed", "round", "method", "client_index", "weight")
 THEOREM_COLUMNS = ("seed",) + _columns(ConvergenceRow)
-_metric_cells = operator.attrgetter(*_columns(RoundMetrics))
 _theorem_cells = operator.attrgetter(*_columns(ConvergenceRow))
 
 
@@ -358,88 +357,119 @@ def _csv_line(cells: tuple) -> str:
     return ",".join(map(_format_cell, cells)) + "\n"
 
 
-def _seed_payload(config: RunConfig, master_seed: int) -> dict:
-    """Run one seed and format everything the writers need (picklable)."""
-    spec = build_experiment(config, master_seed=master_seed)
-    result = run_experiment(spec)
-    direction = result.mixture_direction
-    return {
-        "seed": master_seed,
-        "metrics": [_csv_line((master_seed, *_metric_cells(m))) for m in result.metrics],
-        # Every weights.csv cell is an int, a label or a float: one f-string a row.
-        "weights": [
-            f"{master_seed},{round_index},{method},{client},{value:.17g}\n"
-            for round_index, method, vector in result.weight_rows
-            for client, value in enumerate(vector.tolist())
-        ],
-        "theorem": [_csv_line((master_seed, *_theorem_cells(row))) for row in result.convergence],
-        "mixture_direction": None if direction is None else direction.tolist(),
-    }
+def _seed_records(config: RunConfig, master_seed: int) -> tuple:
+    """Run one seed; return (seed, its three tables' records, mixture direction), all picklable.
+
+    The run's shards and validation rows are freed on return, before any row
+    is formatted.
+    """
+    result = run_experiment(build_experiment(config, master_seed=master_seed))
+    direction = None if result.mixture_direction is None else result.mixture_direction.tolist()
+    return master_seed, (result.metrics, result.weight_rows, result.convergence), direction
 
 
-def _write_csv(handle, columns: tuple, lines: list) -> None:
-    handle.write(",".join(columns) + "\n")
+def _metrics_lines(seed: int, metrics: list) -> Iterator[str]:
+    cell = _format_cell  # a blank cell for None
+    return (
+        f"{seed},{m.round_index},{m.method},{cell(m.dist_sq)},{cell(m.loss_gap)},{cell(m.grad_norm_sq)},"
+        f"{m.val_loss:.17g},{cell(m.accuracy)},{cell(m.delta)}\n"
+        for m in metrics
+    )
+
+
+def _weights_lines(seed: int, weight_rows: list) -> Iterator[str]:
+    return (
+        f"{seed},{round_index},{method},{client},{value:.17g}\n"
+        for round_index, method, vector in weight_rows
+        for client, value in enumerate(vector.tolist())
+    )
+
+
+def _theorem_lines(seed: int, rows: list) -> Iterator[str]:
+    return (_csv_line((seed, *_theorem_cells(row))) for row in rows)
+
+
+# Each table's file, columns and the lines of one seed's records, in the
+# order of _seed_records' tables. A metrics.csv or weights.csv row is one
+# f-string; theorem.csv's booleans need _format_cell on every cell.
+_TABLES = (
+    ("metrics.csv", METRICS_COLUMNS, _metrics_lines),
+    ("weights.csv", WEIGHTS_COLUMNS, _weights_lines),
+    ("theorem.csv", THEOREM_COLUMNS, _theorem_lines),
+)
+OUTPUT_FILES = tuple(name for name, _, _ in _TABLES) + ("manifest.json",)
+
+
+def _write_rows(handle, lines: Iterator[str]) -> None:
+    """Append one seed's lines to a staged table."""
     handle.writelines(lines)
 
 
-def _write_json(handle, document: dict) -> None:
-    json.dump(document, handle, indent=2, sort_keys=True)
-    handle.write("\n")
+@contextlib.contextmanager
+def _staged_outputs(out_dir: str, names: tuple) -> Iterator[dict]:
+    """Open a staged file per name in out_dir; move them all into place when the block succeeds.
 
-
-def _write_outputs(out_dir: str, writers: list) -> None:
-    """Write each (name, write) pair into out_dir all or nothing.
-
-    Every file is written to a temporary name inside out_dir first and moved
-    into place only when all writes succeeded, so a failed write removes the
-    temporary files and leaves the existing outputs as they were.
+    Each file is written to a temporary name inside out_dir first. If the
+    block fails, the temporary files and the directory levels made here are
+    removed, so out_dir's previous outputs stay as they were.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    staged = []
+    made, path = [], os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    staged = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
     try:
-        for name, write in writers:
-            staged.append(os.path.join(out_dir, f".{name}.{os.getpid()}.tmp"))
-            with open(staged[-1], "w", encoding="utf-8", newline="\n") as handle:
-                write(handle)
+        os.makedirs(out_dir, exist_ok=True)
+        with contextlib.ExitStack() as files:
+            yield {
+                name: files.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                for name, path in staged.items()
+            }
     except BaseException:
-        for path in staged:
+        for path in staged.values():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
+        for path in made:  # deepest first; a level someone else wrote into stays
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise
-    for path, (name, _) in zip(staged, writers):
+    for name, path in staged.items():
         os.replace(path, os.path.join(out_dir, name))
 
 
 def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
-    """Run every repeat seed and write the output tables. Returns the manifest."""
-    seeds = [config.base_seed + j for j in range(config.seeds)]
-    if workers > 1 and len(seeds) > 1:
-        # A pool starts all its workers at the first submit: one per seed at most.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-            payloads = list(pool.map(_seed_payload, [config] * len(seeds), seeds))
-    else:
-        payloads = [_seed_payload(config, seed) for seed in seeds]
+    """Run every repeat seed and write the output files. Returns the manifest.
 
-    tables = ("metrics", "weights", "theorem")
-    lines = {table: [line for payload in payloads for line in payload[table]] for table in tables}
+    Each seed's rows are written into the staged tables as soon as it has
+    run, in seed order; the output directory and the staged files appear
+    only after the first seed has run.
+    """
+    seeds = [config.base_seed + j for j in range(config.seeds)]
     manifest = {
         "version": __version__,
         "preset": config.preset,
         "config": {key: getattr(config, key) for key in CONFIG_SCHEMA},
         "seeds": seeds,
-        "mixture_directions": {
-            str(payload["seed"]): payload["mixture_direction"] for payload in payloads
-        },
+        "mixture_directions": {},
     }
-    _write_outputs(
-        out_dir,
-        [
-            ("metrics.csv", lambda h: _write_csv(h, METRICS_COLUMNS, lines["metrics"])),
-            ("weights.csv", lambda h: _write_csv(h, WEIGHTS_COLUMNS, lines["weights"])),
-            ("theorem.csv", lambda h: _write_csv(h, THEOREM_COLUMNS, lines["theorem"])),
-            ("manifest.json", lambda h: _write_json(h, manifest)),
-        ],
-    )
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and len(seeds) > 1:
+            # A pool starts all its workers at the first submit: one per seed at most.
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(seeds)))
+            records = stack.enter_context(pool).map(_seed_records, [config] * len(seeds), seeds)
+        else:
+            records = map(_seed_records, [config] * len(seeds), seeds)
+        for seed, tables, direction in records:
+            if seed == seeds[0]:
+                files = stack.enter_context(_staged_outputs(out_dir, OUTPUT_FILES))
+                for name, columns, _ in _TABLES:
+                    files[name].write(",".join(columns) + "\n")
+            for (name, _, lines), rows in zip(_TABLES, tables):
+                _write_rows(files[name], lines(seed, rows))
+            manifest["mixture_directions"][str(seed)] = direction
+            del tables  # before the next seed runs
+        json.dump(manifest, files["manifest.json"], indent=2, sort_keys=True)
+        files["manifest.json"].write("\n")
     return manifest
 
 
@@ -506,12 +536,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         run_config(config, out_dir, workers=args.workers)
     except (MeritFedError, OSError, MemoryError) as exc:
-        # The outputs are written only after every seed has run, so a run
-        # that fails, for example on an allocation no memory can hold,
-        # creates no output directory.
+        # A run that fails, for example on an allocation no memory can
+        # hold, leaves no output directory it made and no staged file.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote metrics.csv, weights.csv, theorem.csv, manifest.json to {out_dir}")
+    print(f"wrote {', '.join(OUTPUT_FILES)} to {out_dir}")
     return 0
 
 

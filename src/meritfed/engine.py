@@ -61,6 +61,12 @@ class ExperimentSpec:
         return int(sum(self.group_counts)) + int(self.byzantine_count)
 
     @property
+    def validation_rows(self) -> int:
+        """Rows of the validation set the oracle holds: none for the population loss."""
+        rows_by_mode = {MODE_EXTRA: self.validation_size, MODE_REUSE_TRAIN: self.shard_size, MODE_POPULATION: 0}
+        return rows_by_mode[self.validation_mode]
+
+    @property
     def batch_clients(self) -> int:
         """Clients whose batches a round reads: all but a Byzantine block whose attack reads none."""
         return self.n_clients - (0 if self.attack is None or self.attack.reads_own else self.byzantine_count)
@@ -99,10 +105,8 @@ class ExperimentSpec:
         if self.weight_log_every < 1:
             raise ConfigError("weight_log_every must be >= 1")
         self.task.check(self)
-        rows_by_mode = {MODE_EXTRA: self.validation_size, MODE_REUSE_TRAIN: self.shard_size, MODE_POPULATION: 0}
-        validation_rows = rows_by_mode[self.validation_mode]
         for rule in self.methods:
-            rule.check(self.n_clients, validation_rows)
+            rule.check(self.n_clients, self.validation_rows)
         # Arrays that grow with the config (the task checks its own): a round's
         # gradients, the shards (a batch is never larger), the validation set.
         n, d = self.n_clients, self.dim
@@ -113,7 +117,7 @@ class ExperimentSpec:
             check_indexable((self.validation_size, d))
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class RoundMetrics:
     """State of one method at the start of a round (round == rounds for the final state).
 
@@ -192,6 +196,7 @@ class RunState:
         self.task = dataclasses.replace(spec.task)
         self.task.build(spec)
         self.rules = [dataclasses.replace(rule) for rule in spec.methods]
+        self.stream_tags = [rule.stream_tag(spec.validation_rows) for rule in self.rules]
         self.points = {m.label: self.task.start.copy() for m in spec.methods}
         self.metrics: list[RoundMetrics] = []
         self.weight_rows: list[tuple[int, str, np.ndarray]] = []
@@ -216,15 +221,14 @@ class RunState:
         noise = []
         if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:
             noise = [(streams.ATTACK_NOISE, i, t) for i in range(n - spec.byzantine_count, n)]
-        tags = [rule.stream_tag for rule in self.rules]
-        methods = [(tag, m, t) for m, tag in enumerate(tags) if tag is not None]
+        methods = [(tag, m, t) for m, tag in enumerate(self.stream_tags) if tag is not None]
         rngs = iter(streams.substreams(spec.master_seed, batch + noise + methods))
         rows = [next(rngs).choice(spec.shard_size, spec.batch_size, replace=False) for _ in batch]
         noise_rows = [next(rngs).standard_normal(self.task.model_dim(spec.dim)) for _ in noise]
         return RoundDraws(
             rows=np.array(rows) if batch else None,
             noise=np.array(noise_rows) if noise else None,
-            method_streams=[None if tag is None else next(rngs) for tag in tags],
+            method_streams=[None if tag is None else next(rngs) for tag in self.stream_tags],
         )
 
     def state_metrics(self, label: str, round_index: int, delta: Optional[float]) -> RoundMetrics:

@@ -155,10 +155,9 @@ class MdConfig:
         if self.estimator == ESTIMATOR_ZO and self.minibatch > 0:
             raise MeritFedError(f"zeroth-order estimator takes no minibatch, got {self.minibatch}")
 
-    @property
-    def reads_rng(self) -> bool:
-        """Whether solve_weights needs an rng: only the exact full-set solver draws nothing."""
-        return self.estimator == ESTIMATOR_ZO or self.minibatch > 0
+    def reads_rng(self, validation_rows: int) -> bool:
+        """Whether solve_weights draws directions or rows from its rng on a validation set this size."""
+        return self.estimator == ESTIMATOR_ZO or self.draws_rows(validation_rows)
 
     def draws_rows(self, validation_rows: int) -> bool:
         """Whether a step draws a minibatch from a validation set this size, not the full set."""
@@ -217,7 +216,7 @@ def solve_weights(
     oracle, x, gradients, model_step = obj.loss_oracle, obj.x, obj.gradients, obj.model_step
     if cfg.minibatch > oracle.size:
         raise MeritFedError(f"minibatch {cfg.minibatch} exceeds validation set size {oracle.size}")
-    if cfg.reads_rng and rng is None:
+    if cfg.reads_rng(oracle.size) and rng is None:
         raise MeritFedError(f"{cfg.estimator} solver with minibatch {cfg.minibatch} needs an rng")
     draws_rows = cfg.draws_rows(oracle.size)
     full_set_steps = cfg.estimator == ESTIMATOR_EXACT and not draws_rows

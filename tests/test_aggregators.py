@@ -72,7 +72,7 @@ def sampled_weights(n, k, rng):
 def meritfed_weights(x, g, model_step, md, oracle):
     rule = MeritFed("meritfed-md", model_step, md=md)
     # The exact full-set solver reads no stream, so the engine passes none.
-    assert rule.stream_tag is None
+    assert rule.stream_tag(oracle.size) is None
     return weights(rule, g, x=x, oracle=oracle)
 
 
@@ -198,13 +198,20 @@ class TestStreamTags:
         def md(**kwargs):
             return MdConfig(step_size=1.0, step_count=5, **kwargs)
 
-        assert MeritFed("md", 0.1, md=md()).stream_tag is None
-        assert MeritFed("smd", 0.1, md=md(minibatch=10)).stream_tag == streams.MD
-        assert MeritFed("zo", 0.1, md=md(estimator=ESTIMATOR_ZO)).stream_tag == streams.MD
-        assert FedAvg("fedavg-2", 0.1, sample_count=2).stream_tag == streams.METHOD
+        assert MeritFed("md", 0.1, md=md()).stream_tag(100) is None
+        assert MeritFed("smd", 0.1, md=md(minibatch=10)).stream_tag(100) == streams.MD
+        assert MeritFed("zo", 0.1, md=md(estimator=ESTIMATOR_ZO)).stream_tag(100) == streams.MD
+        assert FedAvg("fedavg-2", 0.1, sample_count=2).stream_tag(100) == streams.METHOD
         ideal = SgdIdeal("sgd-ideal", 0.1, group_size=1)
         for rule in (SgdFull("sgd-full", 0.1), ideal, fedadp(), tawt(1.0)):
-            assert rule.stream_tag is None
+            assert rule.stream_tag(100) is None
+
+    def test_minibatch_of_the_whole_set_reads_no_stream(self):
+        # A minibatch as large as the validation set steps on the full set
+        # and draws no rows, so the rule asks for no stream.
+        md = MdConfig(step_size=1.0, step_count=5, minibatch=100)
+        assert MeritFed("smd", 0.1, md=md).stream_tag(100) is None
+        assert MeritFed("smd", 0.1, md=md).stream_tag(101) == streams.MD
 
 
 class TestAngleMappedWeights:

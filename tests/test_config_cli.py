@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -380,6 +381,26 @@ class TestRunOutputs:
             assert b"\r" not in data
             assert data.endswith(b"\n")
 
+    def test_memory_does_not_grow_with_the_seed_count(self, tmp_path):
+        # Each seed's rows are written as soon as it has run, so three seeds
+        # peak about where one does; holding every seed's rows until the end
+        # doubles the peak at this size.
+        overrides = [
+            "rounds=30", "shard_size=200", "batch_size=20", "validation_size=1000",
+            "weight_log_every=1", "methods=sgd-full,fedavg-5",
+        ]
+        peaks = []
+        for seeds in (1, 3):
+            config = parse_config("", preset="mean-mu-0.1", overrides=overrides + [f"seeds={seeds}"])
+            tracemalloc.start()
+            try:
+                run_config(config, str(tmp_path / f"seeds-{seeds}"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
 
 class TestMainEntryPoint:
     def run_args(self, out_dir, extra=()):
@@ -540,23 +561,55 @@ class TestMainEntryPoint:
         assert main(self.run_args(out)) == 0
         names = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
         before = {name: read_bytes(os.path.join(out, name)) for name in names}
-        write_csv = cli._write_csv
+        write_rows = cli._write_rows
         calls = []
 
-        def failing_third_write(handle, columns, rows):
-            calls.append(columns)
+        def failing_third_write(handle, lines):
+            calls.append(handle.name)
             if len(calls) == 3:
                 handle.write("partial")
                 raise OSError("disk full")
-            write_csv(handle, columns, rows)
+            write_rows(handle, lines)
 
-        monkeypatch.setattr(cli, "_write_csv", failing_third_write)
+        monkeypatch.setattr(cli, "_write_rows", failing_third_write)
         capsys.readouterr()
         assert main(self.run_args(out, extra=["--seed", "5"])) == 1
         assert "disk full" in capsys.readouterr().err
         assert len(calls) == 3
         assert sorted(os.listdir(out)) == sorted(names)
         assert {name: read_bytes(os.path.join(out, name)) for name in names} == before
+
+    @pytest.mark.parametrize("previous", [False, True], ids=["missing-dir", "previous-run"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seed_failing_after_rows_were_written_keeps_outputs(
+        self, tmp_path, monkeypatch, capsys, workers, previous
+    ):
+        # Seeds 0 and 1 have streamed their rows into the staged files when
+        # seed 2 fails. Pool workers are forked with the patched function.
+        out = str(tmp_path / "nested" / "streamed")
+        names = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
+        if previous:
+            assert main(self.run_args(out)) == 0
+        before = {name: read_bytes(os.path.join(out, name)) for name in names} if previous else {}
+        run_experiment = cli.run_experiment
+
+        def fail_seed_two(spec):
+            if spec.master_seed == 2:
+                raise MemoryError("cannot allocate seed 2")
+            return run_experiment(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", fail_seed_two)
+        capsys.readouterr()
+        extra = ["--set", "seeds=3", "--workers", str(workers)]
+        assert main(self.run_args(out, extra=extra)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot allocate seed 2\n"
+        if previous:
+            assert sorted(os.listdir(out)) == sorted(names)
+            assert {name: read_bytes(os.path.join(out, name)) for name in names} == before
+        else:
+            assert os.listdir(tmp_path) == []
+        assert not [name for _, _, files in os.walk(tmp_path) for name in files if name.endswith(".tmp")]
 
     def test_missing_flags_exit_two(self, capsys):
         assert main(["run"]) == 2

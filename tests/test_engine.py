@@ -33,6 +33,8 @@ from meritfed.engine import (
 from meritfed.errors import ConfigError
 from meritfed.simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
 from meritfed.tasks import (
+    MODE_EXTRA,
+    MODE_REUSE_TRAIN,
     MeanTask,
     PopulationMeanOracle,
     SoftmaxTask,
@@ -745,3 +747,16 @@ class TestRoundStreams:
             else:
                 reference = streams.substream(spec.master_seed, tag, m, t)
                 assert rng.bit_generator.state == reference.bit_generator.state, m
+
+    @pytest.mark.parametrize("mode, rows", [(MODE_EXTRA, 200), (MODE_REUSE_TRAIN, 50)])
+    def test_minibatch_of_the_whole_set_opens_no_stream(self, mode, rows):
+        # The solver steps on the full set when its minibatch is the whole
+        # validation set, so no MD stream is derived for it; one row fewer
+        # draws rows from its stream.
+        def method_streams(minibatch):
+            md = MdConfig(step_size=2.0, step_count=3, minibatch=minibatch)
+            spec = small_spec(methods=[MeritFed("smd", 0.01, md=md)], validation_mode=mode)
+            return RunState(spec).round_draws(self.ROUND).method_streams
+
+        assert method_streams(rows) == [None]
+        assert method_streams(rows - 1)[0] is not None

@@ -529,11 +529,28 @@ class TestSolveWeights:
             loss_oracle=oracle,
         )
         cfg = MdConfig(step_size=1.0, step_count=3, **settings)
-        assert cfg.reads_rng
+        assert cfg.reads_rng(oracle.size)
         with pytest.raises(MeritFedError, match="needs an rng") as caught:
             solve_weights(obj, cfg)
         assert type(caught.value) is MeritFedError
         assert oracle.calls == {"evaluate": 0, "value": 0, "gradient_rows": 0}
+
+    def test_minibatch_of_the_whole_set_needs_no_rng(self):
+        # A minibatch as large as the validation set steps on the full set,
+        # draws nothing, and matches the exact solver bit for bit.
+        rng = np.random.default_rng(0)
+        oracle = mean_oracle(rng, 3)
+        obj = WeightObjective(
+            x=rng.standard_normal(3),
+            gradients=rng.standard_normal((5, 3)),
+            model_step=0.3,
+            loss_oracle=oracle,
+        )
+        cfg = MdConfig(step_size=1.0, step_count=3, minibatch=oracle.size)
+        assert not cfg.reads_rng(oracle.size)
+        w, delta = solve_weights(obj, cfg)
+        w_exact, delta_exact = solve_weights(obj, MdConfig(step_size=1.0, step_count=3))
+        assert np.array_equal(w, w_exact) and delta == delta_exact
 
 
 SOLVER_SETTINGS = {
@@ -584,8 +601,8 @@ class TestSolverOracleCalls:
         stream = np.random.default_rng(1)
         before = stream.bit_generator.state
         solve_weights(obj, cfg, stream)
-        assert (stream.bit_generator.state != before) == cfg.reads_rng
-        assert cfg.reads_rng == (settings != SOLVER_SETTINGS["exact"])
+        assert (stream.bit_generator.state != before) == cfg.reads_rng(obj.loss_oracle.size)
+        assert cfg.reads_rng(obj.loss_oracle.size) == (settings != SOLVER_SETTINGS["exact"])
 
 
 class TestSolverMatchesTwoCallLoop:
