@@ -15,9 +15,9 @@ byte-comparable; blank cells mean "not defined for this task or round".
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 import operator
@@ -265,18 +265,6 @@ def parse_config(
     return config
 
 
-def emit_config(config: RunConfig) -> str:
-    """Canonical text form; parse_config(emit_config(c)) equals c."""
-    lines = []
-    if config.preset is not None:
-        lines.append(f"preset = {config.preset}")
-    for key, kind in CONFIG_SCHEMA.items():
-        value = getattr(config, key)
-        text = ",".join(value) if kind is tuple else _format_cell(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
-
-
 def validate_config(config: RunConfig) -> None:
     if config.seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {config.seeds}")
@@ -454,6 +442,8 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     }
     with contextlib.ExitStack() as stack:
         if workers > 1 and len(seeds) > 1:
+            import concurrent.futures  # a serial run never pays for the pool's imports
+
             # A pool starts all its workers at the first submit: one per seed at most.
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(seeds)))
             records = stack.enter_context(pool).map(_seed_records, [config] * len(seeds), seeds)
@@ -544,5 +534,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Process entry point, for `python -m meritfed.cli` and the `meritfed` script."""
+    status = main()
+    # What is left on the heap now, mostly numpy's and this package's module
+    # state, lives until exit anyway, and the collections the interpreter runs
+    # at exit skip frozen objects. main() itself does not freeze: it may run
+    # many times in one process.
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

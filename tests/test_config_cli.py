@@ -4,6 +4,7 @@ Oracles: pinned preset values, byte comparison of rerun outputs, and direct
 replay of written CSV numbers against an in-process run.
 """
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -21,13 +22,13 @@ from meritfed.cli import (
     CONFIG_SCHEMA,
     METRICS_COLUMNS,
     OUT_DIR_ENV,
+    OUTPUT_FILES,
     PRESETS,
     RunConfig,
     THEOREM_COLUMNS,
     WEIGHTS_COLUMNS,
     _method_from_label,
     build_experiment,
-    emit_config,
     main,
     parse_config,
     run_config,
@@ -55,6 +56,30 @@ def tiny_config(extra=()):
 def read_bytes(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def emit_config(config: RunConfig) -> str:
+    """Canonical text form; parse_config(emit_config(c)) equals c."""
+    lines = []
+    if config.preset is not None:
+        lines.append(f"preset = {config.preset}")
+    for key, kind in CONFIG_SCHEMA.items():
+        value = getattr(config, key)
+        text = ",".join(value) if kind is tuple else cli._format_cell(value)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def run_python(args, timeout=120):
+    """Run `python ARGS` in a fresh process with this checkout's package on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 class TestSchema:
@@ -364,7 +389,7 @@ class TestRunOutputs:
             def map(self, fn, *iterables):
                 return list(map(fn, *iterables))
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         serial, pooled = str(tmp_path / "serial"), str(tmp_path / "pooled")
         run_config(tiny_config(), serial, workers=1)
         run_config(tiny_config(), pooled, workers=64)
@@ -478,18 +503,52 @@ class TestMainEntryPoint:
     def test_runs_under_cprofile(self, tmp_path):
         # Under `python -m cProfile -m meritfed.cli` the module runs as
         # __main__ while sys.modules["__main__"] is cProfile's.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         profile = str(tmp_path / "p.prof")
-        command = [sys.executable, "-m", "cProfile", "-o", profile, "-m", "meritfed.cli"]
-        done = subprocess.run(
-            command + ["run", "--list-presets"],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        done = run_python(["-m", "cProfile", "-o", profile, "-m", "meritfed.cli", "run", "--list-presets"])
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == sorted(PRESET_DIGESTS)
+
+    def test_process_entry_writes_what_run_config_writes(self, tmp_path):
+        out = tmp_path / "entry"
+        overrides = ["seeds=1", "rounds=2"]
+        args = ["-m", "meritfed.cli", "run", "--preset", "mean-mu-0.1", "--out", str(out)]
+        done = run_python(args + [arg for item in overrides for arg in ("--set", item)])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"wrote {', '.join(OUTPUT_FILES)} to {out}"
+        in_process = str(tmp_path / "in-process")
+        run_config(parse_config("", preset="mean-mu-0.1", overrides=overrides), in_process)
+        for name in OUTPUT_FILES:
+            assert read_bytes(out / name) == read_bytes(os.path.join(in_process, name)), name
+
+    def test_process_entry_config_error_exit_two(self, tmp_path):
+        out = tmp_path / "bad"
+        done = run_python(
+            ["-m", "meritfed.cli", "run", "--preset", "mean-mu-0.1", "--set", "rounds=x", "--out", str(out)]
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert not out.exists()
+
+    def test_entry_freezes_the_heap_after_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.entry() == 3
+        assert calls == ["main", "freeze"]
+
+    def test_serial_run_imports_no_process_pool(self, tmp_path):
+        # A fresh process: pytest may have imported concurrent.futures already.
+        # One seed is a serial run whatever --workers says.
+        script = "\n".join([
+            "import sys",
+            "from meritfed import cli",
+            "for workers in ('1', '4'):",
+            f"    args = {self.run_args(str(tmp_path / 'serial'))!r} + ['--workers', workers]",
+            "    assert cli.main(args + ['--set', 'seeds=1', '--set', 'rounds=1']) == 0",
+            "    assert 'concurrent.futures' not in sys.modules, workers",
+        ])
+        done = run_python(["-c", script])
+        assert done.returncode == 0, done.stderr
 
     def test_unallocatable_run_exits_one(self, tmp_path, capsys):
         # 150 shards of 1e11 rows in dimension 10 are 1.07 PiB: numpy can
