@@ -275,6 +275,8 @@ def validate_config(config: RunConfig) -> None:
 
 def _method_from_label(label: str, config: RunConfig) -> Rule:
     step = config.model_step
+    if step <= 0.0:  # before the solver step below divides by it
+        raise ConfigError(f"model_step must be positive, got {step}")
     if label.startswith("fedavg-"):
         try:
             count = int(label[len("fedavg-"):])
@@ -319,8 +321,12 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
         task = SoftmaxTask(config.mixing_alpha, config.n_classes, config.test_size)
     else:
         raise ConfigError(f"unknown task {config.task!r}; known: {TASK_MEAN}, {TASK_SOFTMAX}")
-    # AttackSpec checks every attack_* value, with or without attackers.
+    # AttackSpec checks every attack_* value, with or without attackers; the
+    # meritfed-smd and tawt rules check every solver and tawt value, with or
+    # without those methods.
     attack = AttackSpec(**{name: getattr(config, f"attack_{name}") for name in _columns(AttackSpec)})
+    for label in ("meritfed-smd", "tawt"):
+        _method_from_label(label, config)
     return ExperimentSpec(
         methods=[_method_from_label(label, config) for label in config.methods],
         task=task,

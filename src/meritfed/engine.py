@@ -9,6 +9,11 @@ independent of the method, so sampling noise is coupled across methods; the
 colluding attacks run in a second phase after all honest messages of the
 round exist. Per-round metrics, weight trajectories, and convergence-bound
 reports are collected for the output layer.
+
+`RunState` keeps each method's point in `rules` slot order. Every round
+appends exactly one metrics row per method in slot order, and the run one
+final row per method the same way, so slot s's rows are
+`metrics[s::len(rules)]`: the convergence report reads them from there.
 """
 
 from __future__ import annotations
@@ -197,17 +202,14 @@ class RunState:
         self.task.build(spec)
         self.rules = [dataclasses.replace(rule) for rule in spec.methods]
         self.stream_tags = [rule.stream_tag(spec.validation_rows) for rule in self.rules]
-        self.points = {m.label: self.task.start.copy() for m in spec.methods}
+        # Each rule's current point, in the rules' slot order.
+        self.points = [self.task.start.copy() for _ in self.rules]
         self.metrics: list[RoundMetrics] = []
         self.weight_rows: list[tuple[int, str, np.ndarray]] = []
-        self.delta_sums = {m.label: 0.0 for m in spec.methods}
-        n = spec.n_clients
-        self.delta_estimator = (
-            DELTA_ESTIMATOR_GRID
-            if self.task.rate_bounds and n <= MAX_GRID_CLIENTS
-            else DELTA_ESTIMATOR_ITERATE
-        )
-        self._grid = simplex_grid(n, GRID_RESOLUTION) if self.delta_estimator == DELTA_ESTIMATOR_GRID else None
+        # The brute-force simplex grid that replaces the solver's own delta
+        # estimate, for rate-bound tasks with few clients; None otherwise.
+        grid_gap = self.task.rate_bounds and spec.n_clients <= MAX_GRID_CLIENTS
+        self._grid = simplex_grid(spec.n_clients, GRID_RESOLUTION) if grid_gap else None
 
     def round_draws(self, round_index: int) -> RoundDraws:
         """The round's batch rows, attack noise and method streams, from one derivation.
@@ -231,20 +233,15 @@ class RunState:
             method_streams=[None if tag is None else next(rngs) for tag in self.stream_tags],
         )
 
-    def state_metrics(self, label: str, round_index: int, delta: Optional[float]) -> RoundMetrics:
-        x = self.points[label]
+    def state_metrics(self, slot: int, round_index: int, delta: Optional[float]) -> RoundMetrics:
+        x = self.points[slot]
         return RoundMetrics(
             round_index=round_index,
-            method=label,
+            method=self.rules[slot].label,
             val_loss=self.task.oracle.value(x),
             delta=delta,
             **self.task.metric_fields(x),
         )
-
-    def grid_delta(self, objective: WeightObjective, w_returned: np.ndarray) -> float:
-        """Solver gap against the brute-force simplex grid (small client counts)."""
-        grid_best = min(objective.value(w) for w in self._grid)
-        return max(objective.value(w_returned) - grid_best, 0.0)
 
 
 def run_round(state: RunState, round_index: int, observer: Optional[Observer] = None) -> None:
@@ -256,9 +253,8 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
     basis = task.round_basis(draws.rows)
     byzantine = slice(n - spec.byzantine_count, n)
 
-    for rule, rng in zip(state.rules, draws.method_streams):
-        label = rule.label
-        x = state.points[label]
+    for slot, (rule, rng) in enumerate(zip(state.rules, draws.method_streams)):
+        x = state.points[slot]
 
         # Phase 1: what every client would honestly send at this method's point.
         gradients = task.honest_gradients(x, basis)
@@ -277,61 +273,50 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
         # the pre-update point.
         w, delta = rule.weights(x, gradients, task.oracle, rng)
         x_new = apply_update(x, gradients, w, rule.model_step)
-        if delta is not None and state.delta_estimator == DELTA_ESTIMATOR_GRID:
+        if delta is not None and state._grid is not None:
+            # Solver gap against the brute-force simplex grid.
             objective = WeightObjective(
                 x=x, gradients=gradients, model_step=rule.model_step, loss_oracle=task.oracle
             )
-            delta = state.grid_delta(objective, w)
-        if delta is not None:
-            state.delta_sums[label] += delta
-        state.metrics.append(state.state_metrics(label, round_index, delta))
+            delta = max(objective.value(w) - min(map(objective.value, state._grid)), 0.0)
+        state.metrics.append(state.state_metrics(slot, round_index, delta))
         if round_index % spec.weight_log_every == 0 or round_index == spec.rounds - 1:
-            state.weight_rows.append((round_index, label, w.copy()))
+            state.weight_rows.append((round_index, rule.label, w.copy()))
         if observer is not None:
-            observer(round_index, label, x, gradients, w, delta, x_new)
-        state.points[label] = x_new
+            observer(round_index, rule.label, x, gradients, w, delta, x_new)
+        state.points[slot] = x_new
 
 
 def _convergence_report(state: RunState) -> list[ConvergenceRow]:
-    spec = state.spec
+    """One row per method, read from that method's metric rows of rounds 0..T."""
+    spec, rounds = state.spec, state.spec.rounds
     if not state.task.rate_bounds:
         return []
+    estimator = DELTA_ESTIMATOR_ITERATE if state._grid is None else DELTA_ESTIMATOR_GRID
     rows = []
-    sigma_sq = state.task.gradient_variance(spec)
-    group_size = spec.group_counts[0]
-    by_method: dict[str, list[RoundMetrics]] = {m.label: [] for m in spec.methods}
-    for row in state.metrics:
-        by_method[row.method].append(row)
-    for rule in spec.methods:
-        history = sorted(by_method[rule.label], key=lambda r: r.round_index)
-        pre_update = history[: spec.rounds]
-        initial_gap = pre_update[0].loss_gap
-        avg_grad = float(np.mean([r.grad_norm_sq for r in pre_update]))
-        final_gap = history[-1].loss_gap
-        delta_bar = state.delta_sums[rule.label] / spec.rounds
-        bounds = check_convergence_bounds(
-            initial_gap=initial_gap,
-            avg_grad_norm_sq=avg_grad,
-            final_gap=final_gap,
-            rounds=spec.rounds,
-            model_step=rule.model_step,
-            group_size=group_size,
-            sigma_sq=sigma_sq,
-            delta_bar=delta_bar,
+    for slot, rule in enumerate(state.rules):
+        history = state.metrics[slot :: len(state.rules)]
+        # A plain += in round order, a blank as 0: builtin sum compensates
+        # float sums from Python 3.12 on, which would move delta_bar's bits.
+        delta_sum = 0.0
+        for row in history[:rounds]:
+            delta_sum += row.delta or 0.0
+        measured = dict(
+            rounds=rounds,
+            group_size=spec.group_counts[0],
+            sigma_sq=state.task.gradient_variance(spec),
+            delta_bar=delta_sum / rounds,
+            initial_gap=history[0].loss_gap,
+            avg_grad_norm_sq=float(np.mean([row.grad_norm_sq for row in history[:rounds]])),
+            final_gap=history[rounds].loss_gap,
         )
         rows.append(
             ConvergenceRow(
                 method=rule.label,
-                rounds=spec.rounds,
-                group_size=group_size,
-                sigma_sq=sigma_sq,
-                delta_bar=delta_bar,
-                delta_estimator=state.delta_estimator,
-                initial_gap=initial_gap,
-                avg_grad_norm_sq=avg_grad,
-                final_gap=final_gap,
+                delta_estimator=estimator,
                 applies=spec.byzantine_count == 0 or rule.bound_holds_under_attack,
-                **bounds,
+                **measured,
+                **check_convergence_bounds(model_step=rule.model_step, **measured),
             )
         )
     return rows
@@ -344,15 +329,15 @@ def run_experiment(
     state = RunState(spec)
     for t in range(spec.rounds):
         run_round(state, t, observer=observer)
-    for rule in spec.methods:
-        state.metrics.append(state.state_metrics(rule.label, spec.rounds, None))
+    for slot in range(len(state.rules)):
+        state.metrics.append(state.state_metrics(slot, spec.rounds, None))
     return ExperimentResult(
         spec=spec,
         metrics=state.metrics,
         weight_rows=state.weight_rows,
         convergence=_convergence_report(state),
         mixture_direction=state.task.mixture_direction,
-        final_points={label: x.copy() for label, x in state.points.items()},
+        final_points={rule.label: x for rule, x in zip(state.rules, state.points)},
         oracle=state.task.oracle,
         samples=state.task.samples,
     )

@@ -238,6 +238,12 @@ class TestMethodLabels:
         method = _method_from_label("meritfed-md", config)
         assert method.md.step_size == config.md_lr / config.model_step
 
+    def test_model_step_checked_before_solver_step(self):
+        for preset in ("mean-mu-0.1", "softmax-alpha-0.5"):
+            for step in ("0", "-0.5"):
+                with pytest.raises(ConfigError, match=f"model_step must be positive, got {float(step)}"):
+                    parse_config("", preset=preset, overrides=[f"model_step={step}"])
+
     def test_minibatch_only_for_stochastic_variant(self):
         config = parse_config("", preset="mean-mu-0.1")
         assert _method_from_label("meritfed-md", config).md.minibatch == 0
@@ -472,6 +478,16 @@ class TestMainEntryPoint:
             ("mean-mu-0.1", ["attack_z=-5"]),
             ("mean-mu-0.1", ["methods=tawt,sgd-full", "md_lr=-1"]),
             ("mean-mu-0.1", ["methods=tawt,sgd-full", "tawt_step=-1"]),
+            # The solver step is md_lr / model_step: the model step is checked first.
+            ("mean-mu-0.1", ["model_step=0"]),
+            ("softmax-alpha-0.5", ["model_step=0"]),
+            ("mean-mu-0.1", ["model_step=-0.5"]),
+            # Solver and tawt parameters are checked with or without their methods.
+            ("mean-mu-0.1", ["methods=sgd-full", "md_steps=0"]),
+            ("mean-mu-0.1", ["methods=sgd-full", "md_lr=-1"]),
+            ("mean-mu-0.1", ["methods=sgd-full", "md_smoothing=-1"]),
+            ("mean-mu-0.1", ["methods=sgd-full", "smd_minibatch=-1"]),
+            ("mean-mu-0.1", ["methods=sgd-full", "tawt_step=-1"]),
             # A negative master seed has no stream entropy words.
             ("byzantine-rn", ["--seed -1"]),
             ("byzantine-rn", ["base_seed=-3"]),

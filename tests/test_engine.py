@@ -13,6 +13,7 @@ import pytest
 
 from meritfed import streams
 from meritfed.aggregators import FedAdp, FedAvg, MeritFed, SgdFull, SgdIdeal, Tawt
+from meritfed.cli import build_experiment, parse_config
 from meritfed.clients import (
     ATTACK_BIT_FLIP,
     ATTACK_IPM,
@@ -525,6 +526,39 @@ class TestConvergenceReport:
         )
         result = run_experiment(spec)
         assert result.convergence[0].delta_estimator == DELTA_ESTIMATOR_GRID
+
+    @pytest.mark.parametrize(
+        "preset, overrides, blank_delta_methods",
+        [
+            # 8 methods, all but the two solver rules with blank deltas.
+            ("mean-mu-0.1", [], {"sgd-full", "sgd-ideal", "fedadp", "tawt", "fedavg-5", "fedavg-10"}),
+            # 3 clients: the grid-gap delta.
+            (
+                "theorem-mean",
+                ["exact_gradients=true", "validation_mode=population", "group1_count=3"],
+                {"sgd-ideal"},
+            ),
+        ],
+    )
+    def test_report_is_a_function_of_each_methods_metric_rows(self, preset, overrides, blank_delta_methods):
+        config = parse_config("", preset=preset, overrides=["seeds=1", "rounds=12"] + overrides)
+        spec = build_experiment(config)
+        result = run_experiment(spec)
+        rounds, k = spec.rounds, len(spec.methods)
+        assert [row.method for row in result.convergence] == [m.label for m in spec.methods]
+        for slot, report in enumerate(result.convergence):
+            rows = [m for m in result.metrics if m.method == report.method]
+            # The engine appends one row per method per round, in slot order.
+            assert result.metrics[slot::k] == rows
+            assert [m.round_index for m in rows] == list(range(rounds + 1))
+            assert all(m.delta is None for m in rows) == (report.method in blank_delta_methods)
+            delta_sum = 0.0
+            for m in rows[:rounds]:
+                delta_sum += 0.0 if m.delta is None else m.delta
+            assert report.initial_gap == rows[0].loss_gap
+            assert report.final_gap == rows[rounds].loss_gap
+            assert report.avg_grad_norm_sq == np.mean([m.grad_norm_sq for m in rows[:rounds]])
+            assert report.delta_bar == delta_sum / rounds
 
 
 class TestSoftmaxEngine:
