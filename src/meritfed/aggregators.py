@@ -5,9 +5,10 @@ validation objective (`MeritFed`), uniform averaging (`SgdFull`), oracle
 averaging over the first `group_size` clients, the target group
 (`SgdIdeal`), angle-based weighting through a Gompertz mapping (`FedAdp`),
 a one-step multiplicative cosine-similarity heuristic (`Tawt`), and uniform
-random client sampling (`FedAvg`). A rule holds its label, its model step,
-its own constants and its own cross-round state; `weights` maps one round's
-client gradients to a weight vector on the simplex. The similarity rules
+random client sampling (`FedAvg`). A rule holds its label, its own
+constants and its own cross-round state; `weights` maps one round's weight
+problem, a `WeightObjective` built by the engine with the run's model step,
+to a weight vector on the simplex. The similarity rules
 take client 0, which always belongs to the target group, as the reference;
 a zero reference gradient carries no direction, so on it they return their
 previous weights (uniform before their first update) and keep their state.
@@ -28,7 +29,6 @@ from .simplex_opt import (
     MdConfig,
     WeightObjective,
     check_weights,
-    checked_gradient_set,
     entropic_md_step,
     solve_weights,
     uniform_weights,
@@ -39,23 +39,20 @@ from .simplex_opt import (
 class Rule:
     """One compared method; label is its name in metric output (e.g. fedavg-5).
 
-    Each rule defines weights(x, gradients, oracle, rng), returning the
-    round's weight vector and, for solver rules, the solver-accuracy proxy
-    (None otherwise). stream_tag names the one method stream the rule reads
+    Each rule defines weights(objective, rng), returning the round's weight
+    vector and, for solver rules, the solver-accuracy proxy (None
+    otherwise). The objective is the round's weight problem: the point, the
+    client gradient set, the run's model step and the validation oracle.
+    stream_tag names the one method stream the rule reads
     on a validation set of a given size, or is None for a rule that draws
     nothing; the engine passes that stream of the current round as rng, and
     None to a rule that reads no stream.
     """
 
     label: str
-    model_step: float
 
     # Whether the convergence bounds are claimed for this rule under attack.
     bound_holds_under_attack: ClassVar[bool] = False
-
-    def __post_init__(self) -> None:
-        if self.model_step <= 0.0:
-            raise ConfigError(f"{self.label}: model step must be positive")
 
     def check(self, n_clients: int, validation_rows: int) -> None:
         """Reject, before round 0, a run this rule cannot serve."""
@@ -89,10 +86,7 @@ class MeritFed(Rule):
     def reads_validation_rows(self, validation_rows: int) -> bool:
         return self.md.draws_rows(validation_rows)
 
-    def weights(self, x, gradients, oracle, rng):
-        objective = WeightObjective(
-            x=x, gradients=gradients, model_step=self.model_step, loss_oracle=oracle
-        )
+    def weights(self, objective, rng):
         return solve_weights(objective, self.md, rng)
 
 
@@ -100,8 +94,8 @@ class MeritFed(Rule):
 class SgdFull(Rule):
     """Uniform averaging over all clients."""
 
-    def weights(self, x, gradients, oracle, rng):
-        return uniform_weights(gradients.shape[0]), None
+    def weights(self, objective, rng):
+        return uniform_weights(objective.n), None
 
 
 @dataclass
@@ -117,8 +111,8 @@ class SgdIdeal(Rule):
                 f"{self.label}: target group size {self.group_size} out of range for n={n_clients}"
             )
 
-    def weights(self, x, gradients, oracle, rng):
-        w = np.zeros(gradients.shape[0])
+    def weights(self, objective, rng):
+        w = np.zeros(objective.n)
         w[: self.group_size] = 1.0 / self.group_size
         return w, None
 
@@ -175,8 +169,12 @@ class FedAdp(Rule):
     _mean_angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _rounds: int = field(default=0, init=False, repr=False, compare=False)
 
-    def weights(self, x, gradients, oracle, rng):
-        angles = _angles_to_reference(gradients)
+    def __post_init__(self) -> None:
+        if self.alpha <= 0.0:
+            raise ConfigError(f"{self.label}: Gompertz alpha must be positive, got {self.alpha}")
+
+    def weights(self, objective, rng):
+        angles = _angles_to_reference(objective.gradients)
         if angles is not None:
             t = self._rounds + 1
             if self._mean_angles is None:
@@ -185,7 +183,7 @@ class FedAdp(Rule):
                 self._mean_angles = ((t - 1) * self._mean_angles + angles) / t
             self._rounds = t
         if self._mean_angles is None:
-            return uniform_weights(gradients.shape[0]), None
+            return uniform_weights(objective.n), None
         scores = gompertz_map(self._mean_angles, self.alpha)
         expd = np.exp(scores - scores.max())
         return expd / expd.sum(), None
@@ -202,16 +200,15 @@ class Tawt(Rule):
     _current: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.step_size <= 0.0:
             raise ConfigError(
                 f"{self.label}: multiplicative step must be positive, got {self.step_size}"
             )
 
-    def weights(self, x, gradients, oracle, rng):
+    def weights(self, objective, rng):
         if self._current is None:
-            self._current = uniform_weights(gradients.shape[0])
-        angles = _angles_to_reference(gradients)
+            self._current = uniform_weights(objective.n)
+        angles = _angles_to_reference(objective.gradients)
         if angles is not None:
             self._current = entropic_md_step(self._current, -np.cos(angles), self.step_size)
         return self._current, None
@@ -232,18 +229,14 @@ class FedAvg(Rule):
                 f"{self.label}: sample count {self.sample_count} out of range for n={n_clients}"
             )
 
-    def weights(self, x, gradients, oracle, rng):
-        n = gradients.shape[0]
+    def weights(self, objective, rng):
+        n = objective.n
         chosen = rng.choice(n, size=self.sample_count, replace=False)
         w = np.zeros(n)
         w[chosen] = 1.0 / self.sample_count
         return w, None
 
 
-def apply_update(
-    x: np.ndarray, gradients: np.ndarray, w: np.ndarray, model_step: float
-) -> np.ndarray:
-    """Model update x - model_step * sum_i w_i g_i, in fixed client order."""
-    x, gradients = checked_gradient_set(x, gradients)
-    w = check_weights(w, n=gradients.shape[0])
-    return x - model_step * (w @ gradients)
+def apply_update(objective: WeightObjective, w: np.ndarray) -> np.ndarray:
+    """Model update x - model_step * sum_i w_i g_i: the objective's candidate at checked weights."""
+    return objective.candidate(check_weights(w, n=objective.n))

@@ -31,7 +31,7 @@ from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
 from .clients import ATTACK_NONE, AttackSpec
 from .engine import ConvergenceRow, ExperimentSpec, RoundMetrics, run_experiment
 from .errors import ConfigError, MeritFedError
-from .simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
+from .simplex_opt import ESTIMATOR_ZO, MdConfig
 from .tasks import MODE_EXTRA, MeanTask, SoftmaxTask
 
 OUT_DIR_ENV = "MERITFED_OUT_DIR"
@@ -273,44 +273,43 @@ def validate_config(config: RunConfig) -> None:
     build_experiment(config).validate()  # full engine-side validation
 
 
-def _method_from_label(label: str, config: RunConfig) -> Rule:
-    step = config.model_step
-    if step <= 0.0:  # before the solver step below divides by it
-        raise ConfigError(f"model_step must be positive, got {step}")
-    if label.startswith("fedavg-"):
-        try:
-            count = int(label[len("fedavg-"):])
-        except ValueError:
-            raise ConfigError(f"bad fedavg sample count in method label {label!r}") from None
-        return FedAvg(label, step, sample_count=count)
+def _fixed_rules(config: RunConfig) -> dict[str, Rule]:
+    """Every rule of a fixed label, built once from the config, by label.
 
-    def meritfed(estimator: str, minibatch: int) -> MeritFed:
-        # Solver step sizes are quoted per unit of model step, so the
-        # simplex objective sees the same geometry at any model step.
-        md = MdConfig(
-            step_size=config.md_lr / step,
-            step_count=config.md_steps,
-            estimator=estimator,
-            smoothing=config.md_smoothing,
-            minibatch=minibatch,
-        )
-        return MeritFed(label, step, md=md)
+    Building them checks every rule key, whichever methods the config lists.
+    """
+    # The solver step is md_lr / model_step: both are checked before the division.
+    for key in ("model_step", "md_lr"):
+        if getattr(config, key) <= 0.0:
+            raise ConfigError(f"{key} must be positive, got {getattr(config, key)}")
+    # Solver step sizes are quoted per unit of model step, so the simplex
+    # objective sees the same geometry at any model step.
+    md = MdConfig(
+        step_size=config.md_lr / config.model_step, step_count=config.md_steps, smoothing=config.md_smoothing
+    )
+    rules = (
+        MeritFed("meritfed-md", md=md),
+        MeritFed("meritfed-smd", md=dataclasses.replace(md, minibatch=config.smd_minibatch)),
+        MeritFed("meritfed-zo", md=dataclasses.replace(md, estimator=ESTIMATOR_ZO)),
+        SgdFull("sgd-full"),
+        SgdIdeal("sgd-ideal", group_size=config.group1_count),
+        FedAdp("fedadp", alpha=config.fedadp_alpha),
+        Tawt("tawt", step_size=config.tawt_step or config.md_lr),
+    )
+    return {rule.label: rule for rule in rules}
 
-    rules = {
-        "meritfed-md": lambda: meritfed(ESTIMATOR_EXACT, 0),
-        "meritfed-smd": lambda: meritfed(ESTIMATOR_EXACT, config.smd_minibatch),
-        "meritfed-zo": lambda: meritfed(ESTIMATOR_ZO, 0),
-        "sgd-full": lambda: SgdFull(label, step),
-        "sgd-ideal": lambda: SgdIdeal(label, step, group_size=config.group1_count),
-        "fedadp": lambda: FedAdp(label, step, alpha=config.fedadp_alpha),
-        "tawt": lambda: Tawt(
-            label, step, step_size=config.tawt_step if config.tawt_step != 0 else config.md_lr
-        ),
-    }
-    if label not in rules:
+
+def _method_from_label(label: str, rules: dict[str, Rule]) -> Rule:
+    """The rule a method label names: one of the fixed rules, or fedavg-<k>."""
+    if label in rules:
+        return rules[label]
+    if not label.startswith("fedavg-"):
         known = ", ".join(list(rules) + ["fedavg-<k>"])
         raise ConfigError(f"unknown method label {label!r}; known: {known}")
-    return rules[label]()
+    try:
+        return FedAvg(label, sample_count=int(label[len("fedavg-"):]))
+    except ValueError:
+        raise ConfigError(f"bad fedavg sample count in method label {label!r}") from None
 
 
 def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
@@ -321,14 +320,12 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
         task = SoftmaxTask(config.mixing_alpha, config.n_classes, config.test_size)
     else:
         raise ConfigError(f"unknown task {config.task!r}; known: {TASK_MEAN}, {TASK_SOFTMAX}")
-    # AttackSpec checks every attack_* value, with or without attackers; the
-    # meritfed-smd and tawt rules check every solver and tawt value, with or
-    # without those methods.
+    # AttackSpec checks every attack_* value, with or without attackers, as
+    # _fixed_rules checks every rule value, with or without those methods.
     attack = AttackSpec(**{name: getattr(config, f"attack_{name}") for name in _columns(AttackSpec)})
-    for label in ("meritfed-smd", "tawt"):
-        _method_from_label(label, config)
+    rules = _fixed_rules(config)
     return ExperimentSpec(
-        methods=[_method_from_label(label, config) for label in config.methods],
+        methods=[_method_from_label(label, rules) for label in config.methods],
         task=task,
         group_counts=(config.group1_count, config.group2_count, config.group3_count),
         attack=None if attack.kind == ATTACK_NONE else attack,

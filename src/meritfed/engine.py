@@ -7,7 +7,11 @@ the honest gradients and the task's metrics; the engine runs every
 configured method side by side from the task's start point. Per-(client, round) sample draws come from named streams
 independent of the method, so sampling noise is coupled across methods; the
 colluding attacks run in a second phase after all honest messages of the
-round exist. Per-round metrics, weight trajectories, and convergence-bound
+round exist. Each method-round is one `WeightObjective`: the method's point,
+the round's gradient set, the run's model step and the validation oracle.
+The method's rule picks weights for it, the update is its candidate point at
+those weights, and the grid gap, where the run takes one, scores the same
+objective. Per-round metrics, weight trajectories, and convergence-bound
 reports are collected for the output layer.
 
 `RunState` keeps each method's point in `rules` slot order. Every round
@@ -54,6 +58,7 @@ class ExperimentSpec:
     attack: Optional[AttackSpec] = None
     shard_size: int = 1000
     batch_size: int = 100
+    model_step: float = 0.01
     rounds: int = 2000
     validation_size: int = 100000
     validation_mode: str = MODE_EXTRA
@@ -77,6 +82,8 @@ class ExperimentSpec:
         return self.n_clients - (0 if self.attack is None or self.attack.reads_own else self.byzantine_count)
 
     def validate(self) -> None:
+        if not self.model_step > 0.0:
+            raise ConfigError(f"model_step must be positive, got {self.model_step}")
         if self.rounds < 1:
             raise ConfigError(f"round count must be >= 1, got {self.rounds}")
         if self.dim < 1:
@@ -271,13 +278,11 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
 
         # Phase 3: weights, the model update (which checks them), metrics at
         # the pre-update point.
-        w, delta = rule.weights(x, gradients, task.oracle, rng)
-        x_new = apply_update(x, gradients, w, rule.model_step)
+        objective = WeightObjective(x, gradients, spec.model_step, task.oracle)
+        w, delta = rule.weights(objective, rng)
+        x_new = apply_update(objective, w)
         if delta is not None and state._grid is not None:
             # Solver gap against the brute-force simplex grid.
-            objective = WeightObjective(
-                x=x, gradients=gradients, model_step=rule.model_step, loss_oracle=task.oracle
-            )
             delta = max(objective.value(w) - min(map(objective.value, state._grid)), 0.0)
         state.metrics.append(state.state_metrics(slot, round_index, delta))
         if round_index % spec.weight_log_every == 0 or round_index == spec.rounds - 1:
@@ -316,7 +321,7 @@ def _convergence_report(state: RunState) -> list[ConvergenceRow]:
                 delta_estimator=estimator,
                 applies=spec.byzantine_count == 0 or rule.bound_holds_under_attack,
                 **measured,
-                **check_convergence_bounds(model_step=rule.model_step, **measured),
+                **check_convergence_bounds(model_step=spec.model_step, **measured),
             )
         )
     return rows

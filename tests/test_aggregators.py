@@ -27,6 +27,7 @@ from meritfed.aggregators import (
     apply_update,
     gompertz_map,
 )
+from meritfed.engine import ExperimentSpec, run_experiment
 from meritfed.errors import ConfigError, MeritFedError
 from meritfed.simplex_opt import (
     ESTIMATOR_EXACT,
@@ -35,45 +36,45 @@ from meritfed.simplex_opt import (
     WeightObjective,
     uniform_weights,
 )
-from meritfed.tasks import MeanValidationOracle
+from meritfed.tasks import MeanTask, MeanValidationOracle
 
 
-def weights(rule, gradients, x=None, oracle=None, rng=None):
-    """One round of a rule on a gradient set (the point matters only to solver rules)."""
+def weights(rule, gradients, x=None, oracle=None, rng=None, model_step=0.01):
+    """One round of a rule on a gradient set (the point, step and oracle matter only to solver rules)."""
     gradients = np.asarray(gradients, dtype=float)
     x = np.zeros(gradients.shape[1]) if x is None else x
-    return rule.weights(x, gradients, oracle, rng)
+    return rule.weights(WeightObjective(x, gradients, model_step, oracle), rng)
 
 
 def full_weights(n):
-    return weights(SgdFull("sgd-full", 0.01), np.ones((n, 1)))[0]
+    return weights(SgdFull("sgd-full"), np.ones((n, 1)))[0]
 
 
 def ideal_weights(group_size, n):
-    rule = SgdIdeal("sgd-ideal", 0.01, group_size=group_size)
+    rule = SgdIdeal("sgd-ideal", group_size=group_size)
     rule.check(n, 0)
     return weights(rule, np.ones((n, 1)))[0]
 
 
 def fedadp():
-    return FedAdp("fedadp", 0.01, alpha=5.0)
+    return FedAdp("fedadp", alpha=5.0)
 
 
 def tawt(step):
-    return Tawt("tawt", 0.01, step_size=step)
+    return Tawt("tawt", step_size=step)
 
 
 def sampled_weights(n, k, rng):
-    rule = FedAvg(f"fedavg-{k}", 0.01, sample_count=k)
+    rule = FedAvg(f"fedavg-{k}", sample_count=k)
     rule.check(n, 0)
     return weights(rule, np.ones((n, 1)), rng=rng)[0]
 
 
 def meritfed_weights(x, g, model_step, md, oracle):
-    rule = MeritFed("meritfed-md", model_step, md=md)
+    rule = MeritFed("meritfed-md", md=md)
     # The exact full-set solver reads no stream, so the engine passes none.
     assert rule.stream_tag(oracle.size) is None
-    return weights(rule, g, x=x, oracle=oracle)
+    return weights(rule, g, x=x, oracle=oracle, model_step=model_step)
 
 
 class TestFixedRules:
@@ -198,20 +199,20 @@ class TestStreamTags:
         def md(**kwargs):
             return MdConfig(step_size=1.0, step_count=5, **kwargs)
 
-        assert MeritFed("md", 0.1, md=md()).stream_tag(100) is None
-        assert MeritFed("smd", 0.1, md=md(minibatch=10)).stream_tag(100) == streams.MD
-        assert MeritFed("zo", 0.1, md=md(estimator=ESTIMATOR_ZO)).stream_tag(100) == streams.MD
-        assert FedAvg("fedavg-2", 0.1, sample_count=2).stream_tag(100) == streams.METHOD
-        ideal = SgdIdeal("sgd-ideal", 0.1, group_size=1)
-        for rule in (SgdFull("sgd-full", 0.1), ideal, fedadp(), tawt(1.0)):
+        assert MeritFed("md", md=md()).stream_tag(100) is None
+        assert MeritFed("smd", md=md(minibatch=10)).stream_tag(100) == streams.MD
+        assert MeritFed("zo", md=md(estimator=ESTIMATOR_ZO)).stream_tag(100) == streams.MD
+        assert FedAvg("fedavg-2", sample_count=2).stream_tag(100) == streams.METHOD
+        ideal = SgdIdeal("sgd-ideal", group_size=1)
+        for rule in (SgdFull("sgd-full"), ideal, fedadp(), tawt(1.0)):
             assert rule.stream_tag(100) is None
 
     def test_minibatch_of_the_whole_set_reads_no_stream(self):
         # A minibatch as large as the validation set steps on the full set
         # and draws no rows, so the rule asks for no stream.
         md = MdConfig(step_size=1.0, step_count=5, minibatch=100)
-        assert MeritFed("smd", 0.1, md=md).stream_tag(100) is None
-        assert MeritFed("smd", 0.1, md=md).stream_tag(101) == streams.MD
+        assert MeritFed("smd", md=md).stream_tag(100) is None
+        assert MeritFed("smd", md=md).stream_tag(101) == streams.MD
 
 
 class TestAngleMappedWeights:
@@ -456,46 +457,70 @@ class TestMeritFedRule:
             assert obj.value(w) <= obj.value(reference) + delta + 1e-3
 
 
+def update(x, gradients, w, model_step):
+    """apply_update on the round's objective; it is that objective's candidate, bit for bit."""
+    objective = WeightObjective(x, gradients, model_step, None)
+    out = apply_update(objective, w)
+    np.testing.assert_array_equal(out, objective.candidate(w))
+    return out
+
+
 class TestApplyUpdate:
     def test_one_hot_steps_along_single_client(self):
         x = np.array([1.0, 1.0])
         g = np.array([[1.0, 0.0], [0.0, 2.0]])
-        out = apply_update(x, g, np.array([0.0, 1.0]), 0.5)
+        out = update(x, g, np.array([0.0, 1.0]), 0.5)
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_zero_gradients_keep_point(self):
         x = np.array([3.0, -1.0])
-        out = apply_update(x, np.zeros((4, 2)), np.full(4, 0.25), 0.7)
+        out = update(x, np.zeros((4, 2)), np.full(4, 0.25), 0.7)
         np.testing.assert_array_equal(out, x)
 
     def test_uniform_weights_average_like_parallel_sgd(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(3)
         g = rng.standard_normal((5, 3))
-        out = apply_update(x, g, full_weights(5), 0.1)
+        out = update(x, g, full_weights(5), 0.1)
         np.testing.assert_allclose(out, x - 0.1 * g.mean(axis=0), rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
+        # The objective the update reads checks its gradient set once.
         with pytest.raises(MeritFedError, match=r"gradient set shape \(2, 4\) does not match"):
-            apply_update(np.zeros(3), np.zeros((2, 4)), np.array([0.5, 0.5]), 0.1)
+            update(np.zeros(3), np.zeros((2, 4)), np.array([0.5, 0.5]), 0.1)
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(Exception):
-            apply_update(np.zeros(2), np.zeros((2, 2)), np.array([0.9, 0.9]), 0.1)
+            update(np.zeros(2), np.zeros((2, 2)), np.array([0.9, 0.9]), 0.1)
+        with pytest.raises(MeritFedError, match="expected 2 weights, got 3"):
+            update(np.zeros(2), np.zeros((2, 2)), np.full(3, 1.0 / 3.0), 0.1)
 
 
 class TestMethodConfigValidation:
     # Constructor and config-time checks of the rule classes.
 
     def test_ideal_requires_indices(self):
-        rule = SgdIdeal("ideal", 0.01, group_size=0)
+        rule = SgdIdeal("ideal", group_size=0)
         with pytest.raises(ConfigError):
             rule.check(5, 0)
 
     def test_meritfed_requires_md_config(self):
         with pytest.raises(TypeError):
-            MeritFed("mf", 0.01)
+            MeritFed("mf")
 
     def test_nonpositive_model_step_rejected(self):
-        with pytest.raises(ConfigError):
-            SgdFull("full", 0.0)
+        # The run owns the model step: its spec rejects a step that is not
+        # positive before round 0, so no round reaches the observer.
+        rounds = []
+        for step in (0.0, -0.5, float("nan")):
+            spec = ExperimentSpec(methods=[SgdFull("sgd-full")], task=MeanTask(), model_step=step)
+            with pytest.raises(ConfigError, match=f"model_step must be positive, got {step}"):
+                spec.validate()
+            with pytest.raises(ConfigError, match="model_step must be positive"):
+                run_experiment(spec, observer=lambda t, *rest: rounds.append(t))
+        assert rounds == []
+
+    def test_nonpositive_fedadp_alpha_rejected(self):
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ConfigError, match=f"fedadp: Gompertz alpha must be positive, got {alpha}"):
+                FedAdp("fedadp", alpha=alpha)

@@ -20,7 +20,7 @@ from meritfed.tasks import MeanTask
 def honest_spec(**kwargs):
     # One target-group client with a 50-row shard in dimension 4.
     defaults = dict(
-        methods=[SgdFull("sgd-full", 0.01)],
+        methods=[SgdFull("sgd-full")],
         task=MeanTask(),
         dim=4,
         group_counts=(1, 0, 0),

@@ -27,6 +27,7 @@ from meritfed.cli import (
     RunConfig,
     THEOREM_COLUMNS,
     WEIGHTS_COLUMNS,
+    _fixed_rules,
     _method_from_label,
     build_experiment,
     main,
@@ -232,10 +233,22 @@ class TestParsing:
             )
 
 
+def rule_for(label, config):
+    """The rule a method label names, picked from the config's table of fixed rules."""
+    return _method_from_label(label, _fixed_rules(config))
+
+
 class TestMethodLabels:
+    def test_fixed_rules_keyed_by_label(self):
+        rules = _fixed_rules(parse_config("", preset="mean-mu-0.1"))
+        assert list(rules) == [
+            "meritfed-md", "meritfed-smd", "meritfed-zo", "sgd-full", "sgd-ideal", "fedadp", "tawt"
+        ]
+        assert all(rule.label == label for label, rule in rules.items())
+
     def test_solver_step_is_quoted_per_unit_of_model_step(self):
         config = parse_config("", preset="mean-mu-0.1")
-        method = _method_from_label("meritfed-md", config)
+        method = rule_for("meritfed-md", config)
         assert method.md.step_size == config.md_lr / config.model_step
 
     def test_model_step_checked_before_solver_step(self):
@@ -244,34 +257,40 @@ class TestMethodLabels:
                 with pytest.raises(ConfigError, match=f"model_step must be positive, got {float(step)}"):
                     parse_config("", preset=preset, overrides=[f"model_step={step}"])
 
+    def test_md_lr_checked_before_solver_step(self):
+        # md_lr is named with the value given, not as the solver step it divides into.
+        for rate in ("0", "-1"):
+            with pytest.raises(ConfigError, match=f"md_lr must be positive, got {float(rate)}"):
+                parse_config("", preset="mean-mu-0.1", overrides=[f"md_lr={rate}"])
+
     def test_minibatch_only_for_stochastic_variant(self):
         config = parse_config("", preset="mean-mu-0.1")
-        assert _method_from_label("meritfed-md", config).md.minibatch == 0
-        assert _method_from_label("meritfed-smd", config).md.minibatch == config.smd_minibatch
-        assert _method_from_label("meritfed-zo", config).md.estimator == "zeroth-order"
+        assert rule_for("meritfed-md", config).md.minibatch == 0
+        assert rule_for("meritfed-smd", config).md.minibatch == config.smd_minibatch
+        assert rule_for("meritfed-zo", config).md.estimator == "zeroth-order"
 
     def test_oracle_set_is_target_group(self):
         config = parse_config("", preset="mean-mu-0.1")
-        method = _method_from_label("sgd-ideal", config)
+        method = rule_for("sgd-ideal", config)
         assert method.group_size == 5
 
     def test_sampled_count_from_suffix(self):
         config = parse_config("", preset="mean-mu-0.1")
-        assert _method_from_label("fedavg-7", config).sample_count == 7
+        assert rule_for("fedavg-7", config).sample_count == 7
         with pytest.raises(ConfigError, match="bad fedavg sample count"):
-            _method_from_label("fedavg-seven", config)
+            rule_for("fedavg-seven", config)
 
     def test_unknown_label_rejected(self):
         config = parse_config("", preset="mean-mu-0.1")
         with pytest.raises(ConfigError, match="unknown method label"):
-            _method_from_label("krum", config)
+            rule_for("krum", config)
 
     def test_tawt_step_falls_back_to_solver_rate(self):
         config = parse_config("", preset="mean-mu-0.1")
         assert config.tawt_step == 0.0
-        assert _method_from_label("tawt", config).step_size == config.md_lr
+        assert rule_for("tawt", config).step_size == config.md_lr
         custom = dataclasses.replace(config, tawt_step=2.5)
-        assert _method_from_label("tawt", custom).step_size == 2.5
+        assert rule_for("tawt", custom).step_size == 2.5
 
 
 class TestBuildExperiment:
@@ -488,6 +507,9 @@ class TestMainEntryPoint:
             ("mean-mu-0.1", ["methods=sgd-full", "md_smoothing=-1"]),
             ("mean-mu-0.1", ["methods=sgd-full", "smd_minibatch=-1"]),
             ("mean-mu-0.1", ["methods=sgd-full", "tawt_step=-1"]),
+            # fedadp's Gompertz alpha must be positive; 0 would make it sgd-full.
+            ("mean-mu-0.1", ["methods=fedadp", "fedadp_alpha=-1"]),
+            ("mean-mu-0.1", ["methods=sgd-full", "fedadp_alpha=0"]),
             # A negative master seed has no stream entropy words.
             ("byzantine-rn", ["--seed -1"]),
             ("byzantine-rn", ["base_seed=-3"]),

@@ -44,17 +44,17 @@ from meritfed.tasks import (
 )
 
 
-def full_method(step=0.01, label="sgd-full"):
-    return SgdFull(label, step)
+def full_method(label="sgd-full"):
+    return SgdFull(label)
 
 
-def ideal_method(group_size, step=0.01, label="sgd-ideal"):
-    return SgdIdeal(label, step, group_size=group_size)
+def ideal_method(group_size, label="sgd-ideal"):
+    return SgdIdeal(label, group_size=group_size)
 
 
-def meritfed_method(step=0.01, label="meritfed-md", md_steps=30, md_step_size=2.0):
+def meritfed_method(label="meritfed-md", md_steps=30, md_step_size=2.0):
     md = MdConfig(step_size=md_step_size, step_count=md_steps, estimator=ESTIMATOR_EXACT)
-    return MeritFed(label, step, md=md)
+    return MeritFed(label, md=md)
 
 
 def small_spec(**kwargs):
@@ -76,7 +76,8 @@ def small_spec(**kwargs):
 def softmax_spec(**kwargs):
     # Five clients with 60-row shards, 12 features and 10 classes.
     defaults = dict(
-        methods=[full_method(step=0.05)],
+        methods=[full_method()],
+        model_step=0.05,
         task=SoftmaxTask(test_size=100),
         dim=12,
         group_counts=(1, 2, 2),
@@ -182,7 +183,8 @@ class TestExactGradientTrajectories:
         # is (1 - 2*step)^T * ones exactly.
         step, rounds = 0.01, 40
         spec = small_spec(
-            methods=[full_method(step=step)],
+            methods=[full_method()],
+            model_step=step,
             group_counts=(4, 0, 0),
             exact_gradients=True,
             rounds=rounds,
@@ -197,7 +199,8 @@ class TestExactGradientTrajectories:
         # trajectory is the same contraction regardless of groups 2 and 3.
         step, rounds = 0.05, 10
         spec = small_spec(
-            methods=[ideal_method(2, step=step)],
+            methods=[ideal_method(2)],
+            model_step=step,
             group_counts=(2, 5, 3),
             exact_gradients=True,
             rounds=rounds,
@@ -212,7 +215,8 @@ class TestExactGradientTrajectories:
         # where cbar is the mean of the client centers.
         step = 0.1
         spec = small_spec(
-            methods=[full_method(step=step)],
+            methods=[full_method()],
+            model_step=step,
             group_counts=(1, 0, 1),
             exact_gradients=True,
             rounds=1,
@@ -235,7 +239,7 @@ class TestStochasticReplay:
         # Rebuild the round from the result's samples and the shared batch
         # streams; the engine's update must match exactly.
         step = 0.02
-        spec = small_spec(methods=[full_method(step=step)], rounds=1)
+        spec = small_spec(methods=[full_method()], model_step=step, rounds=1)
         result = run_experiment(spec)
         n = spec.n_clients
         x0 = np.ones(spec.dim)
@@ -252,7 +256,7 @@ class TestStochasticReplay:
         # that client's shard.
         step, rounds = 0.05, 8
         spec = small_spec(
-            methods=[ideal_method(1, step=step)], group_counts=(1, 2, 1), rounds=rounds
+            methods=[ideal_method(1)], model_step=step, group_counts=(1, 2, 1), rounds=rounds
         )
         result = run_experiment(spec)
         x = np.ones(spec.dim)
@@ -283,9 +287,9 @@ class TestDeterminismAndCoupling:
         # second run of the very same spec object starts from fresh state.
         spec = small_spec(
             methods=[
-                FedAdp("fedadp", 0.01),
-                Tawt("tawt", 0.01, step_size=3.5),
-                FedAvg("fedavg-2", 0.01, sample_count=2),
+                FedAdp("fedadp"),
+                Tawt("tawt", step_size=3.5),
+                FedAvg("fedavg-2", sample_count=2),
                 meritfed_method(),
             ]
         )
@@ -302,7 +306,7 @@ class TestDeterminismAndCoupling:
     def test_softmax_spec_reruns_identically(self):
         # The run's data lives in a copy of the spec's task, so a second run
         # of the same spec rebuilds it and the spec's task stays empty.
-        spec = softmax_spec(methods=[full_method(step=0.05), meritfed_method(step=0.05)])
+        spec = softmax_spec(methods=[full_method(), meritfed_method()])
         r1 = run_experiment(spec)
         r2 = run_experiment(spec)
         assert r1.metrics == r2.metrics
@@ -352,7 +356,7 @@ class TestObserverAndDominance:
         def observer(t, label, x_before, gradients, w, delta, x_after):
             seen.append((t, label, x_before.copy(), gradients.copy(), w.copy(), delta, x_after.copy()))
 
-        spec = small_spec(methods=[full_method(step=0.03)], rounds=4)
+        spec = small_spec(methods=[full_method()], model_step=0.03, rounds=4)
         run_experiment(spec, observer=observer)
         assert [t for t, *_ in seen] == [0, 1, 2, 3]
         for t, label, x_before, gradients, w, delta, x_after in seen:
@@ -378,7 +382,8 @@ class TestObserverAndDominance:
 
         step = 0.05
         spec = small_spec(
-            methods=[meritfed_method(step=step, md_steps=25)],
+            methods=[meritfed_method(md_steps=25)],
+            model_step=step,
             group_counts=(2, 1, 0),
             rounds=6,
             validation_mode=MODE_POPULATION,
@@ -484,7 +489,8 @@ class TestConvergenceReport:
         # round-off.
         step, rounds = 0.01, 50
         spec = small_spec(
-            methods=[full_method(step=step)],
+            methods=[full_method()],
+            model_step=step,
             group_counts=(5, 0, 0),
             exact_gradients=True,
             rounds=rounds,
@@ -563,7 +569,7 @@ class TestConvergenceReport:
 
 class TestSoftmaxEngine:
     def test_run_completes_with_accuracy_metrics(self):
-        spec = softmax_spec(methods=[full_method(step=0.05), ideal_method(1, step=0.05)])
+        spec = softmax_spec(methods=[full_method(), ideal_method(1)])
         result = run_experiment(spec)
         assert result.mixture_direction is None
         assert result.convergence == []
@@ -576,7 +582,8 @@ class TestSoftmaxEngine:
 
     def test_softmax_training_reduces_validation_loss(self):
         spec = softmax_spec(
-            methods=[ideal_method(1, step=0.1)],
+            methods=[ideal_method(1)],
+            model_step=0.1,
             group_counts=(1, 0, 0),
             shard_size=200,
             batch_size=50,
@@ -708,14 +715,14 @@ class TestRoundStreams:
     def spec(self):
         md = MdConfig(step_size=2.0, step_count=3, estimator=ESTIMATOR_EXACT)
         methods = [
-            MeritFed("meritfed-md", 0.01, md=md),
-            MeritFed("meritfed-smd", 0.01, md=dataclasses.replace(md, minibatch=20)),
-            MeritFed("meritfed-zo", 0.01, md=dataclasses.replace(md, estimator=ESTIMATOR_ZO)),
+            MeritFed("meritfed-md", md=md),
+            MeritFed("meritfed-smd", md=dataclasses.replace(md, minibatch=20)),
+            MeritFed("meritfed-zo", md=dataclasses.replace(md, estimator=ESTIMATOR_ZO)),
             full_method(),
-            FedAdp("fedadp", 0.01),
-            Tawt("tawt", 0.01, step_size=1.0),
-            FedAvg("fedavg-1", 0.01, sample_count=1),
-            FedAvg("fedavg-3", 0.01, sample_count=3),
+            FedAdp("fedadp"),
+            Tawt("tawt", step_size=1.0),
+            FedAvg("fedavg-1", sample_count=1),
+            FedAvg("fedavg-3", sample_count=3),
         ]
         attack = AttackSpec(kind=ATTACK_RANDOM_NOISE)
         return small_spec(methods=methods, byzantine_count=2, attack=attack)
@@ -789,7 +796,7 @@ class TestRoundStreams:
         # draws rows from its stream.
         def method_streams(minibatch):
             md = MdConfig(step_size=2.0, step_count=3, minibatch=minibatch)
-            spec = small_spec(methods=[MeritFed("smd", 0.01, md=md)], validation_mode=mode)
+            spec = small_spec(methods=[MeritFed("smd", md=md)], validation_mode=mode)
             return RunState(spec).round_draws(self.ROUND).method_streams
 
         assert method_streams(rows) == [None]

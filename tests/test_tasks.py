@@ -78,7 +78,7 @@ class TestMeanGrad:
         np.testing.assert_array_equal(mean_grad(batch.mean(axis=0), batch), np.zeros(2))
 
     def test_empty_batch_rejected(self):
-        spec = ExperimentSpec(methods=[SgdFull("sgd-full", 0.01)], task=MeanTask(), batch_size=0)
+        spec = ExperimentSpec(methods=[SgdFull("sgd-full")], task=MeanTask(), batch_size=0)
         with pytest.raises(ConfigError, match="batch size 0"):
             spec.validate()
 
@@ -508,7 +508,7 @@ class TestSoftmaxGeneration:
 
     def test_too_few_features_rejected(self):
         # Class centers sit on distinct feature axes.
-        spec = ExperimentSpec(methods=[SgdFull("sgd-full", 0.05)], task=SoftmaxTask(), dim=4)
+        spec = ExperimentSpec(methods=[SgdFull("sgd-full")], model_step=0.05, task=SoftmaxTask(), dim=4)
         with pytest.raises(ConfigError, match="n_classes <= dim=4, got n_classes=10"):
             spec.validate()
 
@@ -782,7 +782,7 @@ class TestSoftmaxOracle:
 
         def spec(task=None, **kwargs):
             task = task or SoftmaxTask()
-            return ExperimentSpec(methods=[SgdFull("sgd-full", 0.05)], task=task, **kwargs)
+            return ExperimentSpec(methods=[SgdFull("sgd-full")], model_step=0.05, task=task, **kwargs)
 
         spec().validate()
         rejected = [
