@@ -24,7 +24,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, MeritFedError
+from .errors import ConfigError
 from .simplex_opt import (
     MdConfig,
     WeightObjective,
@@ -117,17 +117,6 @@ class SgdIdeal(Rule):
         return w, None
 
 
-def angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between two nonzero vectors in radians, in [0, pi]."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise MeritFedError("angle against a zero vector is undefined")
-    cos = float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
-    return float(np.arccos(cos))
-
-
 def gompertz_map(xi: np.ndarray, alpha: float) -> np.ndarray:
     """Decreasing angle-to-score mapping alpha * (1 - exp(-exp(-alpha * xi)))."""
     return alpha * (1.0 - np.exp(-np.exp(-alpha * np.asarray(xi, dtype=float))))
@@ -138,13 +127,13 @@ def _angles_to_reference(gradients: np.ndarray) -> Optional[np.ndarray]:
 
     A zero client gradient counts as orthogonal to the reference: its cos
     stays 0, and arccos(0) is pi/2. For a C-contiguous set, as the engine
-    passes, this is bit for bit `angle(gradients[0], g)` of each nonzero
-    row g. The dot products and squared norms are two stacked
-    (1, d) @ (d, 1) matmuls: numpy runs each member of the stack through
-    the same BLAS `ddot` that the 1-D `g0 @ g` calls, so each sum keeps its
-    order. The matrix-vector product `gradients @ g0` goes to `dgemv`
-    instead, which sums in another order and rounds differently. The clip
-    and arccos run once over all rows.
+    passes, each nonzero row g gets bit for bit the per-pair angle
+    arccos(clip(g0 @ g / (|g0| |g|), -1, 1)) to g0 = gradients[0]. The dot
+    products and squared norms are two stacked (1, d) @ (d, 1) matmuls:
+    numpy runs each member of the stack through the same BLAS `ddot` that
+    the 1-D `g0 @ g` calls, so each sum keeps its order. The matrix-vector
+    product `gradients @ g0` goes to `dgemv` instead, which sums in another
+    order and rounds differently. The clip and arccos run once over all rows.
     """
     rows = gradients[:, None, :]
     dots = (rows @ gradients[0][:, None])[:, 0, 0]

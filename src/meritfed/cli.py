@@ -228,15 +228,15 @@ def parse_config(
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key == "preset":
-            file_preset = raw.strip()
-            continue
-        if key not in CONFIG_SCHEMA:
+        if key != "preset" and key not in CONFIG_SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        values[key] = _parse_value(key, raw, f"line {lineno}")
+        if key == "preset":
+            file_preset = raw.strip()
+        else:
+            values[key] = _parse_value(key, raw, f"line {lineno}")
 
     preset_name = preset if preset is not None else file_preset
     if preset_name is not None:
@@ -328,7 +328,7 @@ def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
         methods=[_method_from_label(label, rules) for label in config.methods],
         task=task,
         group_counts=(config.group1_count, config.group2_count, config.group3_count),
-        attack=None if attack.kind == ATTACK_NONE else attack,
+        attack=attack,
         master_seed=master_seed,
         **{name: getattr(config, name) for name in _SPEC_FIELDS_FROM_CONFIG},
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-ATTACK_NONE = "none"  # no Byzantine block; the attack parameters are still checked
+ATTACK_NONE = "none"  # the default, for a run without attackers; its parameters are still checked
 ATTACK_BIT_FLIP = "bit-flip"
 ATTACK_RANDOM_NOISE = "random-noise"
 ATTACK_IPM = "ipm"

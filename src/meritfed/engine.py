@@ -23,14 +23,14 @@ final row per method the same way, so slot s's rows are
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import streams
 from .aggregators import Rule, apply_update
-from .clients import ATTACK_ALIE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
+from .clients import ATTACK_ALIE, ATTACK_NONE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
 from .errors import ConfigError, NumericInputError
 from .simplex_opt import WeightObjective, simplex_grid
 from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, Task
@@ -55,7 +55,7 @@ class ExperimentSpec:
     dim: int = 10
     group_counts: tuple[int, int, int] = (5, 95, 50)
     byzantine_count: int = 0
-    attack: Optional[AttackSpec] = None
+    attack: AttackSpec = field(default_factory=lambda: AttackSpec(ATTACK_NONE))
     shard_size: int = 1000
     batch_size: int = 100
     model_step: float = 0.01
@@ -79,7 +79,7 @@ class ExperimentSpec:
     @property
     def batch_clients(self) -> int:
         """Clients whose batches a round reads: all but a Byzantine block whose attack reads none."""
-        return self.n_clients - (0 if self.attack is None or self.attack.reads_own else self.byzantine_count)
+        return self.n_clients - (0 if self.attack.reads_own else self.byzantine_count)
 
     def validate(self) -> None:
         if not self.model_step > 0.0:
@@ -88,6 +88,10 @@ class ExperimentSpec:
             raise ConfigError(f"round count must be >= 1, got {self.rounds}")
         if self.dim < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dim}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
+        if len(self.group_counts) != 3:
+            raise ConfigError(f"expected three group counts, got {self.group_counts}")
         if any(c < 0 for c in self.group_counts):
             raise ConfigError(f"group counts must be nonnegative, got {self.group_counts}")
         if self.group_counts[0] < 1:
@@ -95,8 +99,8 @@ class ExperimentSpec:
         if self.byzantine_count < 0:
             raise ConfigError(f"byzantine count must be >= 0, got {self.byzantine_count}")
         if self.byzantine_count > 0:
-            if self.attack is None:
-                raise ConfigError("byzantine clients need an attack spec")
+            if self.attack.kind == ATTACK_NONE:
+                raise ConfigError("byzantine clients need an attack other than none")
             if self.attack.kind == ATTACK_ALIE and self.group_counts[0] < 2:
                 raise ConfigError("alie needs at least two clients in the target group")
         if not self.methods:

@@ -72,36 +72,6 @@ def entropic_md_step(w: np.ndarray, g: np.ndarray, step_size: float) -> np.ndarr
     return z
 
 
-def checked_gradient_set(
-    x: np.ndarray, gradients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A point and its (n, d) client gradient set as float arrays of agreeing dimension."""
-    x = np.asarray(x, dtype=float)
-    gradients = np.asarray(gradients, dtype=float)
-    if gradients.ndim != 2 or gradients.shape[1] != x.shape[0]:
-        raise MeritFedError(
-            f"gradient set shape {gradients.shape} does not match point dimension {x.shape[0]}"
-        )
-    return x, gradients
-
-
-def weight_gradient_exact(
-    x: np.ndarray,
-    gradients: np.ndarray,
-    model_step: float,
-    val_grad: Callable[[np.ndarray], np.ndarray],
-    w: np.ndarray,
-) -> np.ndarray:
-    """Exact gradient of w -> f_hat(x - model_step * sum_i w_i g_i).
-
-    By the chain rule the i-th component is
-    -model_step * <g_i, grad f_hat(candidate)>.
-    """
-    x, gradients = checked_gradient_set(x, gradients)
-    candidate = x - model_step * (np.asarray(w, dtype=float) @ gradients)
-    return -model_step * (gradients @ np.asarray(val_grad(candidate), dtype=float))
-
-
 def zo_two_point_estimate(
     objective: Callable[[np.ndarray], float],
     w: np.ndarray,
@@ -179,7 +149,12 @@ class WeightObjective:
     loss_oracle: object
 
     def __post_init__(self) -> None:
-        self.x, self.gradients = checked_gradient_set(self.x, self.gradients)
+        x = self.x = np.asarray(self.x, dtype=float)
+        gradients = self.gradients = np.asarray(self.gradients, dtype=float)
+        if gradients.ndim != 2 or gradients.shape[1] != x.shape[0]:
+            raise MeritFedError(
+                f"gradient set shape {gradients.shape} does not match point dimension {x.shape[0]}"
+            )
         if self.model_step <= 0.0:
             raise MeritFedError(f"model_step must be positive, got {self.model_step}")
 
@@ -190,8 +165,29 @@ class WeightObjective:
     def candidate(self, w: np.ndarray) -> np.ndarray:
         return self.x - self.model_step * (np.asarray(w, dtype=float) @ self.gradients)
 
+    def weight_gradient(self, val_grad: np.ndarray) -> np.ndarray:
+        """The chain rule in w: -model_step * <g_i, val_grad> for the gradient at a candidate."""
+        return -self.model_step * (self.gradients @ val_grad)
+
     def value(self, w: np.ndarray) -> float:
         return float(self.loss_oracle.evaluate(self.candidate(w))[0])
+
+
+def weight_gradient_exact(
+    x: np.ndarray,
+    gradients: np.ndarray,
+    model_step: float,
+    val_grad: Callable[[np.ndarray], np.ndarray],
+    w: np.ndarray,
+) -> np.ndarray:
+    """Exact gradient of w -> f_hat(x - model_step * sum_i w_i g_i).
+
+    By the chain rule the i-th component is
+    -model_step * <g_i, grad f_hat(candidate)>: the objective's
+    weight_gradient at its candidate(w).
+    """
+    obj = WeightObjective(x, gradients, model_step, loss_oracle=None)
+    return obj.weight_gradient(np.asarray(val_grad(obj.candidate(w)), dtype=float))
 
 
 def solve_weights(
@@ -213,7 +209,7 @@ def solve_weights(
     cfg.minibatch rows drawn from rng without replacement. The bound and the
     rng are checked before any call.
     """
-    oracle, x, gradients, model_step = obj.loss_oracle, obj.x, obj.gradients, obj.model_step
+    oracle = obj.loss_oracle
     if cfg.minibatch > oracle.size:
         raise MeritFedError(f"minibatch {cfg.minibatch} exceeds validation set size {oracle.size}")
     if cfg.reads_rng(oracle.size) and rng is None:
@@ -223,8 +219,7 @@ def solve_weights(
     score = oracle.evaluate if full_set_steps else lambda point: (oracle.value(point), None)
     probe = lambda v: oracle.value(obj.candidate(v))
     w = uniform_weights(obj.n)
-    # WeightObjective.candidate and weight_gradient_exact's chain rule, inline.
-    best_w, point = w, x - model_step * (w @ gradients)
+    best_w, point = w, obj.candidate(w)
     best_value, val_grad = score(point)
     last_value = best_value
     for _ in range(cfg.step_count):
@@ -235,9 +230,9 @@ def solve_weights(
             if draws_rows:
                 rows = rng.choice(oracle.size, size=cfg.minibatch, replace=False)
                 val_grad = oracle.gradient_rows(point, rows)
-            g = -model_step * (gradients @ val_grad)
+            g = obj.weight_gradient(val_grad)
         w = entropic_md_step(w, g, cfg.step_size)
-        point = x - model_step * (w @ gradients)
+        point = obj.candidate(w)
         last_value, val_grad = score(point)
         if last_value < best_value:
             best_value = last_value

@@ -225,17 +225,6 @@ class SoftmaxRows:
         return np.mean(np.subtract(norm, picked, out=picked).reshape(s, m), axis=1)
 
 
-def softmax_loss_grad(
-    theta: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of a linear softmax classifier and its exact gradient.
-
-    theta has shape (n_classes, feature_dim); the gradient has the same shape.
-    """
-    theta = np.asarray(theta, dtype=float)
-    return SoftmaxRows(features, labels, len(theta)).loss_grad(theta)
-
-
 def softmax_accuracy(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of samples whose argmax logit matches the label."""
     logits = np.atleast_2d(features) @ np.asarray(theta, dtype=float).T

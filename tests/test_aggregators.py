@@ -23,7 +23,6 @@ from meritfed.aggregators import (
     SgdIdeal,
     Tawt,
     _angles_to_reference,
-    angle,
     apply_update,
     gompertz_map,
 )
@@ -104,6 +103,17 @@ class TestFixedRules:
             ideal_weights(0, 5)
         with pytest.raises(ConfigError):
             ideal_weights(6, 5)
+
+
+def angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Angle between two nonzero vectors in radians, in [0, pi]: the per-pair reference."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise MeritFedError("angle against a zero vector is undefined")
+    cos = float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
+    return float(np.arccos(cos))
 
 
 class TestAngle:

@@ -174,6 +174,9 @@ class TestParsing:
         text = "rounds = 5\nrounds = 6\n"
         with pytest.raises(ConfigError, match="line 2: duplicate key 'rounds'"):
             parse_config(text, preset="mean-mu-0.1")
+        text = "preset = mean-mu-0.1\nrounds = 5\npreset = byzantine-rn\n"
+        with pytest.raises(ConfigError, match=r"line 3: duplicate key 'preset' \(first set on line 1\)"):
+            parse_config(text)
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError, match="line 1: bad value for 'rounds'"):
@@ -300,7 +303,7 @@ class TestBuildExperiment:
         assert spec.group_counts == (2, 1, 1)
         assert spec.master_seed == 42
         assert spec.rounds == 3
-        assert spec.attack is None
+        assert spec.attack.kind == "none"
         assert [m.label for m in spec.methods] == ["meritfed-md", "sgd-full"]
 
     def test_attack_built_only_with_byzantine_clients(self):

@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meritfed import streams
 from meritfed.aggregators import FedAdp, FedAvg, MeritFed, SgdFull, SgdIdeal, Tawt
@@ -18,6 +20,7 @@ from meritfed.clients import (
     ATTACK_BIT_FLIP,
     ATTACK_IPM,
     ATTACK_KINDS,
+    ATTACK_NONE,
     ATTACK_RANDOM_NOISE,
     AttackSpec,
 )
@@ -38,9 +41,9 @@ from meritfed.tasks import (
     MODE_REUSE_TRAIN,
     MeanTask,
     PopulationMeanOracle,
+    SoftmaxRows,
     SoftmaxTask,
     check_convergence_bounds,
-    softmax_loss_grad,
 )
 
 
@@ -153,6 +156,19 @@ class TestSpecValidation:
     def test_byzantine_without_attack_rejected(self):
         with pytest.raises(ConfigError):
             small_spec(byzantine_count=3).validate()
+        # "none" is the default attack, and never falls through to alie.
+        assert small_spec().attack == AttackSpec(ATTACK_NONE)
+        with pytest.raises(ConfigError, match="need an attack other than none"):
+            small_spec(byzantine_count=2, attack=AttackSpec(ATTACK_NONE)).validate()
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ConfigError, match="master seed must be >= 0"):
+            small_spec(master_seed=-1).validate()
+
+    @pytest.mark.parametrize("group_counts", [(5, 95), (2, 1, 1, 1), ()])
+    def test_group_counts_other_than_three_rejected(self, group_counts):
+        with pytest.raises(ConfigError, match="expected three group counts"):
+            small_spec(group_counts=group_counts).validate()
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError):
@@ -174,6 +190,47 @@ class TestSpecValidation:
     def test_no_methods_rejected(self):
         with pytest.raises(ConfigError):
             small_spec(methods=[]).validate()
+
+
+SMALL_RULES = st.sampled_from([
+    full_method(),
+    FedAdp("fedadp"),
+    Tawt("tawt", step_size=1.0),
+    MeritFed("meritfed-md", md=MdConfig(step_size=2.0, step_count=3)),
+    MeritFed("meritfed-zo", md=MdConfig(step_size=2.0, step_count=3, estimator=ESTIMATOR_ZO)),
+]) | st.builds(
+    lambda k: MeritFed("meritfed-smd", md=MdConfig(step_size=2.0, step_count=3, minibatch=k)),
+    st.integers(0, 8),
+) | st.builds(lambda k: SgdIdeal("sgd-ideal", group_size=k), st.integers(-1, 3)) | st.builds(
+    lambda k: FedAvg(f"fedavg-{k}", sample_count=k), st.integers(-1, 3)
+)
+
+
+class TestSmallSpecsRunOrRaiseConfigError:
+    """Every small spec either runs a round or is rejected with ConfigError before round 0."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        methods=st.lists(SMALL_RULES, min_size=0, max_size=3),
+        task=st.sampled_from([MeanTask(), SoftmaxTask(n_classes=3, test_size=5)]),
+        dim=st.integers(0, 12),
+        group_counts=st.lists(st.integers(-1, 3), min_size=0, max_size=4).map(tuple),
+        byzantine_count=st.integers(-1, 3),
+        attack=st.sampled_from((ATTACK_NONE,) + ATTACK_KINDS).map(AttackSpec),
+        shard_size=st.integers(0, 8),
+        batch_size=st.integers(0, 8),
+        rounds=st.integers(0, 2),
+        validation_size=st.integers(0, 20),
+        validation_mode=st.sampled_from([MODE_EXTRA, MODE_REUSE_TRAIN, MODE_POPULATION]),
+        exact_gradients=st.booleans(),
+        master_seed=st.integers(-1, 3),
+    )
+    def test_round_zero_runs_or_config_error(self, **fields):
+        try:
+            state = RunState(ExperimentSpec(**fields))
+        except ConfigError:
+            return
+        run_round(state, 0)
 
 
 class TestExactGradientTrajectories:
@@ -673,7 +730,7 @@ class TestRoundDrawsMatchPerClientLoop:
         theta = x.reshape(state.task.n_classes, -1)
         for t in (0, 2):
             expected = [
-                softmax_loss_grad(theta, samples[rows], labels[rows])[1].ravel()
+                SoftmaxRows(samples[rows], labels[rows], len(theta)).loss_grad(theta)[1].ravel()
                 for samples, labels, rows in zip(
                     state.task.samples, state.task.labels, per_client_rows(state.spec, t)
                 )

@@ -34,7 +34,6 @@ from meritfed.tasks import (
     pairwise_row_sums,
     softmax_accuracy,
     softmax_class_centers,
-    softmax_loss_grad,
     softmax_task_generate,
 )
 
@@ -532,6 +531,15 @@ class TestSoftmaxGeneration:
         assert validation[0].shape == (40, 10) and nothing is None
         for a, b in zip((features, labels, *test), (bare_features, bare_labels, *bare_test)):
             np.testing.assert_array_equal(a, b)
+
+
+def softmax_loss_grad(theta, features, labels):
+    """Mean cross-entropy of a linear softmax classifier and its gradient, by one `SoftmaxRows`.
+
+    theta has shape (n_classes, feature_dim); the gradient has the same shape.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return SoftmaxRows(features, labels, len(theta)).loss_grad(theta)
 
 
 def reference_softmax_loss_grad(theta, features, labels):
