@@ -24,7 +24,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import streams
-from .errors import ConfigError
+from .errors import ConfigError, PositiveFloat, check_fields
 from .simplex_opt import (
     MdConfig,
     WeightObjective,
@@ -53,6 +53,8 @@ class Rule:
 
     # Whether the convergence bounds are claimed for this rule under attack.
     bound_holds_under_attack: ClassVar[bool] = False
+
+    __post_init__ = check_fields  # every rule checks its fields when it is built
 
     def check(self, n_clients: int, validation_rows: int) -> None:
         """Reject, before round 0, a run this rule cannot serve."""
@@ -154,13 +156,9 @@ class FedAdp(Rule):
     angles.
     """
 
-    alpha: float = 5.0
+    alpha: PositiveFloat = 5.0
     _mean_angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _rounds: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ConfigError(f"{self.label}: Gompertz alpha must be positive, got {self.alpha}")
 
     def weights(self, objective, rng):
         angles = _angles_to_reference(objective.gradients)
@@ -185,14 +183,8 @@ class Tawt(Rule):
     Weights persist across rounds, starting uniform.
     """
 
-    step_size: float
+    step_size: PositiveFloat
     _current: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.step_size <= 0.0:
-            raise ConfigError(
-                f"{self.label}: multiplicative step must be positive, got {self.step_size}"
-            )
 
     def weights(self, objective, rng):
         if self._current is None:

@@ -19,20 +19,20 @@ import contextlib
 import dataclasses
 import gc
 import json
-import math
 import operator
 import os
 import sys
+import typing
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Literal, Optional
 
 from . import __version__
 from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
-from .clients import ATTACK_NONE, AttackSpec
+from .clients import ATTACK_NONE, AttackKind, AttackSpec
 from .engine import ConvergenceRow, ExperimentSpec, RoundMetrics, run_experiment
-from .errors import ConfigError, MeritFedError
+from .errors import ConfigError, Count, MeritFedError, PositiveFloat, PositiveInt, check_fields
 from .simplex_opt import ESTIMATOR_ZO, MdConfig
-from .tasks import MODE_EXTRA, MeanTask, SoftmaxTask
+from .tasks import MeanTask, SoftmaxTask, ValidationMode
 
 OUT_DIR_ENV = "MERITFED_OUT_DIR"
 DEFAULT_OUT_DIR = "runs"
@@ -43,35 +43,36 @@ TASK_SOFTMAX = "softmax"
 
 @dataclass
 class RunConfig:
-    """Validated flat configuration, one field per schema key.
+    """Flat configuration, one field per schema key, checked against its hints at construction.
 
-    The defaults are the `mean-mu-0.1` preset; every other preset names only
-    the keys where it differs from them.
+    The defaults are the `mean-mu-0.1` preset, each read from the library class
+    that has it; every other preset names only the keys where it differs.
     """
 
-    task: str = TASK_MEAN
-    dim: int = 10
-    group1_count: int = 5
-    group2_count: int = 95
-    group3_count: int = 50
-    byzantine_count: int = 0
-    attack_kind: str = ATTACK_NONE
-    attack_sigma: float = 1.0
-    attack_epsilon: float = 0.1
-    attack_z: float = 100.0
-    attack_shift_sign: int = -1
-    group2_shift: float = 0.1
-    shard_size: int = 1000
-    batch_size: int = 100
-    model_step: float = 0.01
-    rounds: int = 2000
-    validation_size: int = 100000
-    validation_mode: str = MODE_EXTRA
-    exact_gradients: bool = False
-    weight_log_every: int = 10
-    mixing_alpha: float = 0.5
-    n_classes: int = 10
-    test_size: int = 4000
+    task: Literal[TASK_MEAN, TASK_SOFTMAX] = TASK_MEAN
+    dim: int = ExperimentSpec.dim
+    group1_count: int = ExperimentSpec.group_counts[0]
+    group2_count: int = ExperimentSpec.group_counts[1]
+    group3_count: int = ExperimentSpec.group_counts[2]
+    byzantine_count: int = ExperimentSpec.byzantine_count
+    attack_kind: AttackKind = ATTACK_NONE
+    attack_sigma: float = AttackSpec.sigma
+    attack_epsilon: float = AttackSpec.epsilon
+    attack_z: float = AttackSpec.z
+    attack_shift_sign: int = AttackSpec.shift_sign
+    group2_shift: float = MeanTask.group2_shift
+    shard_size: int = ExperimentSpec.shard_size
+    batch_size: int = ExperimentSpec.batch_size
+    # The solver step is md_lr / model_step: both are checked before the division.
+    model_step: PositiveFloat = ExperimentSpec.model_step
+    rounds: int = ExperimentSpec.rounds
+    validation_size: int = ExperimentSpec.validation_size
+    validation_mode: ValidationMode = ExperimentSpec.validation_mode
+    exact_gradients: bool = ExperimentSpec.exact_gradients
+    weight_log_every: int = 10  # the one default unlike the library's, 1: a CLI run logs every 10th round
+    mixing_alpha: float = SoftmaxTask.mixing_alpha
+    n_classes: int = SoftmaxTask.n_classes
+    test_size: int = SoftmaxTask.test_size
     methods: tuple = (
         "meritfed-md",
         "meritfed-smd",
@@ -83,21 +84,22 @@ class RunConfig:
         "fedavg-10",
     )
     md_steps: int = 50
-    md_lr: float = 12.5
-    md_smoothing: float = 1e-4
+    md_lr: PositiveFloat = 12.5
+    md_smoothing: float = MdConfig.smoothing
     smd_minibatch: int = 100
-    fedadp_alpha: float = 5.0
+    fedadp_alpha: float = FedAdp.alpha
     tawt_step: float = 0.0
-    seeds: int = 3
-    base_seed: int = 0
+    seeds: PositiveInt = 3
+    base_seed: Count = 0
     preset: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        check_fields(self, prefix="")  # a message names the key
 
-# Configuration schema: key -> python type, one key per RunConfig field.
-# Every key is required in a preset-free config file.
-CONFIG_SCHEMA = {
-    field.name: field.type for field in dataclasses.fields(RunConfig) if field.name != "preset"
-}
+
+# Configuration schema: key -> python type (a Literal for a key with choices),
+# one key per RunConfig field. Every key is required in a preset-free config file.
+CONFIG_SCHEMA = {name: kind for name, kind in typing.get_type_hints(RunConfig).items() if name != "preset"}
 
 
 def _columns(record_type) -> tuple[str, ...]:
@@ -192,15 +194,9 @@ def _parse_value(key: str, raw: str, where: str) -> object:
         if kind is int:
             return int(text)
         if kind is float:
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError(f"expected a finite number, got {text!r}")
-            return value
+            return float(text)  # RunConfig rejects a value that is not finite
         if kind is tuple:
-            parts = tuple(p.strip() for p in text.split(",") if p.strip())
-            if not parts:
-                raise ValueError("expected a comma-separated method list")
-            return parts
+            return tuple(p.strip() for p in text.split(",") if p.strip())
         return text
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
@@ -261,16 +257,8 @@ def parse_config(
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
     config = RunConfig(preset=preset_name, **values)
-    validate_config(config)
-    return config
-
-
-def validate_config(config: RunConfig) -> None:
-    if config.seeds < 1:
-        raise ConfigError(f"seeds must be >= 1, got {config.seeds}")
-    if config.base_seed < 0:
-        raise ConfigError(f"base_seed must be >= 0, got {config.base_seed}")
     build_experiment(config).validate()  # full engine-side validation
+    return config
 
 
 def _fixed_rules(config: RunConfig) -> dict[str, Rule]:
@@ -278,10 +266,6 @@ def _fixed_rules(config: RunConfig) -> dict[str, Rule]:
 
     Building them checks every rule key, whichever methods the config lists.
     """
-    # The solver step is md_lr / model_step: both are checked before the division.
-    for key in ("model_step", "md_lr"):
-        if getattr(config, key) <= 0.0:
-            raise ConfigError(f"{key} must be positive, got {getattr(config, key)}")
     # Solver step sizes are quoted per unit of model step, so the simplex
     # objective sees the same geometry at any model step.
     md = MdConfig(
@@ -314,19 +298,16 @@ def _method_from_label(label: str, rules: dict[str, Rule]) -> Rule:
 
 def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
     """Expand the flat config into an engine spec for one seed (checked by spec.validate)."""
-    if config.task == TASK_MEAN:
-        task = MeanTask(group2_shift=config.group2_shift)
-    elif config.task == TASK_SOFTMAX:
-        task = SoftmaxTask(config.mixing_alpha, config.n_classes, config.test_size)
-    else:
-        raise ConfigError(f"unknown task {config.task!r}; known: {TASK_MEAN}, {TASK_SOFTMAX}")
-    # AttackSpec checks every attack_* value, with or without attackers, as
-    # _fixed_rules checks every rule value, with or without those methods.
+    # Both tasks are built: each object checks its keys when built, so every key is checked whatever the task.
+    tasks = {
+        TASK_MEAN: MeanTask(group2_shift=config.group2_shift),
+        TASK_SOFTMAX: SoftmaxTask(config.mixing_alpha, config.n_classes, config.test_size),
+    }
     attack = AttackSpec(**{name: getattr(config, f"attack_{name}") for name in _columns(AttackSpec)})
     rules = _fixed_rules(config)
     return ExperimentSpec(
         methods=[_method_from_label(label, rules) for label in config.methods],
-        task=task,
+        task=tasks[config.task],
         group_counts=(config.group1_count, config.group2_count, config.group3_count),
         attack=attack,
         master_seed=master_seed,

@@ -11,11 +11,11 @@ after all honest messages exist; the engine enforces that two-phase order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import PositiveFloat, check_fields
 
 ATTACK_NONE = "none"  # the default, for a run without attackers; its parameters are still checked
 ATTACK_BIT_FLIP = "bit-flip"
@@ -24,30 +24,20 @@ ATTACK_IPM = "ipm"
 ATTACK_ALIE = "alie"
 
 ATTACK_KINDS = (ATTACK_BIT_FLIP, ATTACK_RANDOM_NOISE, ATTACK_IPM, ATTACK_ALIE)
+AttackKind = Literal[(ATTACK_NONE, *ATTACK_KINDS)]
 
 
 @dataclass
 class AttackSpec:
-    """Byzantine behavior and its parameters."""
+    """Byzantine behavior and its parameters, checked at construction."""
 
-    kind: str
-    sigma: float = 1.0  # random-noise scale
-    epsilon: float = 0.1  # inner-product manipulation scale
-    z: float = 100.0  # mean-shift multiplier in standard deviations
-    shift_sign: int = -1  # mean-shift direction; -1 shifts against the mean
+    kind: AttackKind
+    sigma: Annotated[float, ">= 0"] = 1.0  # random-noise scale
+    epsilon: PositiveFloat = 0.1  # inner-product manipulation scale
+    z: PositiveFloat = 100.0  # mean-shift multiplier in standard deviations
+    shift_sign: Literal[-1, 1] = -1  # mean-shift direction; -1 shifts against the mean
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ATTACK_NONE,) + ATTACK_KINDS:
-            known = ", ".join((ATTACK_NONE,) + ATTACK_KINDS)
-            raise ConfigError(f"unknown attack_kind {self.kind!r}; known: {known}")
-        if self.sigma < 0.0:
-            raise ConfigError(f"noise scale must be >= 0, got {self.sigma}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"manipulation scale must be > 0, got {self.epsilon}")
-        if self.z <= 0.0:
-            raise ConfigError(f"shift multiplier must be > 0, got {self.z}")
-        if self.shift_sign not in (-1, 1):
-            raise ConfigError(f"shift sign must be -1 or 1, got {self.shift_sign}")
+    __post_init__ = check_fields
 
     @property
     def reads_own(self) -> bool:

@@ -31,9 +31,9 @@ import numpy as np
 from . import streams
 from .aggregators import Rule, apply_update
 from .clients import ATTACK_ALIE, ATTACK_NONE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
-from .errors import ConfigError, NumericInputError
+from .errors import ConfigError, Count, NumericInputError, PositiveFloat, PositiveInt, check_fields
 from .simplex_opt import WeightObjective, simplex_grid
-from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, Task
+from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, Task, ValidationMode
 from .tasks import check_convergence_bounds, check_indexable
 
 DELTA_ESTIMATOR_ITERATE = "iterate-gap"
@@ -52,19 +52,20 @@ class ExperimentSpec:
 
     methods: list[Rule]
     task: Task
-    dim: int = 10
-    group_counts: tuple[int, int, int] = (5, 95, 50)
-    byzantine_count: int = 0
+    dim: PositiveInt = 10
+    # The target group needs at least one honest client.
+    group_counts: tuple[PositiveInt, Count, Count] = (5, 95, 50)
+    byzantine_count: Count = 0
     attack: AttackSpec = field(default_factory=lambda: AttackSpec(ATTACK_NONE))
     shard_size: int = 1000
-    batch_size: int = 100
-    model_step: float = 0.01
-    rounds: int = 2000
+    batch_size: PositiveInt = 100
+    model_step: PositiveFloat = 0.01
+    rounds: PositiveInt = 2000
     validation_size: int = 100000
-    validation_mode: str = MODE_EXTRA
+    validation_mode: ValidationMode = MODE_EXTRA
     exact_gradients: bool = False
-    master_seed: int = 0
-    weight_log_every: int = 1
+    master_seed: Count = 0
+    weight_log_every: PositiveInt = 1
 
     @property
     def n_clients(self) -> int:
@@ -82,22 +83,8 @@ class ExperimentSpec:
         return self.n_clients - (0 if self.attack.reads_own else self.byzantine_count)
 
     def validate(self) -> None:
-        if not self.model_step > 0.0:
-            raise ConfigError(f"model_step must be positive, got {self.model_step}")
-        if self.rounds < 1:
-            raise ConfigError(f"round count must be >= 1, got {self.rounds}")
-        if self.dim < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dim}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
-        if len(self.group_counts) != 3:
-            raise ConfigError(f"expected three group counts, got {self.group_counts}")
-        if any(c < 0 for c in self.group_counts):
-            raise ConfigError(f"group counts must be nonnegative, got {self.group_counts}")
-        if self.group_counts[0] < 1:
-            raise ConfigError("the target group needs at least one honest client")
-        if self.byzantine_count < 0:
-            raise ConfigError(f"byzantine count must be >= 0, got {self.byzantine_count}")
+        """Check every field against its hint, the attack, task and rules included, then across fields."""
+        check_fields(self)
         if self.byzantine_count > 0:
             if self.attack.kind == ATTACK_NONE:
                 raise ConfigError("byzantine clients need an attack other than none")
@@ -108,18 +95,12 @@ class ExperimentSpec:
         labels = [m.label for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate method labels in {labels}")
-        if not 1 <= self.batch_size <= self.shard_size:
-            raise ConfigError(
-                f"batch size {self.batch_size} out of range for shard size {self.shard_size}"
-            )
-        if self.validation_mode not in (MODE_EXTRA, MODE_REUSE_TRAIN, MODE_POPULATION):
-            raise ConfigError(f"unknown validation mode {self.validation_mode!r}")
+        if self.batch_size > self.shard_size:
+            raise ConfigError(f"batch size {self.batch_size} exceeds shard size {self.shard_size}")
         if self.validation_mode == MODE_EXTRA and self.validation_size < 1:
             raise ConfigError("extra-validation mode needs validation_size >= 1")
         if self.validation_mode == MODE_REUSE_TRAIN and self.exact_gradients:
             raise ConfigError("reuse-train validation needs realized shards")
-        if self.weight_log_every < 1:
-            raise ConfigError("weight_log_every must be >= 1")
         self.task.check(self)
         for rule in self.methods:
             rule.check(self.n_clients, self.validation_rows)

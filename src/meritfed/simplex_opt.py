@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from .errors import MeritFedError, NumericInputError
+from .errors import Count, MeritFedError, NumericInputError, PositiveFloat, PositiveInt, check_fields
 from .streams import unit_sphere_vector
 
 SIMPLEX_SUM_TOL = 1e-9
@@ -105,23 +105,14 @@ class MdConfig:
     zeroth-order directions from the rng it is given.
     """
 
-    step_size: float
-    step_count: int
-    estimator: str = ESTIMATOR_EXACT
-    smoothing: float = 1e-4
-    minibatch: int = 0
+    step_size: PositiveFloat
+    step_count: PositiveInt
+    estimator: Literal[ESTIMATOR_EXACT, ESTIMATOR_ZO] = ESTIMATOR_EXACT
+    smoothing: PositiveFloat = 1e-4
+    minibatch: Count = 0
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0.0:
-            raise MeritFedError(f"step_size must be positive, got {self.step_size}")
-        if self.step_count < 1:
-            raise MeritFedError(f"step_count must be >= 1, got {self.step_count}")
-        if self.smoothing <= 0.0:
-            raise MeritFedError(f"smoothing must be positive, got {self.smoothing}")
-        if self.estimator not in (ESTIMATOR_EXACT, ESTIMATOR_ZO):
-            raise MeritFedError(f"unknown estimator {self.estimator!r}")
-        if self.minibatch < 0:
-            raise MeritFedError(f"minibatch must be >= 0, got {self.minibatch}")
+        check_fields(self)
         if self.estimator == ESTIMATOR_ZO and self.minibatch > 0:
             raise MeritFedError(f"zeroth-order estimator takes no minibatch, got {self.minibatch}")
 

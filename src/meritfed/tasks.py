@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import Annotated, ClassVar, Literal, Optional
 
 import numpy as np
 
-from .errors import ConfigError, MeritFedError
+from .errors import ConfigError, MeritFedError, PositiveInt, check_fields
 from . import streams
 
 MODE_EXTRA = "extra-validation"
 MODE_REUSE_TRAIN = "reuse-train"
 MODE_POPULATION = "population"
+ValidationMode = Literal[MODE_EXTRA, MODE_REUSE_TRAIN, MODE_POPULATION]
 
 # Softmax class layout: clients see target classes, an alpha-mixture of target
 # and mixed-in classes, or disjoint classes only.
@@ -415,6 +416,8 @@ class Task:
     mixture_direction: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     rate_bounds: ClassVar[bool] = False  # the closed-form rate bounds and the grid gap apply
 
+    __post_init__ = check_fields  # every task checks its settings when it is built
+
     def check(self, spec) -> None:
         """Reject, before round 0, a run spec this task cannot serve."""
 
@@ -499,23 +502,19 @@ class SoftmaxTask(Task):
     both; accuracy is measured on a held-out target-distribution test set.
     """
 
-    mixing_alpha: float = 0.5
-    n_classes: int = 10
-    test_size: int = 4000
+    mixing_alpha: Annotated[float, "in (0, 1]"] = 0.5
+    n_classes: PositiveInt = 10
+    test_size: PositiveInt = 4000
     labels: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     test_set: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def check(self, spec) -> None:
         if spec.exact_gradients:
             raise ConfigError("exact gradients are only defined for the mean task")
-        if not 0.0 < self.mixing_alpha <= 1.0:
-            raise ConfigError(f"mixing fraction must lie in (0, 1], got {self.mixing_alpha}")
         if spec.validation_mode == MODE_POPULATION:
             raise ConfigError("population validation is only defined for the mean task")
         if spec.byzantine_count > 0:
             raise ConfigError("byzantine clients are supported on the mean task only")
-        if self.test_size < 1:
-            raise ConfigError(f"softmax task needs test_size >= 1, got {self.test_size}")
         # Group 2 mixes in classes up to max(MIXED_CLASSES); group 3 draws the
         # classes beyond them; class centers sit on distinct feature axes.
         if spec.group_counts[2] > 0:

@@ -522,15 +522,15 @@ class TestMethodConfigValidation:
         # The run owns the model step: its spec rejects a step that is not
         # positive before round 0, so no round reaches the observer.
         rounds = []
-        for step in (0.0, -0.5, float("nan")):
+        for step, expected in ((0.0, "positive"), (-0.5, "positive"), (float("nan"), "a finite number")):
             spec = ExperimentSpec(methods=[SgdFull("sgd-full")], task=MeanTask(), model_step=step)
-            with pytest.raises(ConfigError, match=f"model_step must be positive, got {step}"):
+            with pytest.raises(ConfigError, match=f"model_step must be {expected}, got {step}"):
                 spec.validate()
-            with pytest.raises(ConfigError, match="model_step must be positive"):
+            with pytest.raises(ConfigError, match=f"model_step must be {expected}"):
                 run_experiment(spec, observer=lambda t, *rest: rounds.append(t))
         assert rounds == []
 
     def test_nonpositive_fedadp_alpha_rejected(self):
         for alpha in (0.0, -1.0):
-            with pytest.raises(ConfigError, match=f"fedadp: Gompertz alpha must be positive, got {alpha}"):
+            with pytest.raises(ConfigError, match=f"fedadp: alpha must be positive, got {alpha}"):
                 FedAdp("fedadp", alpha=alpha)

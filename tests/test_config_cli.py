@@ -5,17 +5,23 @@ replay of written CSV numbers against an in-process run.
 """
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meritfed import cli
 from meritfed.cli import (
@@ -228,7 +234,7 @@ class TestParsing:
             parse_config("", preset="mean-mu-0.1", overrides=["byzantine_count=5"])
         with pytest.raises(ConfigError):
             parse_config("", preset="mean-mu-0.1", overrides=["batch_size=5000"])
-        with pytest.raises(ConfigError, match="unknown attack_kind"):
+        with pytest.raises(ConfigError, match="attack_kind must be one of .*, got 'mirror'"):
             parse_config(
                 "",
                 preset="byzantine-bf",
@@ -493,6 +499,10 @@ class TestMainEntryPoint:
             ("softmax-alpha-0.5", ["n_classes=20"]),
             ("softmax-alpha-0.5", ["n_classes=6"]),
             ("softmax-alpha-0.5", ["test_size=0"]),
+            # Softmax keys are checked whatever the task.
+            ("mean-mu-0.1", ["test_size=0"]),
+            ("mean-mu-0.1", ["n_classes=0"]),
+            ("mean-mu-0.1", ["mixing_alpha=0"]),
             ("byzantine-alie", ["group1_count=1"]),
             # Attack parameters are checked with or without attackers.
             ("mean-mu-0.1", ["attack_sigma=-1"]),
@@ -758,3 +768,49 @@ class TestMainEntryPoint:
             assert read_bytes(os.path.join(dir_a, name)) == read_bytes(
                 os.path.join(dir_b, name)
             ), name
+
+
+# Small bases for the fuzz test, so that no drawn value makes a run large:
+# every count, size and step count below is drawn from at most 12.
+FUZZ_BASES = {
+    "mean-mu-0.1": ["group1_count=2", "group2_count=1", "group3_count=1", "shard_size=12", "batch_size=4",
+                    "validation_size=30", "methods=meritfed-md,sgd-full,fedadp", "md_steps=3"],
+    "softmax-alpha-0.5": ["group1_count=1", "group2_count=1", "group3_count=1", "shard_size=12", "batch_size=4",
+                          "validation_size=30", "test_size=30", "md_steps=3"],
+    "byzantine-rn": ["byzantine_count=3", "shard_size=12", "batch_size=4", "validation_size=30", "md_steps=3"],
+}
+FUZZ_VALUES = st.integers(-2, 12).map(str) | st.sampled_from([
+    "0.5", "1e-3", "-0.5", "1.5", "nan", "inf", "-inf", "true", "false", "x", "", ",",
+    "mean", "softmax", "population", "reuse-train", "extra-validation", "none", "bit-flip", "random-noise",
+    "ipm", "alie", "sgd-full", "sgd-ideal,fedavg-2", "meritfed-zo,meritfed-smd,tawt", "fedavg-x", "fedavg-99",
+])
+
+
+class TestCommandLineFuzz:
+    """Any --set keys and values: a run, or one config error line (exit 2), or one error line (exit 1)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        preset=st.sampled_from(sorted(FUZZ_BASES)),
+        changes=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_SCHEMA)), FUZZ_VALUES), min_size=0, max_size=3),
+    )
+    def test_three_outcomes(self, preset, changes):
+        out_dir = tempfile.mkdtemp()
+        out = os.path.join(out_dir, "run")
+        args = ["run", "--preset", preset, "--out", out]
+        for item in ["seeds=1", "rounds=2"] + FUZZ_BASES[preset] + [f"{k}={v}" for k, v in changes]:
+            args += ["--set", item]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # a diverging run may overflow first
+                status = main(args)
+            lines = stderr.getvalue().splitlines()
+            if status == 0:
+                assert lines == [] and os.path.exists(os.path.join(out, "metrics.csv")), changes
+            else:
+                prefix = {2: "config error: ", 1: "error: "}[status]
+                assert len(lines) == 1 and lines[0].startswith(prefix), (changes, lines)
+                assert not os.path.exists(out), changes
+        finally:
+            shutil.rmtree(out_dir)

@@ -7,6 +7,7 @@ arithmetic for the rate-bound evaluator.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -162,12 +163,13 @@ class TestSpecValidation:
             small_spec(byzantine_count=2, attack=AttackSpec(ATTACK_NONE)).validate()
 
     def test_negative_master_seed_rejected(self):
-        with pytest.raises(ConfigError, match="master seed must be >= 0"):
+        with pytest.raises(ConfigError, match="master_seed must be >= 0, got -1"):
             small_spec(master_seed=-1).validate()
 
     @pytest.mark.parametrize("group_counts", [(5, 95), (2, 1, 1, 1), ()])
     def test_group_counts_other_than_three_rejected(self, group_counts):
-        with pytest.raises(ConfigError, match="expected three group counts"):
+        message = f"group_counts must be a tuple of 3 values, got {group_counts}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             small_spec(group_counts=group_counts).validate()
 
     def test_duplicate_labels_rejected(self):
@@ -192,18 +194,29 @@ class TestSpecValidation:
             small_spec(methods=[]).validate()
 
 
+def small_ints(low, high):
+    """An int field's values: Python or numpy integers in [low, high]."""
+    return st.integers(low, high) | st.integers(low, high).map(np.int64)
+
+
 SMALL_RULES = st.sampled_from([
     full_method(),
     FedAdp("fedadp"),
+    FedAdp("fedadp", alpha=2),
     Tawt("tawt", step_size=1.0),
     MeritFed("meritfed-md", md=MdConfig(step_size=2.0, step_count=3)),
-    MeritFed("meritfed-zo", md=MdConfig(step_size=2.0, step_count=3, estimator=ESTIMATOR_ZO)),
+    MeritFed("meritfed-zo", md=MdConfig(step_size=2, step_count=np.int64(3), estimator=ESTIMATOR_ZO)),
 ]) | st.builds(
     lambda k: MeritFed("meritfed-smd", md=MdConfig(step_size=2.0, step_count=3, minibatch=k)),
-    st.integers(0, 8),
-) | st.builds(lambda k: SgdIdeal("sgd-ideal", group_size=k), st.integers(-1, 3)) | st.builds(
-    lambda k: FedAvg(f"fedavg-{k}", sample_count=k), st.integers(-1, 3)
+    small_ints(0, 8),
+) | st.builds(lambda k: SgdIdeal("sgd-ideal", group_size=k), small_ints(-1, 3)) | st.builds(
+    lambda k: FedAvg(f"fedavg-{k}", sample_count=k), small_ints(-1, 3)
 )
+
+# Values of another type than most fields' hints; one of them may replace
+# one field of a drawn spec.
+ODD_VALUES = [None, "1", 1.5, True, float("nan"), float("inf"), 10**400, [], (1, 1, 1), object(), MeanTask()]
+SPEC_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec)]
 
 
 class TestSmallSpecsRunOrRaiseConfigError:
@@ -212,20 +225,28 @@ class TestSmallSpecsRunOrRaiseConfigError:
     @settings(max_examples=400, deadline=None)
     @given(
         methods=st.lists(SMALL_RULES, min_size=0, max_size=3),
-        task=st.sampled_from([MeanTask(), SoftmaxTask(n_classes=3, test_size=5)]),
-        dim=st.integers(0, 12),
-        group_counts=st.lists(st.integers(-1, 3), min_size=0, max_size=4).map(tuple),
-        byzantine_count=st.integers(-1, 3),
-        attack=st.sampled_from((ATTACK_NONE,) + ATTACK_KINDS).map(AttackSpec),
-        shard_size=st.integers(0, 8),
-        batch_size=st.integers(0, 8),
-        rounds=st.integers(0, 2),
-        validation_size=st.integers(0, 20),
+        task=st.builds(MeanTask, group2_shift=st.integers(-1, 1) | st.floats(-1, 1))
+        | st.just(SoftmaxTask(n_classes=3, test_size=5)),
+        dim=small_ints(0, 12),
+        group_counts=st.lists(small_ints(-1, 3), min_size=0, max_size=4).map(tuple),
+        byzantine_count=small_ints(-1, 3),
+        attack=st.builds(
+            AttackSpec, st.sampled_from((ATTACK_NONE,) + ATTACK_KINDS), sigma=st.integers(0, 2) | st.floats(0, 2)
+        ),
+        shard_size=small_ints(0, 8),
+        batch_size=small_ints(0, 8),
+        model_step=st.sampled_from([0.01, 0.5, 1]),
+        rounds=small_ints(0, 2),
+        validation_size=small_ints(0, 20),
         validation_mode=st.sampled_from([MODE_EXTRA, MODE_REUSE_TRAIN, MODE_POPULATION]),
         exact_gradients=st.booleans(),
-        master_seed=st.integers(-1, 3),
+        master_seed=small_ints(-1, 3),
+        weight_log_every=small_ints(0, 2),
+        odd=st.none() | st.tuples(st.sampled_from(SPEC_FIELDS), st.sampled_from(ODD_VALUES)),
     )
-    def test_round_zero_runs_or_config_error(self, **fields):
+    def test_round_zero_runs_or_config_error(self, odd, **fields):
+        if odd is not None:
+            fields[odd[0]] = odd[1]
         try:
             state = RunState(ExperimentSpec(**fields))
         except ConfigError:

@@ -78,7 +78,7 @@ class TestMeanGrad:
 
     def test_empty_batch_rejected(self):
         spec = ExperimentSpec(methods=[SgdFull("sgd-full")], task=MeanTask(), batch_size=0)
-        with pytest.raises(ConfigError, match="batch size 0"):
+        with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
             spec.validate()
 
     def test_unbiased_over_fresh_batches(self):
@@ -784,8 +784,9 @@ class TestSoftmaxOracle:
 
     def test_distribution_spec_validation(self):
         # The config maps the task name to a task class; the softmax task
-        # checks its own settings and the run settings it cannot serve.
-        with pytest.raises(ConfigError, match="unknown task 'image-net'; known: mean, softmax"):
+        # checks its own settings at construction, and at validate the run
+        # settings it cannot serve.
+        with pytest.raises(ConfigError, match="task must be one of 'mean', 'softmax', got 'image-net'"):
             parse_config("", preset="mean-mu-0.1", overrides=["task=image-net"])
 
         def spec(task=None, **kwargs):
@@ -793,9 +794,14 @@ class TestSoftmaxOracle:
             return ExperimentSpec(methods=[SgdFull("sgd-full")], model_step=0.05, task=task, **kwargs)
 
         spec().validate()
+        for changes, message in [
+            (dict(mixing_alpha=0.0), r"SoftmaxTask.mixing_alpha must be in \(0, 1\], got 0.0"),
+            (dict(mixing_alpha=1.5), r"SoftmaxTask.mixing_alpha must be in \(0, 1\], got 1.5"),
+            (dict(test_size=0), "SoftmaxTask.test_size must be >= 1, got 0"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                SoftmaxTask(**changes)
         rejected = [
-            (spec(SoftmaxTask(mixing_alpha=0.0)), "mixing fraction must lie in"),
-            (spec(SoftmaxTask(test_size=0)), "softmax task needs test_size >= 1"),
             (spec(SoftmaxTask(n_classes=6)), "need 7 <= n_classes"),
             (spec(SoftmaxTask(n_classes=11)), "n_classes <= dim=10, got n_classes=11"),
             (spec(exact_gradients=True), "exact gradients are only defined"),
