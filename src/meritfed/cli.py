@@ -17,6 +17,7 @@ byte-comparable; blank cells mean "not defined for this task or round".
 import argparse
 import contextlib
 import dataclasses
+import functools
 import gc
 import json
 import operator
@@ -73,7 +74,7 @@ class RunConfig:
     mixing_alpha: float = SoftmaxTask.mixing_alpha
     n_classes: int = SoftmaxTask.n_classes
     test_size: int = SoftmaxTask.test_size
-    methods: tuple = (
+    methods: tuple[str, ...] = (
         "meritfed-md",
         "meritfed-smd",
         "sgd-full",
@@ -195,7 +196,7 @@ def _parse_value(key: str, raw: str, where: str) -> object:
             return int(text)
         if kind is float:
             return float(text)  # RunConfig rejects a value that is not finite
-        if kind is tuple:
+        if typing.get_origin(kind) is tuple:
             return tuple(p.strip() for p in text.split(",") if p.strip())
         return text
     except ValueError as exc:
@@ -349,12 +350,17 @@ def _metrics_lines(seed: int, metrics: list) -> Iterator[str]:
     )
 
 
+@functools.cache
+def _client_cells(n_clients: int) -> tuple[str, ...]:
+    """The client_index and weight cells of each of a vector's lines, the weight as a %-field."""
+    return tuple(f"{client},%.17g\n" for client in range(n_clients))
+
+
 def _weights_lines(seed: int, weight_rows: list) -> Iterator[str]:
-    return (
-        f"{seed},{round_index},{method},{client},{value:.17g}\n"
-        for round_index, method, vector in weight_rows
-        for client, value in enumerate(vector.tolist())
-    )
+    # One %-template per logged vector: '%.17g' writes the text format(value, '.17g') does.
+    for round_index, method, vector in weight_rows:
+        prefix = f"{seed},{round_index},{method},".replace("%", "%%")
+        yield (prefix + prefix.join(_client_cells(len(vector)))) % tuple(vector.tolist())
 
 
 def _theorem_lines(seed: int, rows: list) -> Iterator[str]:
@@ -362,8 +368,9 @@ def _theorem_lines(seed: int, rows: list) -> Iterator[str]:
 
 
 # Each table's file, columns and the lines of one seed's records, in the
-# order of _seed_records' tables. A metrics.csv or weights.csv row is one
-# f-string; theorem.csv's booleans need _format_cell on every cell.
+# order of _seed_records' tables. A metrics.csv row is one f-string, and
+# weights.csv's lines of one logged vector fill one %-template; theorem.csv's
+# booleans need _format_cell on every cell.
 _TABLES = (
     ("metrics.csv", METRICS_COLUMNS, _metrics_lines),
     ("weights.csv", WEIGHTS_COLUMNS, _weights_lines),

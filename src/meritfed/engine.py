@@ -31,7 +31,7 @@ import numpy as np
 from . import streams
 from .aggregators import Rule, apply_update
 from .clients import ATTACK_ALIE, ATTACK_NONE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
-from .errors import ConfigError, Count, NumericInputError, PositiveFloat, PositiveInt, check_fields
+from .errors import ConfigError, Count, NumericInputError, PositiveFloat, PositiveInt, RoundCount, check_fields
 from .simplex_opt import WeightObjective, simplex_grid
 from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, Task, ValidationMode
 from .tasks import check_convergence_bounds, check_indexable
@@ -60,7 +60,7 @@ class ExperimentSpec:
     shard_size: int = 1000
     batch_size: PositiveInt = 100
     model_step: PositiveFloat = 0.01
-    rounds: PositiveInt = 2000
+    rounds: RoundCount = 2000
     validation_size: int = 100000
     validation_mode: ValidationMode = MODE_EXTRA
     exact_gradients: bool = False
@@ -202,28 +202,35 @@ class RunState:
         # estimate, for rate-bound tasks with few clients; None otherwise.
         grid_gap = self.task.rate_bounds and spec.n_clients <= MAX_GRID_CLIENTS
         self._grid = simplex_grid(spec.n_clients, GRID_RESOLUTION) if grid_gap else None
+        # Every round opens the same streams, in round_draws' order: the batch
+        # clients', the random-noise attackers', then the method slots' that
+        # read one.
+        n = spec.n_clients
+        self._batch_clients = 0 if spec.exact_gradients else spec.batch_clients
+        self._noise_clients = spec.byzantine_count if spec.attack.kind == ATTACK_RANDOM_NOISE else 0
+        layout = [(streams.BATCH, i) for i in range(self._batch_clients)]
+        layout += [(streams.ATTACK_NOISE, i) for i in range(n - self._noise_clients, n)]
+        layout += [(tag, m) for m, tag in enumerate(self.stream_tags) if tag is not None]
+        self.round_streams = streams.RoundStreams(spec.master_seed, layout, spec.rounds)
 
     def round_draws(self, round_index: int) -> RoundDraws:
-        """The round's batch rows, attack noise and method streams, from one derivation.
+        """The round's batch rows, attack noise and method streams, from the run's `RoundStreams`.
 
         Batch rows and noise are per client and round, identical for every
         method; a method stream is keyed by the method's slot and the round.
         """
         spec = self.spec
-        n, t = spec.n_clients, round_index
-        batch = [] if spec.exact_gradients else [(streams.BATCH, i, t) for i in range(spec.batch_clients)]
-        noise = []
-        if spec.byzantine_count > 0 and spec.attack.kind == ATTACK_RANDOM_NOISE:
-            noise = [(streams.ATTACK_NOISE, i, t) for i in range(n - spec.byzantine_count, n)]
-        methods = [(tag, m, t) for m, tag in enumerate(self.stream_tags) if tag is not None]
-        rngs = iter(streams.substreams(spec.master_seed, batch + noise + methods))
-        rows = [next(rngs).choice(spec.shard_size, spec.batch_size, replace=False) for _ in batch]
-        noise_rows = [next(rngs).standard_normal(self.task.model_dim(spec.dim)) for _ in noise]
-        return RoundDraws(
-            rows=np.array(rows) if batch else None,
-            noise=np.array(noise_rows) if noise else None,
-            method_streams=[None if tag is None else next(rngs) for tag in self.stream_tags],
-        )
+        rngs = iter(self.round_streams.generators(round_index))
+        rows = noise = None
+        if self._batch_clients:
+            rows = np.empty((self._batch_clients, spec.batch_size), dtype=np.int64)
+            for i in range(self._batch_clients):
+                rows[i] = next(rngs).choice(spec.shard_size, spec.batch_size, replace=False)
+        if self._noise_clients:
+            noise = np.empty((self._noise_clients, self.task.model_dim(spec.dim)))
+            for row in noise:
+                next(rngs).standard_normal(out=row)
+        return RoundDraws(rows, noise, [None if tag is None else next(rngs) for tag in self.stream_tags])
 
     def state_metrics(self, slot: int, round_index: int, delta: Optional[float]) -> RoundMetrics:
         x = self.points[slot]

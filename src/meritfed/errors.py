@@ -27,10 +27,13 @@ BOUNDS = {
     ">= 0": lambda value: value >= 0,
     ">= 1": lambda value: value >= 1,
     "in (0, 1]": lambda value: 0 < value <= 1,
+    # A round index is one 32-bit word of its streams' entropy.
+    "in [1, 2**32)": lambda value: 1 <= value < 2**32,
 }
 PositiveFloat = Annotated[float, "positive"]
 Count = Annotated[int, ">= 0"]
 PositiveInt = Annotated[int, ">= 1"]
+RoundCount = Annotated[int, "in [1, 2**32)"]
 
 
 @functools.cache
@@ -45,7 +48,8 @@ def check_fields(obj, prefix: Optional[str] = None) -> None:
 
     int: an integer, numpy's too, not a bool; float: finite, an int too;
     Literal: one of its values; Annotated[T, bound]: a T within BOUNDS[bound];
-    tuple[...] (that length) and list[T]: each member matches its hint;
+    tuple[...] (that length), tuple[T, ...] and list[T]: each member matches
+    its hint;
     Optional[T]: None or a T; any other class: isinstance, and a dataclass is
     checked in turn. A message names a field as prefix + name, by default
     `label: ` for a rule, else `ClassName.`.
@@ -68,8 +72,9 @@ def _check(value, hint, where: str) -> None:
         ok = any(type(value) is type(choice) and value == choice for choice in args)
         expected = "one of " + ", ".join(map(repr, args))
     elif origin in (tuple, list):
-        ok = isinstance(value, origin) and (origin is list or len(value) == len(args))
-        expected = f"a list of {args[0].__name__}" if origin is list else f"a tuple of {len(args)} values"
+        variadic = origin is list or args[-1] is Ellipsis
+        ok = isinstance(value, origin) and (variadic or len(value) == len(args))
+        expected = f"a {origin.__name__} of {args[0].__name__}" if variadic else f"a tuple of {len(args)} values"
     elif hint is int:
         ok, expected = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
     elif hint is float:
@@ -84,4 +89,4 @@ def _check(value, hint, where: str) -> None:
         raise ConfigError(f"{where} must be {expected}, got {value!r}")
     if origin in (tuple, list):
         for index, member in enumerate(value):
-            _check(member, args[0] if origin is list else args[index], f"{where}[{index}]")
+            _check(member, args[0] if variadic else args[index], f"{where}[{index}]")

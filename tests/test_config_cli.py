@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
 import warnings
 
 import numpy as np
@@ -72,7 +73,7 @@ def emit_config(config: RunConfig) -> str:
         lines.append(f"preset = {config.preset}")
     for key, kind in CONFIG_SCHEMA.items():
         value = getattr(config, key)
-        text = ",".join(value) if kind is tuple else cli._format_cell(value)
+        text = ",".join(value) if typing.get_origin(kind) is tuple else cli._format_cell(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -386,6 +387,18 @@ class TestRunOutputs:
                     continue
                 key = (int(cells[1]), cells[2])
                 assert float(cells[6]) == expected[key]
+
+    def test_weight_lines_write_each_cell_as_format_does(self):
+        # A vector's lines fill one %-template; a label holding % or { is
+        # still written as it is.
+        vector = np.array([0.1, 1 / 3, 0.0, -0.0, 5e-324, np.nan, np.inf])
+        rows = [(4, "fedavg-%d {0}%%s", vector), (5, "sgd-full", vector[:2])]
+        expected = [
+            f"7,{t},{label},{client},{format(value, '.17g')}\n"
+            for t, label, v in rows
+            for client, value in enumerate(v.tolist())
+        ]
+        assert "".join(cli._weights_lines(7, rows)) == "".join(expected)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -709,9 +709,10 @@ def per_client_rows(spec, round_index):
 
 
 class TestRoundDrawsMatchPerClientLoop:
-    # The engine derives a round's streams in one call and gathers the batch
-    # means in one index; a loop over clients, one stream at a time, is the
-    # oracle. 2^32 + 5 puts two 32-bit words in the master seed's entropy.
+    # The engine derives a round's streams from one per-run RoundStreams and
+    # gathers the batch means in one index; a loop over clients, one stream
+    # at a time, is the oracle. 2^32 + 5 puts two 32-bit words in the master
+    # seed's entropy.
     SEEDS = (0, 2**32 + 5)
 
     def byzantine_spec(self, master_seed, **kwargs):
@@ -805,19 +806,19 @@ class TestRoundStreams:
         attack = AttackSpec(kind=ATTACK_RANDOM_NOISE)
         return small_spec(methods=methods, byzantine_count=2, attack=attack)
 
-    def test_one_substreams_call_per_round(self, monkeypatch):
+    def test_one_generators_call_per_round(self, monkeypatch):
         spec, t = self.spec(), self.ROUND
         state = RunState(spec)
         calls = []
-        derive = streams.substreams
+        derive = streams.RoundStreams.generators
 
-        def recording(master_seed, keys):
-            keys = list(keys)
-            rngs = derive(master_seed, keys)
-            calls.append((master_seed, keys, [rng.bit_generator.state for rng in rngs]))
+        def recording(derivation, round_index):
+            rngs = derive(derivation, round_index)
+            keys = [(tag, index, round_index) for tag, index in derivation.layout]
+            calls.append((derivation.master_seed, keys, [rng.bit_generator.state for rng in rngs]))
             return rngs
 
-        monkeypatch.setattr(streams, "substreams", recording)
+        monkeypatch.setattr(streams.RoundStreams, "generators", recording)
         run_round(state, t)
         monkeypatch.undo()
         [(master_seed, keys, states)] = calls
@@ -827,6 +828,7 @@ class TestRoundStreams:
         expected += [(streams.METHOD, 6, t), (streams.METHOD, 7, t)]
         assert master_seed == spec.master_seed
         assert sorted(keys) == sorted(expected)
+        assert len(states) == len(keys)
         for key, state_at_open in zip(keys, states):
             assert state_at_open == streams.substream(spec.master_seed, *key).bit_generator.state
 
@@ -838,13 +840,13 @@ class TestRoundStreams:
         spec, t = small_spec(byzantine_count=2, attack=AttackSpec(kind=kind)), self.ROUND
         state = RunState(spec)
         opened = []
-        derive = streams.substreams
+        derive = streams.RoundStreams.generators
 
-        def recording(master_seed, keys):
-            opened.extend(keys)
-            return derive(master_seed, keys)
+        def recording(derivation, round_index):
+            opened.extend((tag, index, round_index) for tag, index in derivation.layout)
+            return derive(derivation, round_index)
 
-        monkeypatch.setattr(streams, "substreams", recording)
+        monkeypatch.setattr(streams.RoundStreams, "generators", recording)
         rows = state.round_draws(t).rows
         batch_clients = [key[1] for key in opened if key[0] == streams.BATCH]
         expected = per_client_rows(spec, t)

@@ -6,12 +6,13 @@ every spec class is read by the check.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from meritfed.aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
-from meritfed.cli import RunConfig
+from meritfed.cli import RunConfig, build_experiment, main
 from meritfed.clients import ATTACK_BIT_FLIP, ATTACK_NONE, ATTACK_RANDOM_NOISE, AttackSpec
 from meritfed.engine import ExperimentSpec, run_experiment
 from meritfed.errors import ConfigError
@@ -135,6 +136,31 @@ class TestWronglyTypedFieldsRejected:
         same = run_experiment(tiny_spec(master_seed=3, model_step=1.0, methods=spec.methods))
         for label, x in result.final_points.items():
             np.testing.assert_array_equal(x, same.final_points[label])
+
+
+class TestBoundsAndVariadicTuples:
+    def test_rounds_fit_one_32_bit_word(self):
+        # A round index is one word of its streams' entropy.
+        tiny_spec(rounds=2**32 - 1).validate()
+        rounds = []
+        with pytest.raises(ConfigError, match=r"ExperimentSpec.rounds must be in \[1, 2\*\*32\), got 4294967296"):
+            run_experiment(tiny_spec(rounds=2**32), observer=lambda t, *rest: rounds.append(t))
+        assert rounds == []
+
+    def test_rounds_key_past_32_bits_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        status = main(["run", "--preset", "byzantine-rn", "--set", "rounds=4294967296", "--out", out])
+        err = capsys.readouterr().err.splitlines()
+        assert status == 2
+        assert len(err) == 1 and err[0].startswith("config error:") and "rounds" in err[0]
+        assert not os.path.exists(out)
+
+    def test_method_labels_are_strings(self):
+        with pytest.raises(ConfigError, match=r"^methods\[0\] must be of type str, got 1$"):
+            build_experiment(RunConfig(methods=(1,)))
+        with pytest.raises(ConfigError, match=r"^methods must be a tuple of str, got \['sgd-full'\]$"):
+            RunConfig(methods=["sgd-full"])
+        assert RunConfig(methods=()).methods == ()
 
 
 # A valid construction of every spec class; each Rule and Task subclass is

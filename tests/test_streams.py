@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from meritfed import streams
 from meritfed.cli import PRESETS, build_experiment, parse_config
-from meritfed.engine import run_experiment
+from meritfed.engine import RunState, run_experiment
 
 
 def numpy_stream(master_seed, *key):
@@ -114,14 +114,19 @@ class TestOneArityPerTag:
         table = documented_arities()
         assert len(table) == 8
         keys = []
-        derive = streams.substreams
+        derive, derive_round = streams.substreams, streams.RoundStreams.generators
 
         def recording(master_seed, batch):
             batch = list(batch)
             keys.extend(batch)
             return derive(master_seed, batch)
 
+        def recording_round(derivation, round_index):
+            keys.extend((tag, index, round_index) for tag, index in derivation.layout)
+            return derive_round(derivation, round_index)
+
         monkeypatch.setattr(streams, "substreams", recording)
+        monkeypatch.setattr(streams.RoundStreams, "generators", recording_round)
         for preset in PRESETS:
             config = parse_config("", preset=preset, overrides=["seeds=1", "rounds=2"])
             run_experiment(build_experiment(config))
@@ -131,3 +136,60 @@ class TestOneArityPerTag:
             arities.setdefault(name_of[key[0]], set()).add(len(key) - 1)
         assert all(len(used) == 1 for used in arities.values()), arities
         assert {name: used.pop() for name, used in arities.items()} == table
+
+
+# (tag, index) layouts of 32-bit indices, edges included.
+WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(min_value=0, max_value=2**32 - 1))
+LAYOUTS = st.lists(st.tuples(WORDS, WORDS), max_size=6)
+
+
+class TestRoundStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master_seed=st.sampled_from([7, 2**32 + 5]),
+        layout=LAYOUTS,
+        rounds=st.integers(min_value=1, max_value=3 * streams.ROUND_BLOCK),
+        data=st.data(),
+    )
+    def test_every_generator_is_its_substream(self, master_seed, layout, rounds, data):
+        # Rounds at and across the block boundaries, the run's last round
+        # (in a partial block unless rounds is a multiple of the block),
+        # then rounds in any order.
+        block = streams.ROUND_BLOCK
+        edges = [0, block - 1, block, block + 1, 2 * block - 1, 2 * block, rounds - 1]
+        asked = [t for t in edges if t < rounds]
+        asked += data.draw(st.lists(st.integers(min_value=0, max_value=rounds - 1), max_size=6))
+        derivation = streams.RoundStreams(master_seed, layout, rounds)
+        for t in asked:
+            generators = derivation.generators(t)
+            assert len(generators) == len(layout)
+            for rng, (tag, index) in zip(generators, layout):
+                assert_same_stream(rng, streams.substream(master_seed, tag, index, t))
+
+    def test_final_partial_block(self):
+        rounds = streams.ROUND_BLOCK + 4
+        derivation = streams.RoundStreams(2**32 + 5, [(streams.BATCH, 3), (streams.METHOD, 0)], rounds)
+        for t in range(rounds - 6, rounds):
+            for rng, key in zip(derivation.generators(t), derivation.layout):
+                assert_same_stream(rng, numpy_stream(2**32 + 5, *key, t))
+        with pytest.raises(IndexError):
+            derivation.generators(rounds)
+
+    def test_a_run_that_opens_no_round_stream(self):
+        # Exact gradients, no attackers and a rule that reads no stream.
+        config = parse_config(
+            "", preset="theorem-mean", overrides=["exact_gradients=true", "methods=sgd-full", "rounds=20"]
+        )
+        state = RunState(build_experiment(config))
+        assert state.round_streams.layout == ()
+        for t in (0, 16, 19):
+            assert state.round_streams.generators(t) == []
+            draws = state.round_draws(t)
+            assert (draws.rows, draws.noise, draws.method_streams) == (None, None, [None])
+
+    @pytest.mark.parametrize(
+        "layout, rounds", [([(streams.BATCH, 2**32)], 5), ([(streams.BATCH, -1)], 5), ([], 2**32 + 1)]
+    )
+    def test_indices_past_one_word_are_rejected(self, layout, rounds):
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*32\)"):
+            streams.RoundStreams(0, layout, rounds)
