@@ -112,7 +112,6 @@ def _columns(record_type) -> tuple[str, ...]:
 METRICS_COLUMNS = ("seed", "round") + _columns(RoundMetrics)[1:]
 WEIGHTS_COLUMNS = ("seed", "round", "method", "client_index", "weight")
 THEOREM_COLUMNS = ("seed",) + _columns(ConvergenceRow)
-_theorem_cells = operator.attrgetter(*_columns(ConvergenceRow))
 
 
 # ExperimentSpec fields that take the RunConfig field of the same name as it
@@ -291,10 +290,11 @@ def _method_from_label(label: str, rules: dict[str, Rule]) -> Rule:
     if not label.startswith("fedavg-"):
         known = ", ".join(list(rules) + ["fedavg-<k>"])
         raise ConfigError(f"unknown method label {label!r}; known: {known}")
-    try:
-        return FedAvg(label, sample_count=int(label[len("fedavg-"):]))
-    except ValueError:
-        raise ConfigError(f"bad fedavg sample count in method label {label!r}") from None
+    count = label[len("fedavg-"):]
+    # k is written as str(k) does: one label per rule.
+    if not (count.isascii() and count.isdigit() and str(int(count)) == count):
+        raise ConfigError(f"bad fedavg sample count in method label {label!r}")
+    return FedAvg(label, sample_count=int(count))
 
 
 def build_experiment(config: RunConfig, master_seed: int = 0) -> ExperimentSpec:
@@ -326,8 +326,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _csv_line(cells: tuple) -> str:
-    return ",".join(map(_format_cell, cells)) + "\n"
+def _record_lines(record_type) -> Callable[[int, list], Iterator[str]]:
+    """The lines of one seed's records: the seed, then each of the record's fields in column order."""
+    cells = operator.attrgetter(*_columns(record_type))
+    return lambda seed, records: (",".join(map(_format_cell, (seed, *cells(r)))) + "\n" for r in records)
 
 
 def _seed_records(config: RunConfig, master_seed: int) -> tuple:
@@ -338,16 +340,7 @@ def _seed_records(config: RunConfig, master_seed: int) -> tuple:
     """
     result = run_experiment(build_experiment(config, master_seed=master_seed))
     direction = None if result.mixture_direction is None else result.mixture_direction.tolist()
-    return master_seed, (result.metrics, result.weight_rows, result.convergence), direction
-
-
-def _metrics_lines(seed: int, metrics: list) -> Iterator[str]:
-    cell = _format_cell  # a blank cell for None
-    return (
-        f"{seed},{m.round_index},{m.method},{cell(m.dist_sq)},{cell(m.loss_gap)},{cell(m.grad_norm_sq)},"
-        f"{m.val_loss:.17g},{cell(m.accuracy)},{cell(m.delta)}\n"
-        for m in metrics
-    )
+    return master_seed, tuple(getattr(result, field) for _, _, field, _ in _TABLES), direction
 
 
 @functools.cache
@@ -363,20 +356,16 @@ def _weights_lines(seed: int, weight_rows: list) -> Iterator[str]:
         yield (prefix + prefix.join(_client_cells(len(vector)))) % tuple(vector.tolist())
 
 
-def _theorem_lines(seed: int, rows: list) -> Iterator[str]:
-    return (_csv_line((seed, *_theorem_cells(row))) for row in rows)
-
-
-# Each table's file, columns and the lines of one seed's records, in the
-# order of _seed_records' tables. A metrics.csv row is one f-string, and
-# weights.csv's lines of one logged vector fill one %-template; theorem.csv's
-# booleans need _format_cell on every cell.
+# Each table's file, columns, ExperimentResult field and the lines of one
+# seed's records. A metrics.csv or theorem.csv line is its record's fields
+# through _format_cell; weights.csv's lines of one logged vector fill one
+# %-template.
 _TABLES = (
-    ("metrics.csv", METRICS_COLUMNS, _metrics_lines),
-    ("weights.csv", WEIGHTS_COLUMNS, _weights_lines),
-    ("theorem.csv", THEOREM_COLUMNS, _theorem_lines),
+    ("metrics.csv", METRICS_COLUMNS, "metrics", _record_lines(RoundMetrics)),
+    ("weights.csv", WEIGHTS_COLUMNS, "weight_rows", _weights_lines),
+    ("theorem.csv", THEOREM_COLUMNS, "convergence", _record_lines(ConvergenceRow)),
 )
-OUTPUT_FILES = tuple(name for name, _, _ in _TABLES) + ("manifest.json",)
+OUTPUT_FILES = tuple(name for name, *_ in _TABLES) + ("manifest.json",)
 
 
 def _write_rows(handle, lines: Iterator[str]) -> None:
@@ -443,9 +432,9 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
         for seed, tables, direction in records:
             if seed == seeds[0]:
                 files = stack.enter_context(_staged_outputs(out_dir, OUTPUT_FILES))
-                for name, columns, _ in _TABLES:
+                for name, columns, *_ in _TABLES:
                     files[name].write(",".join(columns) + "\n")
-            for (name, _, lines), rows in zip(_TABLES, tables):
+            for (name, _, _, lines), rows in zip(_TABLES, tables):
                 _write_rows(files[name], lines(seed, rows))
             manifest["mixture_directions"][str(seed)] = direction
             del tables  # before the next seed runs

@@ -9,12 +9,13 @@ parallel execution schedule.
 The stream contract: the stream of (master_seed, *key) is a PCG64 generator in
 exactly the state of
 `np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, *key)))`.
-This module derives those states itself, for many keys of one arity with
-32-bit indices at once (other keys take numpy's SeedSequence): numpy's
+This module derives those states itself, for many keys at once: numpy's
 SeedSequence entropy pool and `generate_state(4, np.uint64)` run as uint32
 array arithmetic with one row per key, and numpy's PCG64 seeding takes the
-resulting words. The hash constants depend only on the position of a word, so
-all keys whose entropy has the same number of 32-bit words share them.
+resulting words. The keys of one call share one arity, and each index is one
+32-bit word; any other key is a ValueError. The hash constants depend only on
+the position of a word, so all keys whose entropy has the same number of
+32-bit words share them.
 
 A key with trailing zero indices names the same stream as the key without
 them (the entropy pool hashes zeros past the end of the entropy), so each tag
@@ -31,9 +32,9 @@ is used with one number of indices only. The keys the program opens:
 
 A method's index is its slot in the run's method list. A run's rounds all
 open the same (tag, index) layout, each with its round as the last index:
-a `RoundStreams` holds that layout as one uint32 entropy table and hashes the
-seed words of ROUND_BLOCK rounds in one call. `substreams` serves the keys a
-run opens once, at set-up.
+a `RoundStreams` hashes the seed words of ROUND_BLOCK rounds of that layout
+in one call. `substreams` serves the keys a run opens once, at set-up. Both
+take their entropy from `_key_entropy`.
 """
 
 from __future__ import annotations
@@ -174,6 +175,19 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
+def _key_entropy(master_seed: int, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """(keys, words) uint32 entropy of each stream (master_seed, *key), one row per key.
+
+    The keys must share one arity, with each index in [0, 2**32): one entropy word.
+    """
+    seed = _entropy_words(master_seed)
+    rows = [seed + [operator.index(value) for value in key] for key in keys]
+    for key, row in zip(keys, rows):
+        if len(row) != len(rows[0]) or not 0 <= min(row) <= max(row) <= _MASK32:
+            raise ValueError(f"stream key {tuple(key)} is not {len(keys[0])} non-negative indices in [0, 2**32)")
+    return np.array(rows, dtype=np.uint32).reshape(len(rows), -1 if rows else 0)
+
+
 def _generators(seed_words: Iterable[np.ndarray]) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_DerivedSeed(words))) for words in seed_words]
 
@@ -183,17 +197,7 @@ def substreams(master_seed: int, keys: Iterable[tuple[int, ...]]) -> list[np.ran
 
     Each generator is its own object, in the same state as `substream` gives.
     """
-    keys = list(keys)
-    seed = _entropy_words(master_seed)
-    table = np.asarray(keys) if len(set(map(len, keys))) == 1 else np.empty(0)
-    if table.dtype.kind in "iu" and table.size and table.min() >= 0 and table.max() <= _MASK32:
-        # Keys of one arity with one-word indices: one (keys, words) entropy array.
-        seed_block = np.broadcast_to(np.array(seed, dtype=np.uint32), (len(keys), len(seed)))
-        seed_words = _seed_words(np.hstack([seed_block, table.astype(np.uint32)]))
-    else:
-        # Mixed arities or indices past 32 bits: numpy's own derivation, key by key.
-        seed_words = [np.random.SeedSequence((master_seed, *key)).generate_state(4, np.uint64) for key in keys]
-    return _generators(seed_words)
+    return _generators(_seed_words(_key_entropy(master_seed, list(keys))))
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -208,22 +212,19 @@ class RoundStreams:
     """The streams (master_seed, tag, index, t) of a fixed (tag, index) layout, for each round t of a run.
 
     `generators(t)` gives them in layout order, each in the state `substream`
-    gives. The entropy of the layout's keys over ROUND_BLOCK rounds is one
+    gives. The layout's entropy, repeated over ROUND_BLOCK rounds, is one
     uint32 table; the block's seed words are hashed in one `_seed_words` call
     when a round of the block is first asked for. The last block ends at
     round `rounds - 1`.
     """
 
     def __init__(self, master_seed: int, layout: Sequence[tuple[int, int]], rounds: int) -> None:
-        seed = _entropy_words(master_seed)
-        indices = [operator.index(value) for key in layout for value in key]
-        if not 0 <= min(indices + [rounds - 1]) <= max(indices + [rounds - 1]) <= _MASK32:
-            raise ValueError(f"stream key and round indices must be in [0, 2**32), for {rounds} rounds of {layout}")
+        if not 0 <= rounds - 1 <= _MASK32:
+            raise ValueError(f"round indices must be in [0, 2**32), for {rounds} rounds")
         self.master_seed, self.layout, self.rounds = master_seed, tuple(layout), rounds
-        # Block rows x keys x words: the seed's words, tag, index, round.
-        self._entropy = np.empty((ROUND_BLOCK, len(layout), len(seed) + 3), dtype=np.uint32)
-        self._entropy[..., : len(seed)] = seed
-        self._entropy[..., len(seed) : -1] = np.array(indices, dtype=np.uint32).reshape(-1, 2)
+        # Block rows x keys x words: the key's entropy, then the round.
+        keys = np.pad(_key_entropy(master_seed, self.layout), ((0, 0), (0, 1)))
+        self._entropy = np.repeat(keys[None], ROUND_BLOCK, axis=0)
         self._block_start: int | None = None
         self._words = np.empty(0)
 

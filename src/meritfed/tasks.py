@@ -375,8 +375,8 @@ def check_convergence_bounds(
         + 2.0 * sigma_sq * model_step * MEAN_SMOOTHNESS / group_size
         + 2.0 * delta_bar / model_step
     )
-    pl_rhs = (
-        (1.0 - model_step * MEAN_PL_CONSTANT) ** rounds * initial_gap
+    pl_rhs = (  # numpy's power is inf past the largest double, where Python's float power raises
+        float(np.float64(1.0 - model_step * MEAN_PL_CONSTANT) ** rounds) * initial_gap
         + sigma_sq * model_step * MEAN_SMOOTHNESS / (MEAN_PL_CONSTANT * group_size)
         + delta_bar * rounds / (model_step * MEAN_PL_CONSTANT)
     )

@@ -290,6 +290,17 @@ class TestMethodLabels:
         with pytest.raises(ConfigError, match="bad fedavg sample count"):
             rule_for("fedavg-seven", config)
 
+    @pytest.mark.parametrize("label", ["fedavg-5_0", "fedavg-+5", "fedavg-05", "fedavg-\u0665"])
+    def test_sample_count_is_written_as_str_does(self, label, tmp_path, capsys):
+        # int() reads each of these suffixes, but only str(k) in ASCII digits
+        # names the k-client rule: one label per rule.
+        out = tmp_path / "fedavg"
+        args = ["run", "--preset", "mean-mu-0.1", "--set", "seeds=1", "--set", "rounds=1"]
+        assert main(args + ["--set", f"methods={label}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: bad fedavg sample count in method label {label!r}\n"
+        assert not out.exists()
+
     def test_unknown_label_rejected(self):
         config = parse_config("", preset="mean-mu-0.1")
         with pytest.raises(ConfigError, match="unknown method label"):
@@ -387,6 +398,42 @@ class TestRunOutputs:
                     continue
                 key = (int(cells[1]), cells[2])
                 assert float(cells[6]) == expected[key]
+
+    @pytest.mark.parametrize(
+        "preset, overrides",
+        [("mean-mu-0.1", TINY_OVERRIDES), ("softmax-alpha-0.5", ["seeds=1", "rounds=3", "validation_size=200"])],
+    )
+    def test_every_record_field_is_written_under_its_column(self, preset, overrides, out_dir):
+        # Each metrics.csv and theorem.csv cell, read by its header name, is
+        # its record's field: blank for None, true/false for a bool, .17g for
+        # a float.
+        from meritfed.engine import ConvergenceRow, RoundMetrics, run_experiment
+
+        config = parse_config("", preset=preset, overrides=overrides)
+        run_config(config, out_dir)
+        result = run_experiment(build_experiment(config, master_seed=0))
+        assert result.metrics and bool(result.convergence) == (config.task == "mean")  # no softmax bounds
+
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return format(value, ".17g") if isinstance(value, float) else str(value)
+
+        for name, records, record_type in (
+            ("metrics.csv", result.metrics, RoundMetrics),
+            ("theorem.csv", result.convergence, ConvergenceRow),
+        ):
+            with open(os.path.join(out_dir, name), encoding="utf-8") as handle:
+                header, *lines = handle.read().splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+            rows = [row for row in rows if row["seed"] == "0"]
+            assert len(rows) == len(records)
+            for row, record in zip(rows, records):
+                for field in dataclasses.fields(record_type):
+                    column = "round" if field.name == "round_index" else field.name
+                    assert row[column] == cell(getattr(record, field.name)), (name, column)
 
     def test_weight_lines_write_each_cell_as_format_does(self):
         # A vector's lines fill one %-template; a label holding % or { is
@@ -626,6 +673,20 @@ class TestMainEntryPoint:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "PiB" in err
         assert not out.exists()
+
+    def test_overflowing_convergence_bound_run_exits_zero(self, tmp_path):
+        # (1 - step * mu) ** rounds overflows: the PL bound is inf, as IEEE
+        # arithmetic gives it, not an OverflowError.
+        out = tmp_path / "overflow"
+        args = ["-m", "meritfed.cli", "run", "--preset", "theorem-mean", "--out", str(out)]
+        for item in ("seeds=1", "rounds=2", "methods=sgd-ideal", "model_step=1e155"):
+            args += ["--set", item]
+        done = run_python(args)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        with open(out / "theorem.csv", encoding="utf-8") as handle:
+            header, row = handle.read().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["pl_rhs"] == "inf"
 
     def test_softmax_reuse_train_draws_no_validation_set(self, tmp_path):
         # Reuse-train validates on client 0's shard, so validation_size is

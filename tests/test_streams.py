@@ -35,12 +35,10 @@ SEEDS = st.one_of(
     st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1]),
     st.integers(min_value=0, max_value=2**70),
 )
-# Indices of one and two words. A key of 4 indices with the master seed fills
-# the 4-word pool and goes past it; two-word indices go past it sooner.
-INDICES = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32]), st.integers(min_value=0, max_value=2**40)
-)
-KEYS = st.lists(INDICES, min_size=0, max_size=4).map(tuple)
+# Key indices are one 32-bit word each. A key of 7 indices with a three-word
+# master seed is 10 entropy words: it fills the 4-word pool and goes past it.
+INDICES = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(min_value=0, max_value=2**32 - 1))
+KEYS = st.lists(INDICES, min_size=0, max_size=7).map(tuple)
 
 
 class TestDerivationMatchesNumpy:
@@ -50,10 +48,11 @@ class TestDerivationMatchesNumpy:
         assert_same_stream(streams.substream(master_seed, *key), numpy_stream(master_seed, *key))
 
     @settings(max_examples=100, deadline=None)
-    @given(master_seed=SEEDS, keys=st.lists(KEYS, min_size=0, max_size=12))
-    def test_substreams_of_mixed_lengths(self, master_seed, keys):
-        # Keys of different word counts are hashed in separate groups; the
-        # generators still come back in the order of the keys.
+    @given(master_seed=SEEDS, arity=st.integers(min_value=0, max_value=7), data=st.data())
+    def test_substreams_of_one_arity(self, master_seed, arity, data):
+        # All keys are hashed in one call; the generators come back in the
+        # order of the keys.
+        keys = data.draw(st.lists(st.lists(INDICES, min_size=arity, max_size=arity).map(tuple), max_size=12))
         generators = streams.substreams(master_seed, keys)
         assert len(generators) == len(keys)
         for rng, key in zip(generators, keys):
@@ -61,16 +60,16 @@ class TestDerivationMatchesNumpy:
 
     def test_pool_edges(self):
         # Entropy of 1-10 words: short of, at, and past the 4-word pool.
-        for master_seed in (0, 2**32 - 1, 2**32, 2**64 + 1):
-            for length in range(5):
-                key = tuple(range(2**32 - 1, 2**32 - 1 + length))
+        for master_seed in (0, 2**32 - 1, 2**32, 2**64 + 1, 2**96 - 1):
+            for length in range(8):
+                key = tuple(range(2**32 - 1, 2**32 - 1 - length, -1))
                 assert_same_stream(
                     streams.substream(master_seed, *key), numpy_stream(master_seed, *key)
                 )
 
     def test_numpy_integer_keys(self):
-        key = (np.int64(4), np.uint32(3), np.uint64(2**33))
-        assert_same_stream(streams.substream(np.int64(5), *key), numpy_stream(5, 4, 3, 2**33))
+        key = (np.int64(4), np.uint32(3), np.uint64(2**32 - 1))
+        assert_same_stream(streams.substream(np.int64(5), *key), numpy_stream(5, 4, 3, 2**32 - 1))
 
 
 class TestStreams:
@@ -82,14 +81,36 @@ class TestStreams:
         np.testing.assert_array_equal(streams.substream(3, streams.BATCH, 0, 1).standard_normal(3), first)
 
     def test_distinct_keys_give_distinct_draws(self):
+        # Keys of different arities are opened one call each.
         keys = [(streams.SHARDS, 1), (streams.VALIDATION,), (streams.BATCH, 1, 0), (streams.BATCH, 0, 1)]
-        draws = [rng.random() for rng in streams.substreams(0, keys)]
+        draws = [streams.substream(0, *key).random() for key in keys]
         assert len(set(draws)) == len(keys)
 
     @pytest.mark.parametrize("seed, key", [(-1, ()), (0, (streams.BATCH, -2, 0))])
     def test_negative_entropy_is_rejected(self, seed, key):
         with pytest.raises(ValueError, match="non-negative"):
             streams.substream(seed, *key)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            [(streams.BATCH, 2**32)],
+            [(streams.BATCH, 0), (streams.BATCH, 2**64 + 1)],
+            [(streams.BATCH, -1)],
+            [(streams.BATCH, 0), (streams.VALIDATION,)],
+            [(streams.VALIDATION,), (streams.BATCH, 0)],
+            [(streams.BATCH, 0), (streams.BATCH, 0, 1)],
+        ],
+    )
+    def test_substreams_and_round_streams_reject_a_key_alike(self, layout):
+        # An index past one word or below zero, or keys of mixed arity in
+        # one call: both derivations raise the same error.
+        with pytest.raises(ValueError) as by_substreams:
+            streams.substreams(0, layout)
+        with pytest.raises(ValueError) as by_round_streams:
+            streams.RoundStreams(0, layout, 5)
+        assert str(by_substreams.value) == str(by_round_streams.value)
+        assert "non-negative indices in [0, 2**32)" in str(by_substreams.value)
 
     def test_float_entropy_is_rejected(self):
         with pytest.raises(TypeError):
