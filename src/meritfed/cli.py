@@ -491,6 +491,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             except OSError as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return 1
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config file {args.config!r} is not UTF-8: {exc.reason} at byte {exc.start}")
         # --seed S is the last override, base_seed=S, so it is checked like one.
         overrides = args.overrides + ([] if args.seed is None else [f"base_seed={args.seed}"])
         config = parse_config(text, preset=args.preset, overrides=overrides)

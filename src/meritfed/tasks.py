@@ -82,38 +82,37 @@ def _softmax_labels_for_group(
     return rng.choice(np.arange(max(MIXED_CLASSES) + 1, n_classes), size=count)
 
 
-def softmax_task_generate(
-    group_counts: tuple[int, int, int],
-    alpha: float,
-    feature_dim: int,
-    n_classes: int,
-    shard_size: int,
-    master_seed: int,
-    validation_size: Optional[int],
-    test_size: int,
-):
-    """Client feature and label blocks, then the held-out validation and test sets.
+def softmax_task_generate(spec, task: SoftmaxTask):
+    """A softmax run's client feature and label blocks, then its validation and test sets.
 
-    The blocks are (n, shard_size, feature_dim) and (n, shard_size); each
-    held-out set is a (features, labels) pair, validation None without
-    validation_size.
+    The run's group counts, dim, shard size, master seed and validation mode
+    and size come from spec; the mixing alpha, class count and test size
+    from task. The blocks are (n, shard_size, dim) and (n, shard_size), client
+    i's from its own SHARDS stream. Each held-out set is a (features, labels)
+    pair: the validation set is drawn from the VALIDATION stream under
+    extra-validation and is client 0's shard otherwise, and the test set is
+    drawn from the TEST_SET stream.
     """
-    centers = softmax_class_centers(n_classes, feature_dim)
-    group_of = [1] * group_counts[0] + [2] * group_counts[1] + [3] * group_counts[2]
-    features = np.empty((len(group_of), shard_size, feature_dim))
+    seed, d, shard_size = spec.master_seed, spec.dim, spec.shard_size
+    centers = softmax_class_centers(task.n_classes, d)
+    group_of = np.repeat([1, 2, 3], spec.group_counts)
+    features = np.empty((len(group_of), shard_size, d))
     labels = np.empty((len(group_of), shard_size), dtype=np.int64)
     keys = [(streams.SHARDS, i) for i in range(len(group_of))]
-    for i, rng in enumerate(streams.substreams(master_seed, keys)):
-        labels[i] = _softmax_labels_for_group(rng, shard_size, group_of[i], alpha, n_classes)
-        np.add(centers[labels[i]], rng.standard_normal((shard_size, feature_dim)), out=features[i])
+    for i, rng in enumerate(streams.substreams(seed, keys)):
+        labels[i] = _softmax_labels_for_group(rng, shard_size, group_of[i], task.mixing_alpha, task.n_classes)
+        np.add(centers[labels[i]], rng.standard_normal((shard_size, d)), out=features[i])
 
     def held_out(tag: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = streams.substream(master_seed, tag)
+        rng = streams.substream(seed, tag)
         labels = rng.choice(np.asarray(TARGET_CLASSES), size=count)
-        return centers[labels] + rng.standard_normal((count, feature_dim)), labels
+        return centers[labels] + rng.standard_normal((count, d)), labels
 
-    validation = None if validation_size is None else held_out(streams.VALIDATION, validation_size)
-    return features, labels, validation, held_out(streams.TEST_SET, test_size)
+    if spec.validation_mode == MODE_EXTRA:
+        validation = held_out(streams.VALIDATION, spec.validation_size)
+    else:
+        validation = features[0], labels[0]
+    return features, labels, validation, held_out(streams.TEST_SET, task.test_size)
 
 
 def pairwise_row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -153,13 +152,12 @@ def pairwise_row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class SoftmaxRows:
-    """Mean cross-entropy of a linear softmax classifier on fixed row sets, and its gradient.
+    """Mean cross-entropy of a linear softmax classifier on a stack of fixed row sets, and its gradient.
 
-    One kernel serves a stack of s row sets of m rows each: features
-    (s, m, d) and labels (s, m), giving s losses and an (s, n_classes, d)
-    gradient per call. A 2-D row set (m, d) is a stack of one, and its calls
-    return one float loss and an (n_classes, d) gradient. Built once per
-    stack, it checks the rows and the label range, keeps each row's label
+    The kernel takes a stack of s row sets of m rows each, features (s, m, d)
+    and labels (s, m), and each call gives s losses and an (s, n_classes, d)
+    gradient; one row set is a stack of one. Built once per stack, it checks
+    the shapes, the rows and the label range, keeps each row's label
     position in a (n_classes, s * m) layout, and owns the scratch its calls
     write into, so a call makes no (rows, n_classes) temporary. Each step is
     bit-identical to the row-wise computation on each member in
@@ -172,13 +170,13 @@ class SoftmaxRows:
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        features = np.asarray(features, dtype=float)
         labels = np.asarray(labels)
-        self.stacked = features.ndim == 3
-        if not self.stacked:
-            features, labels = features[None], labels[None]
-        s, m = features.shape[:2]
-        if m == 0:
+        if features.ndim != 3 or labels.shape != features.shape[:2]:
+            shapes = f"got features {features.shape} and labels {labels.shape}"
+            raise MeritFedError(f"softmax rows take (s, m, d) features and (s, m) labels, {shapes}")
+        s, m = labels.shape
+        if labels.size == 0:
             raise MeritFedError("softmax loss requested on an empty batch")
         if labels.min() < 0 or labels.max() >= n_classes:
             raise MeritFedError(f"label outside class range [0, {n_classes})")
@@ -189,26 +187,8 @@ class SoftmaxRows:
         self._classes = np.empty((n_classes, s * m))
         self._row_values = np.empty((2, s * m))
 
-    def loss(self, theta: np.ndarray):
-        """Loss at theta of shape (n_classes, feature_dim): an (s,) array for a stack."""
-        losses = self._losses(theta)
-        return losses if self.stacked else float(losses[0])
-
-    def loss_grad(self, theta: np.ndarray):
-        """Loss and gradient at theta: (s,) losses and (s, n_classes, feature_dim) for a stack."""
-        losses = self._losses(theta)
-        rows, shifted = self._rows, self._classes
-        s, m, k = rows.shape
-        norm = self._row_values[0]
-        np.subtract(shifted, norm, out=shifted)
-        np.exp(shifted, out=shifted)
-        shifted.reshape(-1)[self.label_index] -= 1.0
-        np.copyto(rows, shifted.reshape(k, s, m).transpose(1, 2, 0))
-        grads = rows.transpose(0, 2, 1) @ self.features / m
-        return (losses, grads) if self.stacked else (float(losses[0]), grads[0])
-
-    def _losses(self, theta: np.ndarray) -> np.ndarray:
-        """Each member's loss; leaves the shifted logits and the log-normalizers in scratch."""
+    def loss(self, theta: np.ndarray) -> np.ndarray:
+        """(s,) losses at theta; leaves the shifted logits and the log-normalizers in scratch."""
         theta = np.asarray(theta, dtype=float)
         features, rows, shifted = self.features, self._rows, self._classes
         s, m, k = rows.shape
@@ -224,6 +204,18 @@ class SoftmaxRows:
         np.log(norm, out=norm)
         np.take(shifted.reshape(-1), self.label_index, out=picked)
         return np.mean(np.subtract(norm, picked, out=picked).reshape(s, m), axis=1)
+
+    def loss_grad(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s,) losses and the (s, n_classes, feature_dim) gradient at theta of shape (n_classes, feature_dim)."""
+        losses = self.loss(theta)
+        rows, shifted = self._rows, self._classes
+        s, m, k = rows.shape
+        norm = self._row_values[0]
+        np.subtract(shifted, norm, out=shifted)
+        np.exp(shifted, out=shifted)
+        shifted.reshape(-1)[self.label_index] -= 1.0
+        np.copyto(rows, shifted.reshape(k, s, m).transpose(1, 2, 0))
+        return losses, rows.transpose(0, 2, 1) @ self.features / m
 
 
 def softmax_accuracy(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -301,9 +293,10 @@ class MeanValidationOracle(SampleOracle):
 class SoftmaxValidationOracle(SampleOracle):
     """Empirical cross-entropy objective over a held-out labeled sample set.
 
-    The full set is one SoftmaxRows kernel, built here and reused by every
-    call. The labels are a read-only copy, so the kernel's label positions
-    cannot go stale and row subsets read the same labels.
+    The full set is one SoftmaxRows kernel over a stack of one, built here
+    and reused by every call. The labels are a read-only copy, so the
+    kernel's label positions cannot go stale and row subsets read the same
+    labels.
     """
 
     def __init__(self, samples: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
@@ -312,18 +305,18 @@ class SoftmaxValidationOracle(SampleOracle):
         self.labels = np.array(labels)
         self.labels.flags.writeable = False
         self.n_classes = n_classes
-        self.full_set = SoftmaxRows(self.samples, self.labels, n_classes)
+        self.full_set = SoftmaxRows(self.samples[None], self.labels[None], n_classes)
 
     def value(self, x: np.ndarray) -> float:
-        return self.full_set.loss(self._theta(x))
+        return float(self.full_set.loss(self._theta(x))[0])
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad = self.full_set.loss_grad(self._theta(x))
-        return loss, grad.ravel()
+        losses, grads = self.full_set.loss_grad(self._theta(x))
+        return float(losses[0]), grads[0].ravel()
 
     def gradient_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        kernel = SoftmaxRows(self.samples[rows], self.labels[rows], self.n_classes)
-        return kernel.loss_grad(self._theta(x))[1].ravel()
+        kernel = SoftmaxRows(self.samples[None, rows], self.labels[None, rows], self.n_classes)
+        return kernel.loss_grad(self._theta(x))[1][0].ravel()
 
     def _theta(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.n_classes, -1)
@@ -368,7 +361,10 @@ def check_convergence_bounds(
     2*(f(x0)-f*)/(T*step) + 2*sigma^2*step*L/G + 2*delta_bar/step,
     compared with the measured (1/T) sum of squared true-gradient norms. The
     last-iterate bound under the quadratic growth (PL) condition is
-    (1-step*mu)^T*(f(x0)-f*) + sigma^2*step*L/(mu*G) + delta_bar*T/(step*mu).
+    (1-step*mu)^T*(f(x0)-f*) + sigma^2*step*L/(mu*G) + delta_bar*T/(step*mu),
+    compared with the measured last-iterate gap. A bound holds only when its
+    measured side is finite: a diverged run holds no bound, not even an
+    infinite one.
     """
     noncvx_rhs = (
         2.0 * initial_gap / (rounds * model_step)
@@ -381,11 +377,15 @@ def check_convergence_bounds(
         + delta_bar * rounds / (model_step * MEAN_PL_CONSTANT)
     )
     tol = 1e-12
+
+    def holds(measured: float, rhs: float) -> bool:
+        return bool(math.isfinite(measured) and measured <= rhs * (1.0 + tol) + tol)
+
     return {
         "noncvx_rhs": noncvx_rhs,
-        "noncvx_holds": bool(avg_grad_norm_sq <= noncvx_rhs * (1.0 + tol) + tol),
+        "noncvx_holds": holds(avg_grad_norm_sq, noncvx_rhs),
         "pl_rhs": pl_rhs,
-        "pl_holds": bool(final_gap <= pl_rhs * (1.0 + tol) + tol),
+        "pl_holds": holds(final_gap, pl_rhs),
         "step_size_ok": bool(model_step <= 1.0 / (2.0 * MEAN_SMOOTHNESS)),
     }
 
@@ -534,18 +534,7 @@ class SoftmaxTask(Task):
         return self.n_classes * dim
 
     def build(self, spec) -> None:
-        extra = spec.validation_mode == MODE_EXTRA
-        self.samples, self.labels, validation, self.test_set = softmax_task_generate(
-            group_counts=spec.group_counts,
-            alpha=self.mixing_alpha,
-            feature_dim=spec.dim,
-            n_classes=self.n_classes,
-            shard_size=spec.shard_size,
-            master_seed=spec.master_seed,
-            validation_size=spec.validation_size if extra else None,
-            test_size=self.test_size,
-        )
-        validation = validation if extra else (self.samples[0], self.labels[0])
+        self.samples, self.labels, validation, self.test_set = softmax_task_generate(spec, self)
         self.oracle = SoftmaxValidationOracle(*validation, self.n_classes)
         self.start = np.zeros(self.model_dim(spec.dim))
 

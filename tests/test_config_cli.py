@@ -676,7 +676,8 @@ class TestMainEntryPoint:
 
     def test_overflowing_convergence_bound_run_exits_zero(self, tmp_path):
         # (1 - step * mu) ** rounds overflows: the PL bound is inf, as IEEE
-        # arithmetic gives it, not an OverflowError.
+        # arithmetic gives it, not an OverflowError. The run diverged, so its
+        # inf gap holds no bound, not even that inf one.
         out = tmp_path / "overflow"
         args = ["-m", "meritfed.cli", "run", "--preset", "theorem-mean", "--out", str(out)]
         for item in ("seeds=1", "rounds=2", "methods=sgd-ideal", "model_step=1e155"):
@@ -686,7 +687,8 @@ class TestMainEntryPoint:
         assert "Traceback" not in done.stderr
         with open(out / "theorem.csv", encoding="utf-8") as handle:
             header, row = handle.read().splitlines()
-        assert dict(zip(header.split(","), row.split(",")))["pl_rhs"] == "inf"
+        report = dict(zip(header.split(","), row.split(",")))
+        assert (report["final_gap"], report["pl_rhs"], report["pl_holds"]) == ("inf", "inf", "false")
 
     def test_softmax_reuse_train_draws_no_validation_set(self, tmp_path):
         # Reuse-train validates on client 0's shard, so validation_size is
@@ -804,6 +806,13 @@ class TestMainEntryPoint:
         assert main(["run", "--config", missing]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_exit_two(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        done = run_python(["-m", "meritfed.cli", "run", "--config", str(path)])
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == f"config error: config file {str(path)!r} is not UTF-8: invalid start byte at byte 0\n"
+
     def test_config_file_plus_preset_flag(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("rounds = 2\n" + "".join(f"{item}\n" for item in TINY_OVERRIDES if not item.startswith("rounds")), encoding="utf-8")
@@ -888,3 +897,41 @@ class TestCommandLineFuzz:
                 assert not os.path.exists(out), changes
         finally:
             shutil.rmtree(out_dir)
+
+
+# Config file lines: schema keys, preset names and the --set fuzz values,
+# mixed with drawn text, around separators, comments, NULs and line breaks.
+CONFIG_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["preset", "", " "] + sorted(CONFIG_SCHEMA)) | st.text(max_size=6),
+        st.sampled_from(["=", " = ", "==", "", "#"]),
+        st.sampled_from(sorted(PRESETS)) | FUZZ_VALUES | st.text(max_size=6),
+        st.sampled_from(["\n", "\r\n", " # note\n", "\x00", "\u2028", "\u00e9", ""]),
+    ),
+    max_size=6,
+).map(lambda lines: "".join("".join(line) for line in lines))
+CONFIG_FILES = st.binary(max_size=40) | st.builds(
+    str.encode, CONFIG_LINES, st.sampled_from(["utf-8", "utf-16", "latin-1"]), st.just("replace")
+)
+
+
+class TestConfigFileFuzz:
+    """Any config file under `--set rounds=0`: exit 2 and one config error line, and no run starts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=CONFIG_FILES)
+    def test_one_config_error_line(self, content):
+        tmp = tempfile.mkdtemp()
+        path, out = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "run")
+        try:
+            with open(path, "wb") as handle:
+                handle.write(content)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = main(["run", "--config", path, "--set", "rounds=0", "--out", out])
+            err = stderr.getvalue()
+            assert (status, stdout.getvalue()) == (2, ""), (content, err)
+            assert err.startswith("config error: ") and err.splitlines() == [err[:-1]], (content, err)
+            assert not os.path.exists(out), content
+        finally:
+            shutil.rmtree(tmp)

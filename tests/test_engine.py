@@ -7,6 +7,7 @@ arithmetic for the rate-bound evaluator.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -547,6 +548,24 @@ class TestConvergenceReport:
         assert not out["noncvx_holds"]
         assert not out["pl_holds"]
 
+    @pytest.mark.parametrize("diverged", ["avg_grad_norm_sq", "final_gap"])
+    def test_an_infinite_measured_side_holds_no_bound(self, diverged):
+        # An infinite initial gap makes both right-hand sides inf; the bound
+        # whose measured side is inf fails, the one with a finite side holds.
+        measured = {"avg_grad_norm_sq": 1.0, "final_gap": 0.001, diverged: math.inf}
+        out = check_convergence_bounds(
+            initial_gap=math.inf,
+            rounds=100,
+            model_step=0.01,
+            group_size=5,
+            sigma_sq=0.4,
+            delta_bar=0.002,
+            **measured,
+        )
+        assert out["noncvx_rhs"] == out["pl_rhs"] == math.inf
+        assert out["noncvx_holds"] == (diverged != "avg_grad_norm_sq")
+        assert out["pl_holds"] == (diverged != "final_gap")
+
     def test_large_step_flagged(self):
         out = check_convergence_bounds(
             initial_gap=1.0,
@@ -752,7 +771,7 @@ class TestRoundDrawsMatchPerClientLoop:
         theta = x.reshape(state.task.n_classes, -1)
         for t in (0, 2):
             expected = [
-                SoftmaxRows(samples[rows], labels[rows], len(theta)).loss_grad(theta)[1].ravel()
+                SoftmaxRows(samples[None, rows], labels[None, rows], len(theta)).loss_grad(theta)[1][0].ravel()
                 for samples, labels, rows in zip(
                     state.task.samples, state.task.labels, per_client_rows(state.spec, t)
                 )

@@ -24,6 +24,8 @@ from meritfed.simplex_opt import MdConfig, WeightObjective, solve_weights
 from meritfed.tasks import (
     MEAN_PL_CONSTANT,
     MEAN_SMOOTHNESS,
+    MODE_EXTRA,
+    MODE_REUSE_TRAIN,
     MeanTask,
     MeanValidationOracle,
     PopulationMeanOracle,
@@ -441,12 +443,18 @@ class TestStreamedMeanOracle:
         assert peak < state.task.samples.nbytes + 2 * 2**20
 
 
+def softmax_data(mixing_alpha, n_classes, test_size, **spec_fields):
+    """`softmax_task_generate` for a run spec with spec_fields and a softmax task with the rest."""
+    task = SoftmaxTask(mixing_alpha=mixing_alpha, n_classes=n_classes, test_size=test_size)
+    return softmax_task_generate(ExperimentSpec(methods=[SgdFull("sgd-full")], task=task, **spec_fields), task)
+
+
 class TestSoftmaxGeneration:
     def test_alpha_one_group2_matches_group1_label_set(self):
-        _, labels, _, _ = softmax_task_generate(
+        _, labels, _, _ = softmax_data(
             group_counts=(1, 2, 1),
-            alpha=1.0,
-            feature_dim=10,
+            mixing_alpha=1.0,
+            dim=10,
             n_classes=10,
             shard_size=300,
             master_seed=0,
@@ -458,10 +466,10 @@ class TestSoftmaxGeneration:
     def test_alpha_half_target_fraction(self):
         counts = []
         for seed in range(3):
-            _, labels, _, _ = softmax_task_generate(
-                    group_counts=(1, 1, 1),
-                alpha=0.5,
-                feature_dim=10,
+            _, labels, _, _ = softmax_data(
+                group_counts=(1, 1, 1),
+                mixing_alpha=0.5,
+                dim=10,
                 n_classes=10,
                 shard_size=1000,
                 master_seed=seed,
@@ -472,10 +480,10 @@ class TestSoftmaxGeneration:
         assert abs(np.mean(counts) - 500) <= 50
 
     def test_group3_never_sees_target_classes(self):
-        _, labels, _, _ = softmax_task_generate(
+        _, labels, _, _ = softmax_data(
             group_counts=(1, 1, 1),
-            alpha=0.5,
-            feature_dim=10,
+            mixing_alpha=0.5,
+            dim=10,
             n_classes=10,
             shard_size=500,
             master_seed=1,
@@ -485,10 +493,10 @@ class TestSoftmaxGeneration:
         assert not np.isin(labels[2], [0, 1, 2, 3, 4, 5]).any()
 
     def test_held_out_shards_are_target_distribution(self):
-        _, _, validation, test = softmax_task_generate(
+        _, _, validation, test = softmax_data(
             group_counts=(1, 0, 0),
-            alpha=0.5,
-            feature_dim=10,
+            mixing_alpha=0.5,
+            dim=10,
             n_classes=10,
             shard_size=10,
             master_seed=2,
@@ -512,34 +520,41 @@ class TestSoftmaxGeneration:
             spec.validate()
 
     def test_validation_set_drawn_only_on_request(self):
-        # Each held-out shard has its own stream: leaving out the validation
-        # set changes neither the client shards nor the test set.
-        def generate(validation_size):
-            return softmax_task_generate(
+        # Each held-out shard has its own stream: validating on client 0's
+        # shard (reuse-train) draws no validation set, so a size no memory
+        # could hold is never allocated, and changes neither the client
+        # shards nor the test set.
+        def generate(validation_mode, validation_size):
+            return softmax_data(
                 group_counts=(1, 1, 1),
-                alpha=0.5,
-                feature_dim=10,
+                mixing_alpha=0.5,
+                dim=10,
                 n_classes=10,
                 shard_size=20,
                 master_seed=5,
+                validation_mode=validation_mode,
                 validation_size=validation_size,
                 test_size=30,
             )
 
-        features, labels, validation, test = generate(40)
-        bare_features, bare_labels, nothing, bare_test = generate(None)
-        assert validation[0].shape == (40, 10) and nothing is None
+        features, labels, validation, test = generate(MODE_EXTRA, 40)
+        bare_features, bare_labels, reused, bare_test = generate(MODE_REUSE_TRAIN, 10**15)
+        assert validation[0].shape == (40, 10)
         for a, b in zip((features, labels, *test), (bare_features, bare_labels, *bare_test)):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(reused[0], features[0])
+        np.testing.assert_array_equal(reused[1], labels[0])
 
 
 def softmax_loss_grad(theta, features, labels):
     """Mean cross-entropy of a linear softmax classifier and its gradient, by one `SoftmaxRows`.
 
-    theta has shape (n_classes, feature_dim); the gradient has the same shape.
+    theta has shape (n_classes, feature_dim); the gradient has the same
+    shape. The (m, feature_dim) rows go to the kernel as a stack of one.
     """
     theta = np.asarray(theta, dtype=float)
-    return SoftmaxRows(features, labels, len(theta)).loss_grad(theta)
+    losses, grads = SoftmaxRows(features[None], labels[None], len(theta)).loss_grad(theta)
+    return float(losses[0]), grads[0]
 
 
 def reference_softmax_loss_grad(theta, features, labels):
@@ -572,10 +587,10 @@ class TestSoftmaxKernelMatchesReference:
         features = rng.standard_normal((rows, n_classes + extra_dims))
         labels = rng.integers(0, n_classes, size=rows)
         theta = rng.standard_normal((n_classes, n_classes + extra_dims)) * 10.0**log_scale
-        kernel = SoftmaxRows(features, labels, n_classes)
+        kernel = SoftmaxRows(features[None], labels[None], n_classes)
         expected_loss, expected_grad = reference_softmax_loss_grad(theta, features, labels)
         for _ in range(2):  # the second call reuses the scratch of the first
-            loss, grad = kernel.loss_grad(theta)
+            (loss,), (grad,) = kernel.loss_grad(theta)
             assert loss == expected_loss
             assert np.array_equal(grad, expected_grad)
 
@@ -611,11 +626,11 @@ class TestSoftmaxKernelMatchesReference:
         features = rng.standard_normal((193, 12))
         labels = rng.integers(0, 12, size=193)
         theta = rng.standard_normal((12, 12))
-        kernel = SoftmaxRows(features, labels, 12)
+        kernel = SoftmaxRows(features[None], labels[None], 12)
         value = kernel.loss(theta)
-        assert isinstance(value, float)
+        assert value.shape == (1,)
         expected_loss, _ = reference_softmax_loss_grad(theta, features, labels)
-        assert value == kernel.loss_grad(theta)[0] == expected_loss
+        assert value[0] == kernel.loss_grad(theta)[0][0] == expected_loss
 
     @pytest.mark.parametrize("terms", list(range(1, 41)) + [128, 129, 300])
     def test_row_sums_round_as_numpy(self, terms):
@@ -681,10 +696,10 @@ class TestSoftmaxLoss:
         # The center matrix is the Bayes rule for equal-norm clusters; at
         # pairwise distance 4 it sits near 0.88 over 10 classes, far above
         # the 0.1 chance level, so cluster separation is real.
-        _, _, _, test = softmax_task_generate(
+        _, _, _, test = softmax_data(
             group_counts=(1, 0, 0),
-            alpha=1.0,
-            feature_dim=10,
+            mixing_alpha=1.0,
+            dim=10,
             n_classes=10,
             shard_size=10,
             master_seed=3,
@@ -697,10 +712,10 @@ class TestSoftmaxLoss:
 
 class TestSoftmaxOracle:
     def test_matches_direct_loss(self):
-        _, _, validation, _ = softmax_task_generate(
+        _, _, validation, _ = softmax_data(
             group_counts=(1, 0, 0),
-            alpha=1.0,
-            feature_dim=6,
+            mixing_alpha=1.0,
+            dim=6,
             n_classes=6,
             shard_size=10,
             master_seed=4,
@@ -774,13 +789,23 @@ class TestSoftmaxOracle:
         with pytest.raises(MeritFedError, match=r"label outside class range \[0, 3\)"):
             SoftmaxValidationOracle(np.zeros((2, 4)), np.array([0, 3]), 3)
         with pytest.raises(MeritFedError, match="empty batch"):
-            SoftmaxRows(np.empty((0, 4)), np.array([], dtype=int), 3)
+            SoftmaxRows(np.empty((1, 0, 4)), np.empty((1, 0), dtype=int), 3)
         _, oracle = self.validation_oracle(rows=20, n_classes=4)
         for bad in (np.zeros(12), np.zeros(20)):
             with pytest.raises(MeritFedError, match="does not match features"):
                 oracle.evaluate(bad)
         with pytest.raises(MeritFedError, match=r"theta shape \(3, 4\) does not match"):
-            SoftmaxRows(np.zeros((2, 4)), np.array([0, 1]), 4).loss_grad(np.zeros((3, 4)))
+            SoftmaxRows(np.zeros((1, 2, 4)), np.array([[0, 1]]), 4).loss_grad(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize(
+        "features_shape, labels_shape",
+        [((5, 4), (5,)), ((4,), (1,)), ((1, 5, 4), (5,)), ((2, 5, 4), (2, 4)), ((1, 1, 5, 4), (1, 1, 5))],
+    )
+    def test_only_a_stack_of_row_sets_is_accepted(self, features_shape, labels_shape):
+        # One row set goes in as a stack of one; any other shape is refused
+        # by name at construction, before a call could broadcast it.
+        with pytest.raises(MeritFedError, match=r"take \(s, m, d\) features and \(s, m\) labels"):
+            SoftmaxRows(np.zeros(features_shape), np.zeros(labels_shape, dtype=int), 3)
 
     def test_distribution_spec_validation(self):
         # The config maps the task name to a task class; the softmax task
