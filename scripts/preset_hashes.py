@@ -6,10 +6,12 @@ Each preset runs with `--set seeds=2` and a round cap: 12 rounds for
 more at base seed 2^32 + 5, whose stream entropy has more than one 32-bit
 word for the master seed. Two more runs at the same caps cover the solver
 paths no preset takes: the zeroth-order solver, and the minibatch solver on
-the softmax task and with a minibatch as large as the validation set. Five
+the softmax task and with a minibatch as large as the validation set. Seven
 more cover data paths no preset takes: the mean task's batch gather and
 kept-rows validation oracle at dimension 1; exact gradients with the
-population oracle and the grid-gap delta (three clients); the softmax
+population oracle and the grid-gap delta (three clients); the grid-gap
+delta over the held-out validation oracle at one and at two clients, the
+grid's one-point and line branches; the softmax
 oracle over client 0's rows (reuse-train validation); and the softmax
 kernel's class sums below 8 terms (7 classes) and past 128 terms (130
 classes, split into halves of 64 and 66 terms, each summed over more than
@@ -49,6 +51,8 @@ SOLVER_RUNS = (
 DATA_RUNS = (
     ("mean-mu-0.1", ("dim=1",)),
     ("theorem-mean", ("exact_gradients=true", "validation_mode=population", "group1_count=3")),
+    ("theorem-mean", ("group1_count=1",)),
+    ("theorem-mean", ("group1_count=2",)),
     ("softmax-alpha-0.5", ("validation_mode=reuse-train",)),
     ("softmax-alpha-0.5", ("n_classes=7",)),
     ("softmax-alpha-0.5", ("n_classes=130", "dim=130", "validation_size=500", "test_size=500")),

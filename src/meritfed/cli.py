@@ -202,6 +202,18 @@ def _parse_value(key: str, raw: str, where: str) -> object:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
+def _assign(values: dict, item: str, where: str, keys=CONFIG_SCHEMA) -> str:
+    """Store one `key = value` item in values, read as its key's type, and return the key."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key = value, got {item!r}")
+    key, _, raw = item.partition("=")
+    key = key.strip()
+    if key not in keys:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    values[key] = raw.strip() if key == "preset" else _parse_value(key, raw, where)
+    return key
+
+
 def parse_config(
     text: str, preset: Optional[str] = None, overrides: Optional[list[str]] = None
 ) -> RunConfig:
@@ -213,44 +225,28 @@ def parse_config(
     --set) are applied last. Without a preset, every schema key is
     required.
     """
-    values: dict = {}
+    file_values: dict = {}
     seen: dict[str, int] = {}
-    file_preset: Optional[str] = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key != "preset" and key not in CONFIG_SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        key = stripped.partition("=")[0].strip()
+        if "=" in stripped and key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})")
-        seen[key] = lineno
-        if key == "preset":
-            file_preset = raw.strip()
-        else:
-            values[key] = _parse_value(key, raw, f"line {lineno}")
+        seen[_assign(file_values, stripped, f"line {lineno}", (*CONFIG_SCHEMA, "preset"))] = lineno
 
-    preset_name = preset if preset is not None else file_preset
+    file_preset = file_values.pop("preset", None)
+    preset_name = file_preset if preset is None else preset
+    values: dict = {}
     if preset_name is not None:
         if preset_name not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ConfigError(f"unknown preset {preset_name!r}; known presets: {known}")
-        merged = PRESETS[preset_name]()
-        merged.update(values)
-        values = merged
-
+        values = PRESETS[preset_name]()
+    values.update(file_values)
     for index, item in enumerate(overrides or [], start=1):
-        if "=" not in item:
-            raise ConfigError(f"--set entry {index}: expected key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"--set entry {index}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw, f"--set entry {index}")
+        _assign(values, item, f"--set entry {index}")
 
     missing = sorted(k for k in CONFIG_SCHEMA if k not in values)
     if missing:
@@ -486,7 +482,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         text = ""
         if args.config is not None:
             try:
-                with open(args.config, "r", encoding="utf-8") as handle:
+                with open(args.config, "r", encoding="utf-8-sig") as handle:
                     text = handle.read()
             except OSError as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)

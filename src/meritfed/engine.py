@@ -274,8 +274,9 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
         w, delta = rule.weights(objective, rng)
         x_new = apply_update(objective, w)
         if delta is not None and state._grid is not None:
-            # Solver gap against the brute-force simplex grid.
-            delta = max(objective.value(w) - min(map(objective.value, state._grid)), 0.0)
+            # Solver gap against the brute-force simplex grid, scored with the loss alone.
+            losses = [task.oracle.value(objective.candidate(p)) for p in (w, *state._grid)]
+            delta = max(losses[0] - min(losses[1:]), 0.0)
         state.metrics.append(state.state_metrics(slot, round_index, delta))
         if round_index % spec.weight_log_every == 0 or round_index == spec.rounds - 1:
             state.weight_rows.append((round_index, rule.label, w.copy()))

@@ -813,6 +813,14 @@ class TestMainEntryPoint:
         assert (done.returncode, done.stdout) == (2, ""), done.stderr
         assert done.stderr == f"config error: config file {str(path)!r} is not UTF-8: invalid start byte at byte 0\n"
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfpreset = theorem-mean\nseeds = 1\nrounds = 2\n")
+        out = str(tmp_path / "bom-out")
+        assert main(["run", "--config", str(path), "--out", out]) == 0, capsys.readouterr().err
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as handle:
+            assert json.load(handle)["preset"] == "theorem-mean"
+
     def test_config_file_plus_preset_flag(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("rounds = 2\n" + "".join(f"{item}\n" for item in TINY_OVERRIDES if not item.startswith("rounds")), encoding="utf-8")

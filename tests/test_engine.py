@@ -29,6 +29,7 @@ from meritfed.clients import (
 from meritfed.engine import (
     DELTA_ESTIMATOR_GRID,
     DELTA_ESTIMATOR_ITERATE,
+    GRID_RESOLUTION,
     MODE_POPULATION,
     MODE_REUSE_TRAIN,
     ExperimentSpec,
@@ -37,11 +38,12 @@ from meritfed.engine import (
     run_round,
 )
 from meritfed.errors import ConfigError
-from meritfed.simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig
+from meritfed.simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig, WeightObjective, simplex_grid
 from meritfed.tasks import (
     MODE_EXTRA,
     MODE_REUSE_TRAIN,
     MeanTask,
+    MeanValidationOracle,
     PopulationMeanOracle,
     SoftmaxRows,
     SoftmaxTask,
@@ -629,6 +631,30 @@ class TestConvergenceReport:
         )
         result = run_experiment(spec)
         assert result.convergence[0].delta_estimator == DELTA_ESTIMATOR_GRID
+
+    @pytest.mark.parametrize("group_counts", [(2, 0, 0), (2, 1, 0)])
+    @pytest.mark.parametrize(
+        "validation_mode, oracle_type", [(MODE_EXTRA, MeanValidationOracle), (MODE_POPULATION, PopulationMeanOracle)]
+    )
+    def test_grid_gap_is_the_brute_force_minimum(self, group_counts, validation_mode, oracle_type):
+        rows = []
+
+        def observer(t, label, x, gradients, w, delta, x_after):
+            rows.append((x.copy(), gradients.copy(), w.copy(), delta))
+
+        spec = small_spec(
+            methods=[meritfed_method(md_steps=10)],
+            group_counts=group_counts,
+            rounds=3,
+            validation_mode=validation_mode,
+        )
+        result = run_experiment(spec, observer=observer)
+        assert isinstance(result.oracle, oracle_type)
+        assert len(rows) == spec.rounds
+        grid = simplex_grid(spec.n_clients, GRID_RESOLUTION)
+        for x, gradients, w, delta in rows:
+            obj = WeightObjective(x, gradients, spec.model_step, result.oracle)
+            assert delta == max(obj.value(w) - min(obj.value(p) for p in grid), 0.0)
 
     @pytest.mark.parametrize(
         "preset, overrides, blank_delta_methods",
