@@ -34,10 +34,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
-from meritfed.cli import PRESETS  # noqa: E402
+from meritfed.cli import OUTPUT_FILES, PRESETS  # noqa: E402
 
 ROUND_CAPS = {"mean-mu-": 12, "theorem-mean": 30, "byzantine-": 40, "softmax-": 6}
-FILES = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
 RUN_FAILED = "run failed"
 MULTI_WORD_SEED = 2**32 + 5
 MULTI_WORD_PRESETS = ("byzantine-rn", "mean-mu-0.1", "softmax-alpha-0.5")
@@ -80,9 +79,9 @@ RUNS = (
 
 
 def file_digests(out_dir: str) -> list[str]:
-    """The sha256 of each output file in out_dir, in FILES order."""
+    """The sha256 of each output file in out_dir, in OUTPUT_FILES order."""
     digests = []
-    for name in FILES:
+    for name in OUTPUT_FILES:
         with open(os.path.join(out_dir, name), "rb") as handle:
             digests.append(hashlib.sha256(handle.read()).hexdigest())
     return digests
@@ -96,7 +95,7 @@ def run_hashes(root: str, preset: str, overrides: tuple[str, ...]) -> list[str]:
         for override in overrides:
             command += ["--set", override]
         if subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode != 0:
-            return [RUN_FAILED] * len(FILES)
+            return [RUN_FAILED] * len(OUTPUT_FILES)
         return [f"`{digest}`" for digest in file_digests(out)]
 
 
@@ -111,7 +110,7 @@ def main() -> int:
     ok = True
     for label, preset, overrides in RUNS:
         columns = [run_hashes(root, preset, overrides) for root in roots]
-        for row, name in enumerate(FILES):
+        for row, name in enumerate(OUTPUT_FILES):
             cells = [column[row] for column in columns]
             ok = ok and RUN_FAILED not in cells and len(set(cells)) == 1
             print(f"| `{label}` | `{name}` | {' | '.join(cells)} |", flush=True)

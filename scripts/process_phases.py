@@ -24,6 +24,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROCESSES = 10
+# cli.OUTPUT_FILES, restated: importing meritfed would import numpy into this launcher, whose peak RSS
+# each child's ru_maxrss starts from.
 FILES = ("metrics.csv", "weights.csv", "theorem.csv", "manifest.json")
 
 # The child: stamp the clock at exit, then run the CLI module as __main__ with the given arguments.

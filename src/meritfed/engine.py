@@ -323,17 +323,24 @@ def _convergence_report(state: RunState) -> list[ConvergenceRow]:
 def run_experiment(
     spec: ExperimentSpec, observer: Optional[Observer] = None
 ) -> ExperimentResult:
-    """Run all configured methods for the full horizon and collect outputs."""
+    """Run all configured methods for the full horizon and collect outputs.
+
+    A method that diverges overflows to inf and nan, which its rows record;
+    numpy's floating-point warnings are silenced for the rounds, the final
+    rows and the report, so a run that completes writes nothing to stderr.
+    """
     state = RunState(spec)
-    for t in range(spec.rounds):
-        run_round(state, t, observer=observer)
-    for slot in range(len(state.rules)):
-        state.metrics.append(state.state_metrics(slot, spec.rounds, None))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(spec.rounds):
+            run_round(state, t, observer=observer)
+        for slot in range(len(state.rules)):
+            state.metrics.append(state.state_metrics(slot, spec.rounds, None))
+        convergence = _convergence_report(state)
     return ExperimentResult(
         spec=spec,
         metrics=state.metrics,
         weight_rows=state.weight_rows,
-        convergence=_convergence_report(state),
+        convergence=convergence,
         mixture_direction=state.task.mixture_direction,
         final_points={rule.label: x for rule, x in zip(state.rules, state.points)},
         oracle=state.task.oracle,

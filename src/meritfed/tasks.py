@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Annotated, ClassVar, Literal, Optional
+from typing import Annotated, Callable, ClassVar, Literal, Optional
 
 import numpy as np
 
@@ -36,8 +36,8 @@ CLASS_CENTER_DISTANCE = 4.0
 MEAN_SMOOTHNESS = 2.0
 MEAN_PL_CONSTANT = 2.0
 
-# Rows per step when the mean oracle computes its rows' squared norms.
-NORM_CHUNK_ROWS = 4096
+# Values per block of `fold_mean`: its buffer holds at most this many, plus one row.
+FOLD_BLOCK_VALUES = 2**14
 
 
 def generate_mean_shards(master_seed: int, centers: np.ndarray, shard_size: int) -> np.ndarray:
@@ -55,6 +55,27 @@ def generate_mean_shards(master_seed: int, centers: np.ndarray, shard_size: int)
         rng.standard_normal(out=block[i])
         block[i] += centers[i]
     return block
+
+
+def fold_mean(count: int, row_shape: tuple[int, ...], fill: Callable[[np.ndarray, int], None]) -> np.ndarray:
+    """The mean of count C-ordered rows of row_shape, added as `.mean(axis=0)` of their stack adds them.
+
+    When a row holds at least two values, `np.add.reduce(rows, axis=0)` is
+    one left fold: it copies the first row and adds the others onto it, one
+    after another. Here fill(block, start) writes rows start, start + 1, ...
+    into each block in turn, at most FOLD_BLOCK_VALUES values a block, and
+    each block's reduction begins from row 0 of one reused buffer, which
+    holds the sum of the blocks before it. That makes the same additions in
+    the same order, and nothing grows with count. With one value a row numpy
+    sums the stack pairwise instead, which no fold repeats.
+    """
+    block_rows = max(1, FOLD_BLOCK_VALUES // math.prod(row_shape))
+    buffer = np.empty((min(count, block_rows) + 1, *row_shape))
+    for start in range(0, count, block_rows):
+        block = buffer[: 1 + min(block_rows, count - start)]
+        fill(block[1:], start)
+        buffer[0] = np.add.reduce(block if start else block[1:], axis=0)
+    return buffer[0] / count
 
 
 def softmax_class_centers(n_classes: int, feature_dim: int) -> np.ndarray:
@@ -243,37 +264,41 @@ class MeanValidationOracle(SampleOracle):
     """Empirical mean-estimation objective over a held-out sample set.
 
     f_hat(x) = mean_i ||x - xi_i||^2 evaluated in O(d) through the precomputed
-    sample mean and mean squared norm. The rows' squared norms are computed a
-    fixed number of rows at a time, so building the oracle makes no
-    temporary the size of the samples.
+    sample mean and mean squared norm. Both come from one pass of
+    `fold_mean` over the rows, which also takes each block's squared norms,
+    so building the oracle makes no temporary the size of the samples.
     """
 
-    def __init__(self, samples: np.ndarray) -> None:
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        self._set_sq_norm(len(samples), lambda start: samples[start : start + NORM_CHUNK_ROWS])
-        self.samples, self.mean = samples, samples.mean(axis=0)
+    def __init__(
+        self, samples: Optional[np.ndarray], shape: tuple[int, int] = (0, 0), fill: Optional[Callable] = None
+    ) -> None:
+        """The oracle over the rows samples or, with samples None, over the shape rows that fill writes.
+
+        fill(block, start) writes rows start, start + 1, ... into block, as
+        `fold_mean` asks; such an oracle keeps no rows.
+        """
+        if samples is not None:
+            samples = np.atleast_2d(np.asarray(samples, dtype=float))
+            shape, fill = samples.shape, lambda block, start: np.copyto(block, samples[start : start + len(block)])
+        size, dim = shape
+        super().__init__(size)
+        row_sq_norms = np.empty(size)
+
+        def fill_and_norm(block: np.ndarray, start: int) -> None:
+            fill(block, start)
+            np.sum(np.square(block), axis=1, out=row_sq_norms[start : start + len(block)])
+
+        mean = fold_mean(size, (dim,), fill_and_norm)
+        self.samples = samples
+        self.mean = samples.mean(axis=0) if dim == 1 else mean  # at dim 1 numpy sums the column pairwise
+        self.mean_sq_norm = float(np.mean(row_sq_norms))
 
     @classmethod
     def streamed(cls, rng: np.random.Generator, size: int, dim: int, keep_rows: bool) -> MeanValidationOracle:
         """The oracle over rng.standard_normal((size, dim)), bit for bit; it keeps the rows if keep_rows."""
-        if keep_rows or dim == 1:  # at dim 1 numpy sums the column pairwise, not as one fold
+        if keep_rows or dim == 1:  # at dim 1 the pairwise mean needs the whole column
             return cls(rng.standard_normal((size, dim)))
-        oracle, buffer = cls.__new__(cls), np.empty((min(size, NORM_CHUNK_ROWS) + 1, dim))
-        def chunk(start: int) -> np.ndarray:  # .mean(axis=0) at dim >= 2 is a left fold over the rows
-            block = buffer[: 1 + min(NORM_CHUNK_ROWS, size - start)]  # row 0 holds the sum so far
-            rng.standard_normal(out=block[1:])
-            block[0] = np.add.reduce(block if start else block[1:], axis=0)
-            return block[1:]
-        oracle._set_sq_norm(size, chunk)
-        oracle.samples, oracle.mean = None, buffer[0] / size
-        return oracle
-
-    def _set_sq_norm(self, size: int, chunk) -> None:  # chunk(start): the rows from start on
-        super().__init__(size)
-        row_sq_norms = np.empty(size)
-        for start in range(0, size, NORM_CHUNK_ROWS):
-            np.sum(np.square(chunk(start)), axis=1, out=row_sq_norms[start : start + NORM_CHUNK_ROWS])
-        self.mean_sq_norm = float(np.mean(row_sq_norms))
+        return cls(None, (size, dim), lambda block, start: rng.standard_normal(out=block))
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -477,8 +502,13 @@ class MeanTask(Task):
         flat, index = self.flat_rows(rows)
         if flat.shape[1] == 1:  # numpy sums each contiguous batch pairwise
             means = np.take(flat, index, axis=0).mean(axis=1)
-        else:  # a (batch, n, d) gather summed over axis 0 adds as .mean(axis=1), n * d values a step
-            means = np.add.reduce(np.take(flat, index.T, axis=0), axis=0) / rows.shape[1]
+        else:  # .mean(axis=1)'s order: a fold over the batch positions, each a row of every client's values
+            positions = index.T
+
+            def gather(block: np.ndarray, start: int) -> None:  # indices in range: "clip" takes into block unbuffered
+                np.take(flat, positions[start : start + len(block)], axis=0, out=block, mode="clip")
+
+            means = fold_mean(len(positions), (len(index), flat.shape[1]), gather)
         fill = len(self.centers) - len(rows)
         return np.concatenate([means, means[[0] * fill]]) if fill else means
 

@@ -568,6 +568,20 @@ class TestConvergenceReport:
         assert out["noncvx_holds"] == (diverged != "avg_grad_norm_sq")
         assert out["pl_holds"] == (diverged != "final_gap")
 
+    @pytest.mark.parametrize("measured, bound", [("avg_grad_norm_sq", "noncvx"), ("final_gap", "pl")])
+    def test_a_measured_side_holds_up_to_a_relative_and_absolute_1e_12(self, measured, bound):
+        # The edge is rhs * (1 + 1e-12) + 1e-12: a side exactly there holds,
+        # one a relative 1e-9 above the right-hand side does not.
+        def report(value: float) -> dict:
+            sides = {"avg_grad_norm_sq": 0.0, "final_gap": 0.0, measured: value}
+            return check_convergence_bounds(
+                initial_gap=10.0, rounds=100, model_step=0.01, group_size=5, sigma_sq=0.4, delta_bar=0.002, **sides
+            )
+
+        rhs = report(0.0)[f"{bound}_rhs"]
+        assert report(rhs * (1.0 + 1e-12) + 1e-12)[f"{bound}_holds"]
+        assert not report(rhs * (1.0 + 1e-9))[f"{bound}_holds"]
+
     def test_large_step_flagged(self):
         out = check_convergence_bounds(
             initial_gap=1.0,

@@ -9,16 +9,17 @@ stack.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meritfed import streams
+from meritfed import streams, tasks
 from meritfed.aggregators import SgdFull
 from meritfed.cli import build_experiment, parse_config
-from meritfed.engine import ExperimentSpec, RunState
+from meritfed.engine import ExperimentSpec, RunState, run_round
 from meritfed.errors import ConfigError, MeritFedError
 from meritfed.simplex_opt import MdConfig, WeightObjective, solve_weights
 from meritfed.tasks import (
@@ -312,10 +313,10 @@ class TestValidationOracles:
 
 
 class TestMeanRoundBasis:
-    # The round's batch means, summed along the outer axis of a
-    # batch-position-major gather, equal each client's own batch mean bit for
-    # bit, and so does the oracle's gradient on given rows at d = 1, where
-    # numpy sums a contiguous batch pairwise.
+    # The round's batch means, folded over blocks of batch positions of every
+    # client, equal each client's own batch mean bit for bit, and so does
+    # the oracle's gradient on given rows at d = 1, where numpy sums a
+    # contiguous batch pairwise.
 
     @pytest.mark.parametrize(
         "n, shard_size, batch, dim",
@@ -364,6 +365,69 @@ class TestMeanRoundBasis:
                 assert all(np.array_equal(row, basis[0]) for row in basis[honest:])
 
 
+class TestFoldMean:
+    # `fold_mean` folds the rows a bounded block at a time, each block
+    # continuing the sum so far. At every block bound the round basis and
+    # the mean oracle equal numpy's own means bit for bit, and a round holds
+    # no gather that grows with batch x clients x dim.
+
+    @staticmethod
+    def block_bounds(count: int) -> list[int]:
+        """Rows per block: one, two, half of count, one fewer than count, and past count."""
+        return sorted({1, 2, max(count // 2, 1), max(count - 1, 1), count + 1})
+
+    @staticmethod
+    def rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+        """Normal values spread over 16 decades, so that any other order of additions rounds differently."""
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        shard_size=st.integers(1, 30),
+        dim=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_round_basis_is_each_clients_batch_mean(self, n, shard_size, dim, seed, data):
+        rng = np.random.default_rng(seed)
+        batch = data.draw(st.integers(1, shard_size), label="batch")
+        task = MeanTask()
+        task.samples, task.centers = self.rows(rng, (n, shard_size, dim)), np.zeros((n, dim))
+        rows = np.stack([rng.choice(shard_size, size=batch, replace=False) for _ in range(n)])
+        flat, index = task.flat_rows(rows)
+        expected = np.take(flat, index, axis=0).mean(axis=1)
+        for block in self.block_bounds(batch):
+            with mock.patch.object(tasks, "FOLD_BLOCK_VALUES", block * n * dim):
+                assert np.array_equal(task.round_basis(rows), expected), block
+
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.integers(1, 60), dim=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    def test_oracle_mean_is_the_rows_mean(self, size, dim, seed):
+        rows = self.rows(np.random.default_rng(seed), (size, dim))
+        drawn = np.random.default_rng(seed).standard_normal((size, dim))
+        for block in self.block_bounds(size):
+            with mock.patch.object(tasks, "FOLD_BLOCK_VALUES", block * dim):
+                kept = MeanValidationOracle(rows)
+                streamed = MeanValidationOracle.streamed(np.random.default_rng(seed), size, dim, False)
+            assert np.array_equal(kept.mean, rows.mean(axis=0)), block
+            assert kept.mean_sq_norm == float(np.mean(np.sum(np.square(rows), axis=1))), block
+            assert np.array_equal(streamed.mean, drawn.mean(axis=0)), block
+
+    def test_a_mean_round_holds_no_batch_gather(self):
+        # mean-mu-0.1 gathers 100 batch rows of 10 values for each of 150
+        # clients a round: 1,200,000 bytes if gathered at once.
+        state = RunState(build_experiment(parse_config("", preset="mean-mu-0.1", overrides=["seeds=1"])))
+        run_round(state, 0)
+        tracemalloc.start()
+        try:
+            run_round(state, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_200_000
+
+
 class TestStreamedMeanOracle:
     # The oracle built chunk by chunk from the validation stream keeps no
     # rows and equals the oracle over the whole draw bit for bit; the mean
@@ -374,11 +438,12 @@ class TestStreamedMeanOracle:
     @pytest.mark.parametrize("dim", [2, 3, 10, 64])
     def test_equals_the_oracle_over_the_whole_draw(self, dim, size):
         whole_rng, streamed_rng = np.random.default_rng(size + dim), np.random.default_rng(size + dim)
-        whole = MeanValidationOracle(whole_rng.standard_normal((size, dim)))
+        rows = whole_rng.standard_normal((size, dim))
+        whole = MeanValidationOracle(rows)
         streamed = MeanValidationOracle.streamed(streamed_rng, size, dim, False)
         assert streamed.samples is None and streamed.size == size
-        assert np.array_equal(streamed.mean, whole.mean)
-        assert streamed.mean_sq_norm == whole.mean_sq_norm
+        assert np.array_equal(streamed.mean, rows.mean(axis=0))
+        assert streamed.mean_sq_norm == float(np.mean(np.sum(np.square(rows), axis=1)))
         assert streamed_rng.bit_generator.state == whole_rng.bit_generator.state
         for x in np.random.default_rng(dim).standard_normal((3, dim)) * 2.0:
             assert streamed.value(x) == whole.value(x)
@@ -424,10 +489,9 @@ class TestStreamedMeanOracle:
     def test_rows_kept_only_for_a_solver_minibatch_or_dimension_one(self, preset, overrides, kept):
         oracle = self.oracle(preset, *overrides)
         assert (oracle.samples is not None) == kept
-        rng = streams.substream(0, streams.VALIDATION)
-        reference = MeanValidationOracle(rng.standard_normal((oracle.size, len(oracle.mean))))
-        assert np.array_equal(oracle.mean, reference.mean)
-        assert oracle.mean_sq_norm == reference.mean_sq_norm
+        rows = streams.substream(0, streams.VALIDATION).standard_normal((oracle.size, len(oracle.mean)))
+        assert np.array_equal(oracle.mean, rows.mean(axis=0))
+        assert oracle.mean_sq_norm == float(np.mean(np.sum(np.square(rows), axis=1)))
 
     def test_byzantine_run_state_holds_little_beyond_its_shards(self):
         # byzantine-rn's 100,000 x 10 validation rows are 8,000,000 bytes;
