@@ -418,11 +418,18 @@ def run_config(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     }
     with contextlib.ExitStack() as stack:
         if workers > 1 and len(seeds) > 1:
-            import concurrent.futures  # a serial run never pays for the pool's imports
+            import concurrent.futures.process  # a serial run never pays for the pool's imports
 
             # A pool starts all its workers at the first submit: one per seed at most.
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(seeds)))
-            records = stack.enter_context(pool).map(_seed_records, [config] * len(seeds), seeds)
+
+            def records_of(results):
+                try:
+                    yield from results
+                except concurrent.futures.process.BrokenProcessPool as exc:  # a worker died, say killed for its memory
+                    raise MeritFedError(f"a worker process died: {exc}") from None
+
+            records = records_of(stack.enter_context(pool).map(_seed_records, [config] * len(seeds), seeds))
         else:
             records = map(_seed_records, [config] * len(seeds), seeds)
         for seed, tables, direction in records:
@@ -494,12 +501,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = parse_config(text, preset=args.preset, overrides=overrides)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if args.out == "":
+            raise ConfigError("--out must name a directory, got an empty string")
     except MeritFedError as exc:
         # Anything raised while reading and checking the config, including
         # solver settings that MdConfig rejects, is a config error.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    # An empty MERITFED_OUT_DIR counts as unset.
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
     try:
         run_config(config, out_dir, workers=args.workers)

@@ -9,13 +9,13 @@ parallel execution schedule.
 The stream contract: the stream of (master_seed, *key) is a PCG64 generator in
 exactly the state of
 `np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, *key)))`.
-This module derives those states itself, for many keys at once: numpy's
-SeedSequence entropy pool and `generate_state(4, np.uint64)` run as uint32
-array arithmetic with one row per key, and numpy's PCG64 seeding takes the
-resulting words. The keys of one call share one arity, and each index is one
-32-bit word; any other key is a ValueError. The hash constants depend only on
-the position of a word, so all keys whose entropy has the same number of
-32-bit words share them.
+This module derives those states itself, for many keys at once:
+`_seed_words` transcribes numpy's `SeedSequence.mix_entropy` and
+`generate_state(4, np.uint64)` (numpy/random/bit_generator.pyx) line for
+line, with the entropy pool as four uint32 columns, one per pool word, each
+holding that word for every key; numpy's PCG64 seeding takes the resulting
+words. The keys of one call share one arity, and each index is one 32-bit
+word; any other key is a ValueError.
 
 A key with trailing zero indices names the same stream as the key without
 them (the entropy pool hashes zeros past the end of the entropy), so each tag
@@ -39,7 +39,6 @@ take their entropy from `_key_entropy`.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Iterable, Sequence
 
@@ -103,48 +102,6 @@ def _entropy_words(value: int) -> list[int]:
     return words
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The hash multiplier before the first call and after each of `count` calls."""
-    constants = [init]
-    for _ in range(count):
-        constants.append(constants[-1] * mult & _MASK32)
-    return constants
-
-
-@functools.cache
-def _mixing_plan(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(xor, multiplier) constants of each hashing stage for entropy of `length` words.
-
-    Hash call c xors constant c and multiplies by constant c + 1; each stage
-    makes one call per pool column. The stages are: filling the pool, one per
-    pool word mixed into the other three (the word's own column makes no call:
-    it gets zeros, and its result is discarded), one per entropy word beyond
-    the pool, and the generation of the 8 state words.
-    """
-    extra = max(length - _POOL_SIZE, 0)
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
-    calls = iter(range(len(a) - 1))
-    stages = [[next(calls) for _ in range(_POOL_SIZE)]]
-    stages += [
-        [None if dst == src else next(calls) for dst in range(_POOL_SIZE)]
-        for src in range(_POOL_SIZE)
-    ]
-    stages += [[next(calls) for _ in range(_POOL_SIZE)] for _ in range(extra)]
-
-    def constants(stage: list, offset: int) -> np.ndarray:
-        return np.array([0 if c is None else a[c + offset] for c in stage], dtype=np.uint32)
-
-    plan = [(constants(stage, 0), constants(stage, 1)) for stage in stages]
-    b = np.array(_hash_constants(_INIT_B, _MULT_B, _STATE_WORDS), dtype=np.uint32)
-    plan.append((b[:-1].reshape(2, _POOL_SIZE), b[1:].reshape(2, _POOL_SIZE)))
-    return plan
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    values = (values ^ xor) * mult
-    return values ^ (values >> _XSHIFT)
-
-
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = x * _MIX_MULT_L - y * _MIX_MULT_R
     return result ^ (result >> _XSHIFT)
@@ -154,24 +111,37 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """(rows, length) uint32 entropy -> (rows, 4) uint64 words, one row per key.
 
     Row i equals `np.random.SeedSequence(entropy[i]).generate_state(4, np.uint64)`.
+    The body transcribes numpy's `mix_entropy` and `generate_state` line for
+    line: each pool word is a column holding that word for every key, and
+    each of numpy's hash calls is one array operation on one column.
     """
     rows, length = entropy.shape
-    fill, *stages, generate = _mixing_plan(length)
-    # Fill the pool, hashing zeros past the end of the entropy.
-    pool = np.zeros((rows, _POOL_SIZE), dtype=np.uint32)
-    pool[:, : min(length, _POOL_SIZE)] = entropy[:, :_POOL_SIZE]
-    pool = _hashmix(pool, *fill)
-    # Mix every pool word into the other three, in numpy's source-major order.
-    for src in range(_POOL_SIZE):
-        mixed = _mix(pool, _hashmix(pool[:, src : src + 1], *stages[src]))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    # Entropy beyond the pool: mix each word into every pool word.
-    for word, stage in enumerate(stages[_POOL_SIZE:], start=_POOL_SIZE):
-        pool = _mix(pool, _hashmix(entropy[:, word : word + 1], *stage))
+    hash_const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        # Xor the multiplier, advance it once per call, multiply by the new one.
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    # mix_entropy: add in the entropy up to the pool size, hashing zeros past its end.
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    # Mix all bits together so late bits can affect earlier bits.
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    # Add any remaining entropy, mixing each new entropy word with each pool word.
+    for i_src in range(_POOL_SIZE, length):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(entropy[:, i_src]))
     # generate_state(4, np.uint64): 8 words cycling over the pool, paired
     # little-endian into 64-bit words.
-    state = _hashmix(pool[:, None, :], *generate).reshape(rows, _STATE_WORDS)
+    hash_const, mult = _INIT_B, _MULT_B
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(_STATE_WORDS)], axis=1)
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -846,6 +847,43 @@ class TestMainEntryPoint:
         assert main(self.run_args(out)) == 0
         assert os.path.exists(os.path.join(out, "metrics.csv"))
         assert not os.path.exists(str(tmp_path / "ignored"))
+
+    def test_empty_out_flag_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.run_args("")) == 2
+        assert capsys.readouterr().err == "config error: --out must name a directory, got an empty string\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_empty_out_dir_env_var_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUT_DIR_ENV, "")
+        args = ["run", "--preset", "mean-mu-0.1"]
+        for item in TINY_OVERRIDES:
+            args += ["--set", item]
+        assert main(args) == 0
+        assert os.listdir(tmp_path) == [cli.DEFAULT_OUT_DIR]
+        assert sorted(os.listdir(tmp_path / cli.DEFAULT_OUT_DIR)) == sorted(OUTPUT_FILES)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched function reaches pool workers only when they are forked",
+    )
+    def test_worker_that_dies_exits_one(self, tmp_path, monkeypatch, capfd):
+        out = str(tmp_path / "died")
+        run_experiment = cli.run_experiment
+
+        def die_on_seed_one(spec):
+            if spec.master_seed == 1:
+                os._exit(9)
+            return run_experiment(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", die_on_seed_one)
+        capfd.readouterr()
+        args = ["run", "--preset", "byzantine-rn", "--seed", "0", "--set", "seeds=2", "--set", "rounds=3"]
+        assert main(args + ["--workers", "2", "--out", out]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: a worker process died: ") and err.count("\n") == 1, err
+        assert os.listdir(tmp_path) == []
 
     def test_list_presets(self, capsys):
         assert main(["run", "--list-presets"]) == 0

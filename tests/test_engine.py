@@ -582,6 +582,50 @@ class TestConvergenceReport:
         assert report(rhs * (1.0 + 1e-12) + 1e-12)[f"{bound}_holds"]
         assert not report(rhs * (1.0 + 1e-9))[f"{bound}_holds"]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        clients=st.integers(1, 3),
+        dim=st.integers(1, 4),
+        rounds=st.integers(2, 10),
+        md_steps=st.integers(1, 10),
+        model_step=st.floats(0.01, 0.25),
+        md_lr=st.sampled_from([0.5, 2.0, 3.5, 12.5]),
+        group2_shift=st.sampled_from([0.0, 0.001, 0.1, 1.0]),
+        seed=st.integers(0, 3),
+    )
+    def test_deterministic_runs_meet_both_bounds(
+        self, data, clients, dim, rounds, md_steps, model_step, md_lr, group2_shift, seed
+    ):
+        # Exact gradients and the population oracle leave no noise: with at
+        # most three clients the grid gap is the delta, and every row whose
+        # step is small enough meets both bounds at their 1e-12 tolerance.
+        group1 = data.draw(st.integers(1, clients), label="group1_count")
+        group2 = data.draw(st.integers(0, clients - group1), label="group2_count")
+        overrides = {
+            "group1_count": group1,
+            "group2_count": group2,
+            "group3_count": clients - group1 - group2,
+            "dim": dim,
+            "rounds": rounds,
+            "md_steps": md_steps,
+            "model_step": repr(model_step),
+            "md_lr": md_lr,
+            "group2_shift": group2_shift,
+            "exact_gradients": "true",
+            "validation_mode": "population",
+            "shard_size": 20,
+            "batch_size": 10,
+            "methods": "meritfed-md,meritfed-zo,sgd-ideal",
+        }
+        config = parse_config("", preset="mean-mu-0.1", overrides=[f"{k}={v}" for k, v in overrides.items()])
+        rows = run_experiment(build_experiment(config, master_seed=seed)).convergence
+        assert [row.method for row in rows] == ["meritfed-md", "meritfed-zo", "sgd-ideal"]
+        for row in rows:
+            assert row.delta_estimator == DELTA_ESTIMATOR_GRID and row.step_size_ok
+            assert row.noncvx_holds, (row.method, row.avg_grad_norm_sq, row.noncvx_rhs)
+            assert row.pl_holds, (row.method, row.final_gap, row.pl_rhs)
+
     def test_large_step_flagged(self):
         out = check_convergence_bounds(
             initial_gap=1.0,
@@ -594,6 +638,17 @@ class TestConvergenceReport:
             delta_bar=0.0,
         )
         assert not out["step_size_ok"]
+
+    def test_step_size_ok_up_to_one_over_twice_the_smoothness(self):
+        # The bounds assume step <= 1 / (2 L), with L = 2 for the mean task: 0.25 itself is allowed.
+        def step_size_ok(model_step: float) -> bool:
+            return check_convergence_bounds(
+                initial_gap=1.0, avg_grad_norm_sq=0.0, final_gap=0.0, rounds=1, model_step=model_step,
+                group_size=1, sigma_sq=0.0, delta_bar=0.0,
+            )["step_size_ok"]
+
+        assert step_size_ok(0.25)
+        assert not step_size_ok(math.nextafter(0.25, 1.0))
 
     def test_exact_gradient_run_has_zero_noise_tight_contraction(self):
         # Noise-free descent on the quadratic: the last-iterate gap equals
