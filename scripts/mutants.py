@@ -6,11 +6,13 @@
     python3 scripts/mutants.py --list                   # name, module and edit of each mutant
 
 A mutant is one textual edit of one file under `src/meritfed/`: its old text
-must occur there exactly once. Each runs in one temporary copy of the
-checkout, made once; the file is restored after each mutant. A mutant is
-killed when the selection fails (pytest stops at the first failure). The
-selection first runs on the unmutated copy, and must pass. An equivalent
-mutant behaves as the original for every input, so it must survive.
+must occur there exactly once, which `tests/test_mutation_gate.py` checks in
+tier-1. Each runs in one temporary copy of the checkout, made once; the file
+is restored after each mutant. A mutant is killed when the selection fails
+(pytest stops at the first failure). The selection first runs on the
+unmutated copy, and must pass. It never includes the tier-1 check of this
+table, which fails under every mutant. An equivalent mutant behaves as the
+original for every input, so it must survive.
 
 It prints a markdown table and exits 1 when a mutant that is not equivalent
 survives, an equivalent one is killed, or the unmutated selection fails.
@@ -30,6 +32,8 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "meritfed")
 DEFAULT_SELECTION = ["tests", "--ignore=tests/test_acceptance.py"]
+# The tier-1 check of this table no longer finds a mutant's old text in its mutated module.
+GATE_TEST = os.path.join("tests", "test_mutation_gate.py")
 TIMEOUT_S = 1800
 
 
@@ -79,6 +83,8 @@ MUTANTS = [
     # clients.py
     Mutant("alie sign flipped", "clients.py", "stacked.mean(axis=0) + shift_sign", "stacked.mean(axis=0) - shift_sign"),
     Mutant("bit flip sends own gradient", "clients.py", "return -own", "return own"),
+    Mutant("alie admits one target client", "clients.py", "spec.group_counts[0] < 2", "spec.group_counts[0] < 1"),
+    Mutant("attackers admitted with no attack", "clients.py", "if self.kind == ATTACK_NONE:", "if self.kind is None:"),
     # engine.py
     Mutant(
         "Byzantine pool from client 1",
@@ -91,6 +97,12 @@ MUTANTS = [
         "engine.py",
         "if round_index % spec.weight_log_every == 0 or round_index == spec.rounds - 1:",
         "if round_index % spec.weight_log_every == 0:",
+    ),
+    Mutant(
+        "batches drawn for a colluding Byzantine block",
+        "engine.py",
+        "n - (0 if spec.attack.reads_own else k)",
+        "n",
     ),
     # min(losses) <= losses[0], so both sides are 0 whenever losses[0] is the least.
     Mutant(
@@ -116,6 +128,15 @@ MUTANTS = [
         "model_step <= 1.0 / (2.0 * MEAN_SMOOTHNESS)",
         "model_step < 1.0 / (2.0 * MEAN_SMOOTHNESS)",
     ),
+    Mutant("extra validation set admits no rows", "tasks.py", "if spec.validation_size < 1:",
+           "if spec.validation_size < 0:"),
+    Mutant(
+        "reuse-train admitted under exact gradients",
+        "tasks.py",
+        "MODE_REUSE_TRAIN and spec.exact_gradients:",
+        "MODE_REUSE_TRAIN and False:",
+    ),
+    Mutant("population gradient sign flipped", "tasks.py", "2.0 * (x - self.center)", "2.0 * (self.center - x)"),
     # cli.py
     Mutant(
         "staged outputs keep the directories they made",
@@ -138,9 +159,21 @@ MUTANTS = [
 ]
 
 
+def module_sources(mutants: list[Mutant]) -> dict[str, str]:
+    """The source of each module the mutants edit; SystemExit names a mutant whose old text is not there once."""
+    sources = {}
+    for mutant in mutants:
+        if mutant.module not in sources:
+            with open(os.path.join(ROOT, PACKAGE, mutant.module), encoding="utf-8") as handle:
+                sources[mutant.module] = handle.read()
+        if sources[mutant.module].count(mutant.old) != 1:
+            raise SystemExit(f"mutant {mutant.name!r}: its old text is not in {mutant.module} exactly once")
+    return sources
+
+
 def _run(copy: str, selection: list[str]) -> tuple[str, float]:
     """(outcome, seconds) of the selection in the copy: 'pass', 'timeout' or the first test that failed."""
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"--ignore={GATE_TEST}", *selection]
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
     start = time.perf_counter()
     try:
@@ -162,13 +195,7 @@ def main(argv=None) -> int:
     parser.add_argument("selection", nargs="*", help=f"pytest arguments (default: {' '.join(DEFAULT_SELECTION)})")
     args = parser.parse_args(argv)
     chosen = [m for m in MUTANTS if args.module is None or m.module in args.module]
-    sources = {}
-    for mutant in chosen:
-        if mutant.module not in sources:
-            with open(os.path.join(ROOT, PACKAGE, mutant.module), encoding="utf-8") as handle:
-                sources[mutant.module] = handle.read()
-        if sources[mutant.module].count(mutant.old) != 1:
-            raise SystemExit(f"mutant {mutant.name!r}: its old text is not in {mutant.module} exactly once")
+    sources = module_sources(chosen)
     if args.list:
         for mutant in chosen:
             print(f"{mutant.module}: {mutant.name}{' (equivalent)' if mutant.equivalent else ''}")

@@ -15,7 +15,7 @@ from typing import Annotated, Literal, Optional
 
 import numpy as np
 
-from .errors import PositiveFloat, check_fields
+from .errors import ConfigError, PositiveFloat, check_fields
 
 ATTACK_NONE = "none"  # the default, for a run without attackers; its parameters are still checked
 ATTACK_BIT_FLIP = "bit-flip"
@@ -43,6 +43,14 @@ class AttackSpec:
     def reads_own(self) -> bool:
         """Whether the messages read the attackers' own honest gradients; colluders' do not."""
         return self.kind in (ATTACK_BIT_FLIP, ATTACK_RANDOM_NOISE)
+
+    def check(self, spec) -> None:
+        """Reject, before round 0, a run spec whose Byzantine block this attack cannot serve."""
+        if spec.byzantine_count > 0:
+            if self.kind == ATTACK_NONE:
+                raise ConfigError("byzantine clients need an attack other than none")
+            if self.kind == ATTACK_ALIE and spec.group_counts[0] < 2:
+                raise ConfigError("alie needs at least two clients in the target group")
 
 
 def attack_ipm(honest_gradients: list[np.ndarray], epsilon: float) -> np.ndarray:

@@ -30,11 +30,11 @@ import numpy as np
 
 from . import streams
 from .aggregators import Rule, apply_update
-from .clients import ATTACK_ALIE, ATTACK_NONE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
+from .clients import ATTACK_NONE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
 from .errors import ConfigError, Count, NumericInputError, PositiveFloat, PositiveInt, RoundCount, check_fields
 from .simplex_opt import WeightObjective, simplex_grid
-from .tasks import MODE_EXTRA, MODE_POPULATION, MODE_REUSE_TRAIN, Task, ValidationMode
-from .tasks import check_convergence_bounds, check_indexable
+from .tasks import MODE_EXTRA, Task, ValidationMode
+from .tasks import check_convergence_bounds, check_indexable, validation_rows
 
 DELTA_ESTIMATOR_ITERATE = "iterate-gap"
 DELTA_ESTIMATOR_GRID = "grid-gap"
@@ -71,25 +71,10 @@ class ExperimentSpec:
     def n_clients(self) -> int:
         return int(sum(self.group_counts)) + int(self.byzantine_count)
 
-    @property
-    def validation_rows(self) -> int:
-        """Rows of the validation set the oracle holds: none for the population loss."""
-        rows_by_mode = {MODE_EXTRA: self.validation_size, MODE_REUSE_TRAIN: self.shard_size, MODE_POPULATION: 0}
-        return rows_by_mode[self.validation_mode]
-
-    @property
-    def batch_clients(self) -> int:
-        """Clients whose batches a round reads: all but a Byzantine block whose attack reads none."""
-        return self.n_clients - (0 if self.attack.reads_own else self.byzantine_count)
-
     def validate(self) -> None:
         """Check every field against its hint, the attack, task and rules included, then across fields."""
         check_fields(self)
-        if self.byzantine_count > 0:
-            if self.attack.kind == ATTACK_NONE:
-                raise ConfigError("byzantine clients need an attack other than none")
-            if self.attack.kind == ATTACK_ALIE and self.group_counts[0] < 2:
-                raise ConfigError("alie needs at least two clients in the target group")
+        self.attack.check(self)
         if not self.methods:
             raise ConfigError("at least one method is required")
         labels = [m.label for m in self.methods]
@@ -97,21 +82,15 @@ class ExperimentSpec:
             raise ConfigError(f"duplicate method labels in {labels}")
         if self.batch_size > self.shard_size:
             raise ConfigError(f"batch size {self.batch_size} exceeds shard size {self.shard_size}")
-        if self.validation_mode == MODE_EXTRA and self.validation_size < 1:
-            raise ConfigError("extra-validation mode needs validation_size >= 1")
-        if self.validation_mode == MODE_REUSE_TRAIN and self.exact_gradients:
-            raise ConfigError("reuse-train validation needs realized shards")
         self.task.check(self)
         for rule in self.methods:
-            rule.check(self.n_clients, self.validation_rows)
+            rule.check(self.n_clients, validation_rows(self))
         # Arrays that grow with the config (the task checks its own): a round's
-        # gradients, the shards (a batch is never larger), the validation set.
+        # gradients and the shards (a batch is never larger).
         n, d = self.n_clients, self.dim
         check_indexable((n, self.task.model_dim(d)))
         if not self.exact_gradients:
             check_indexable((n, self.shard_size, d))
-        if self.validation_mode == MODE_EXTRA:
-            check_indexable((self.validation_size, d))
 
 
 @dataclass(kw_only=True, slots=True)
@@ -159,8 +138,8 @@ class ConvergenceRow:
 class RoundDraws:
     """Everything one round draws, from one stream derivation.
 
-    rows holds the batch rows of the first spec.batch_clients clients (None
-    under exact gradients), noise the Byzantine block's standard-normal rows
+    rows holds the batch rows of the clients the round reads (None under
+    exact gradients), noise the Byzantine block's standard-normal rows
     (None without a random-noise attack), and method_streams each rule's
     stream of the round (None for a rule that reads none).
     """
@@ -193,7 +172,7 @@ class RunState:
         self.task = dataclasses.replace(spec.task)
         self.task.build(spec)
         self.rules = [dataclasses.replace(rule) for rule in spec.methods]
-        self.stream_tags = [rule.stream_tag(spec.validation_rows) for rule in self.rules]
+        self.stream_tags = [rule.stream_tag(self.task.oracle.size) for rule in self.rules]
         # Each rule's current point, in the rules' slot order.
         self.points = [self.task.start.copy() for _ in self.rules]
         self.metrics: list[RoundMetrics] = []
@@ -203,11 +182,12 @@ class RunState:
         grid_gap = self.task.rate_bounds and spec.n_clients <= MAX_GRID_CLIENTS
         self._grid = simplex_grid(spec.n_clients, GRID_RESOLUTION) if grid_gap else None
         # Every round opens the same streams, in round_draws' order: the batch
-        # clients', the random-noise attackers', then the method slots' that
-        # read one.
-        n = spec.n_clients
-        self._batch_clients = 0 if spec.exact_gradients else spec.batch_clients
-        self._noise_clients = spec.byzantine_count if spec.attack.kind == ATTACK_RANDOM_NOISE else 0
+        # clients' (none under exact gradients, nor a Byzantine block whose
+        # attack reads no own gradient), the random-noise attackers', then the
+        # method slots' that read one.
+        n, k = spec.n_clients, spec.byzantine_count
+        self._batch_clients = 0 if spec.exact_gradients else n - (0 if spec.attack.reads_own else k)
+        self._noise_clients = k if spec.attack.kind == ATTACK_RANDOM_NOISE else 0
         layout = [(streams.BATCH, i) for i in range(self._batch_clients)]
         layout += [(streams.ATTACK_NOISE, i) for i in range(n - self._noise_clients, n)]
         layout += [(tag, m) for m, tag in enumerate(self.stream_tags) if tag is not None]

@@ -366,8 +366,7 @@ class PopulationMeanOracle:
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        r = x - self.center
-        return float(r @ r) + float(self.center.size), 2.0 * r
+        return self.value(x), 2.0 * (x - self.center)
 
 
 def check_convergence_bounds(
@@ -422,6 +421,12 @@ def check_indexable(shape: tuple[int, ...]) -> None:
         raise ConfigError(f"an array of shape {shape} is too large for numpy to index")
 
 
+def validation_rows(spec) -> int:
+    """Rows of the validation set a run's oracle holds: none for the population loss."""
+    rows_by_mode = {MODE_EXTRA: spec.validation_size, MODE_REUSE_TRAIN: spec.shard_size, MODE_POPULATION: 0}
+    return rows_by_mode[spec.validation_mode]
+
+
 @dataclass
 class Task:
     """One objective and its client data; methods that need the run take its spec.
@@ -445,7 +450,13 @@ class Task:
     __post_init__ = check_fields  # every task checks its settings when it is built
 
     def check(self, spec) -> None:
-        """Reject, before round 0, a run spec this task cannot serve."""
+        """Reject, before round 0, a run spec this task cannot serve, its validation set included."""
+        if spec.validation_mode == MODE_EXTRA:
+            if spec.validation_size < 1:
+                raise ConfigError("extra-validation mode needs validation_size >= 1")
+            check_indexable((spec.validation_size, spec.dim))
+        if spec.validation_mode == MODE_REUSE_TRAIN and spec.exact_gradients:
+            raise ConfigError("reuse-train validation needs realized shards")
 
     def model_dim(self, dim: int) -> int:
         """Length of a model point and of a client gradient at feature dimension dim."""
@@ -488,7 +499,7 @@ class MeanTask(Task):
             self.oracle = MeanValidationOracle(self.samples[0])
         else:
             rng = streams.substream(seed, streams.VALIDATION)
-            keep_rows = any(rule.reads_validation_rows(spec.validation_size) for rule in spec.methods)
+            keep_rows = any(rule.reads_validation_rows(validation_rows(spec)) for rule in spec.methods)
             self.oracle = MeanValidationOracle.streamed(rng, spec.validation_size, d, keep_rows)
         self.start = np.ones(d)
 
@@ -540,6 +551,7 @@ class SoftmaxTask(Task):
     test_set: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def check(self, spec) -> None:
+        super().check(spec)
         if spec.exact_gradients:
             raise ConfigError("exact gradients are only defined for the mean task")
         if spec.validation_mode == MODE_POPULATION:

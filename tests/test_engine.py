@@ -30,8 +30,6 @@ from meritfed.engine import (
     DELTA_ESTIMATOR_GRID,
     DELTA_ESTIMATOR_ITERATE,
     GRID_RESOLUTION,
-    MODE_POPULATION,
-    MODE_REUSE_TRAIN,
     ExperimentSpec,
     RunState,
     run_experiment,
@@ -41,6 +39,7 @@ from meritfed.errors import ConfigError
 from meritfed.simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig, WeightObjective, simplex_grid
 from meritfed.tasks import (
     MODE_EXTRA,
+    MODE_POPULATION,
     MODE_REUSE_TRAIN,
     MeanTask,
     MeanValidationOracle,
@@ -48,6 +47,7 @@ from meritfed.tasks import (
     SoftmaxRows,
     SoftmaxTask,
     check_convergence_bounds,
+    validation_rows,
 )
 
 
@@ -805,6 +805,47 @@ class TestValidationModes:
     def test_reuse_train_mode_runs(self):
         result = run_experiment(small_spec(validation_mode=MODE_REUSE_TRAIN, rounds=2))
         assert np.isfinite(result.metrics[-1].val_loss)
+
+    @pytest.mark.parametrize("make_spec", [small_spec, softmax_spec])
+    def test_the_task_checks_the_validation_set(self, make_spec):
+        task = make_spec().task
+        with pytest.raises(ConfigError, match=re.escape("needs validation_size >= 1")):
+            task.check(make_spec(validation_size=0))
+        with pytest.raises(ConfigError, match="too large for numpy to index"):
+            task.check(make_spec(validation_size=2**62))
+        with pytest.raises(ConfigError, match="reuse-train validation needs realized shards"):
+            task.check(make_spec(validation_mode=MODE_REUSE_TRAIN, exact_gradients=True))
+
+    @pytest.mark.parametrize(
+        "make_spec, mode",
+        [
+            (small_spec, MODE_EXTRA),
+            (small_spec, MODE_REUSE_TRAIN),
+            (small_spec, MODE_POPULATION),
+            (softmax_spec, MODE_EXTRA),
+            (softmax_spec, MODE_REUSE_TRAIN),
+        ],
+    )
+    def test_rules_are_checked_against_the_oracle_size(self, make_spec, mode, monkeypatch):
+        # The rules are checked against the count the spec gives, and the
+        # solver reads the built oracle's size. Minibatches of the whole set
+        # and of one row fewer take the two sides of the solver's full-set
+        # test.
+        rows = validation_rows(make_spec(validation_mode=mode))
+
+        def md(minibatch):
+            return MdConfig(step_size=2.0, step_count=3, minibatch=minibatch)
+
+        methods = [MeritFed("meritfed-md", md=md(0)), FedAvg("fedavg-2", sample_count=2)]
+        if rows > 1:
+            methods += [MeritFed("meritfed-smd", md=md(rows)), MeritFed("smd-1", md=md(rows - 1))]
+        spec = make_spec(validation_mode=mode, methods=methods)
+        checked = []
+        monkeypatch.setattr(MeritFed, "check", lambda rule, n, size: checked.append(size))
+        state = RunState(spec)
+        assert checked == [state.task.oracle.size] * (len(methods) - 1)
+        assert state.stream_tags == [rule.stream_tag(rows) for rule in spec.methods]
+        assert [tag is not None for tag in state.stream_tags] == [False, True] + [False, True] * (rows > 1)
 
 
 def reference_stream(master_seed, *key):

@@ -15,6 +15,7 @@ import glob
 import importlib.util
 import json
 import os
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -32,25 +33,35 @@ with open(os.path.join(HERE, "output_digests.json"), encoding="utf-8") as _handl
     EXPECTED = json.load(_handle)
 
 
-def environment() -> str:
-    """numpy's version and the SIMD targets it dispatches to, and the core and threads its OpenBLAS runs."""
+def dispatch_targets() -> Optional[list[str]]:
+    """The SIMD targets numpy dispatches to on this host, in numpy's order; None if numpy does not say."""
     try:
         from numpy._core import _multiarray_umath
 
         features = _multiarray_umath.__cpu_features__
-        dispatch = ", ".join(t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)) or "none"
+        return [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
     except (ImportError, AttributeError):
-        dispatch = "unknown"
+        return None
+
+
+def blas_core() -> Optional[tuple[str, int]]:
+    """The core and thread count of the OpenBLAS numpy has loaded; None if it does not say."""
     pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
     try:  # the library numpy has loaded, so the same core and thread pool
         blas = ctypes.CDLL(glob.glob(pattern)[0])
         blas.scipy_openblas_get_corename64_.argtypes = blas.scipy_openblas_get_num_threads64_.argtypes = []
         blas.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
         blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-        name, threads = blas.scipy_openblas_get_corename64_().decode(), blas.scipy_openblas_get_num_threads64_()
-        core = f"{name} on {threads} threads"
+        return blas.scipy_openblas_get_corename64_().decode(), blas.scipy_openblas_get_num_threads64_()
     except (IndexError, OSError, AttributeError):
-        core = "unknown"
+        return None
+
+
+def environment() -> str:
+    """numpy's version and the SIMD targets it dispatches to, and the core and threads its OpenBLAS runs."""
+    dispatch, core = dispatch_targets(), blas_core()
+    dispatch = "unknown" if dispatch is None else ", ".join(dispatch) or "none"
+    core = "unknown" if core is None else f"{core[0]} on {core[1]} threads"
     return f"numpy {np.__version__} dispatching {dispatch}, OpenBLAS core {core}"
 
 
