@@ -104,14 +104,6 @@ MUTANTS = [
         "n - (0 if spec.attack.reads_own else k)",
         "n",
     ),
-    # min(losses) <= losses[0], so both sides are 0 whenever losses[0] is the least.
-    Mutant(
-        "grid gap over every loss",
-        "engine.py",
-        "max(losses[0] - min(losses[1:]), 0.0)",
-        "max(losses[0] - min(losses), 0.0)",
-        equivalent=True,
-    ),
     # simplex_opt.py
     Mutant("solver keeps a tie: <= for <", "simplex_opt.py", "if last_value < best_value:", "if last_value <= best_value:"),
     Mutant(
@@ -136,7 +128,28 @@ MUTANTS = [
         "MODE_REUSE_TRAIN and spec.exact_gradients:",
         "MODE_REUSE_TRAIN and False:",
     ),
-    Mutant("population gradient sign flipped", "tasks.py", "2.0 * (x - self.center)", "2.0 * (self.center - x)"),
+    Mutant("population gradient sign flipped", "tasks.py", "2.0 * (x - self.mean)", "2.0 * (self.mean - x)"),
+    Mutant(
+        "non-finite fallback dropped",
+        "tasks.py",
+        "return loss if loss == loss or sq != sq else math.inf",
+        "return loss",
+    ),
+    Mutant(
+        "population mean squared norm d - 1",
+        "tasks.py",
+        "float(center @ center) + center.size",
+        "float(center @ center) + center.size - 1",
+    ),
+    Mutant("grid gap at fewer than three clients", "tasks.py", "n <= MAX_GRID_CLIENTS", "n < MAX_GRID_CLIENTS"),
+    # min(losses) <= losses[0], so both sides are 0 whenever losses[0] is the least.
+    Mutant(
+        "grid gap over every loss",
+        "tasks.py",
+        "max(losses[0] - min(losses[1:]), 0.0)",
+        "max(losses[0] - min(losses), 0.0)",
+        equivalent=True,
+    ),
     # cli.py
     Mutant(
         "staged outputs keep the directories they made",

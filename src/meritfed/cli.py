@@ -30,10 +30,10 @@ from typing import Callable, Iterator, Literal, Optional
 from . import __version__
 from .aggregators import FedAdp, FedAvg, MeritFed, Rule, SgdFull, SgdIdeal, Tawt
 from .clients import ATTACK_NONE, AttackKind, AttackSpec
-from .engine import ConvergenceRow, ExperimentSpec, RoundMetrics, run_experiment
+from .engine import ExperimentSpec, RoundMetrics, run_experiment
 from .errors import ConfigError, Count, MeritFedError, PositiveFloat, PositiveInt, check_fields
 from .simplex_opt import ESTIMATOR_ZO, MdConfig
-from .tasks import MeanTask, SoftmaxTask, ValidationMode
+from .tasks import ConvergenceRow, MeanTask, SoftmaxTask, ValidationMode
 
 OUT_DIR_ENV = "MERITFED_OUT_DIR"
 DEFAULT_OUT_DIR = "runs"

@@ -3,16 +3,15 @@
 One experiment holds a fixed client population, laid out in index order as
 target group 1, groups 2 and 3, then one block of Byzantine workers that all
 run the same attack. The run's task (a `tasks.Task`) owns the client data,
-the honest gradients and the task's metrics; the engine runs every
-configured method side by side from the task's start point. Per-(client, round) sample draws come from named streams
+the honest gradients, the task's metrics and deltas and the convergence
+report; the engine runs every configured method side by side from the task's
+start point. Per-(client, round) sample draws come from named streams
 independent of the method, so sampling noise is coupled across methods; the
 colluding attacks run in a second phase after all honest messages of the
 round exist. Each method-round is one `WeightObjective`: the method's point,
 the round's gradient set, the run's model step and the validation oracle.
-The method's rule picks weights for it, the update is its candidate point at
-those weights, and the grid gap, where the run takes one, scores the same
-objective. Per-round metrics, weight trajectories, and convergence-bound
-reports are collected for the output layer.
+The method's rule picks weights for it, and the update is its candidate
+point at those weights.
 
 `RunState` keeps each method's point in `rules` slot order. Every round
 appends exactly one metrics row per method in slot order, and the run one
@@ -32,14 +31,8 @@ from . import streams
 from .aggregators import Rule, apply_update
 from .clients import ATTACK_NONE, ATTACK_RANDOM_NOISE, AttackSpec, byzantine_messages
 from .errors import ConfigError, Count, NumericInputError, PositiveFloat, PositiveInt, RoundCount, check_fields
-from .simplex_opt import WeightObjective, simplex_grid
-from .tasks import MODE_EXTRA, Task, ValidationMode
-from .tasks import check_convergence_bounds, check_indexable, validation_rows
-
-DELTA_ESTIMATOR_ITERATE = "iterate-gap"
-DELTA_ESTIMATOR_GRID = "grid-gap"
-GRID_RESOLUTION = 0.01
-MAX_GRID_CLIENTS = 3
+from .simplex_opt import WeightObjective
+from .tasks import MODE_EXTRA, ConvergenceRow, Task, ValidationMode, check_indexable, validation_rows
 
 # Observer callables receive (round, method label, point before the update,
 # gradient set, weights, delta estimate, point after the update).
@@ -111,30 +104,6 @@ class RoundMetrics:
 
 
 @dataclass
-class ConvergenceRow:
-    """Measured quantities of one method against the closed-form rate bounds.
-
-    The field order is the column order of theorem.csv.
-    """
-
-    method: str
-    rounds: int
-    group_size: int
-    sigma_sq: float
-    delta_bar: float
-    delta_estimator: str
-    initial_gap: float
-    avg_grad_norm_sq: float
-    noncvx_rhs: float
-    noncvx_holds: bool
-    final_gap: float
-    pl_rhs: float
-    pl_holds: bool
-    step_size_ok: bool
-    applies: bool
-
-
-@dataclass
 class RoundDraws:
     """Everything one round draws, from one stream derivation.
 
@@ -177,10 +146,6 @@ class RunState:
         self.points = [self.task.start.copy() for _ in self.rules]
         self.metrics: list[RoundMetrics] = []
         self.weight_rows: list[tuple[int, str, np.ndarray]] = []
-        # The brute-force simplex grid that replaces the solver's own delta
-        # estimate, for rate-bound tasks with few clients; None otherwise.
-        grid_gap = self.task.rate_bounds and spec.n_clients <= MAX_GRID_CLIENTS
-        self._grid = simplex_grid(spec.n_clients, GRID_RESOLUTION) if grid_gap else None
         # Every round opens the same streams, in round_draws' order: the batch
         # clients' (none under exact gradients, nor a Byzantine block whose
         # attack reads no own gradient), the random-noise attackers', then the
@@ -253,51 +218,13 @@ def run_round(state: RunState, round_index: int, observer: Optional[Observer] = 
         objective = WeightObjective(x, gradients, spec.model_step, task.oracle)
         w, delta = rule.weights(objective, rng)
         x_new = apply_update(objective, w)
-        if delta is not None and state._grid is not None:
-            # Solver gap against the brute-force simplex grid, scored with the loss alone.
-            losses = [task.oracle.value(objective.candidate(p)) for p in (w, *state._grid)]
-            delta = max(losses[0] - min(losses[1:]), 0.0)
+        delta = task.delta_estimate(objective, w, delta)
         state.metrics.append(state.state_metrics(slot, round_index, delta))
         if round_index % spec.weight_log_every == 0 or round_index == spec.rounds - 1:
             state.weight_rows.append((round_index, rule.label, w.copy()))
         if observer is not None:
             observer(round_index, rule.label, x, gradients, w, delta, x_new)
         state.points[slot] = x_new
-
-
-def _convergence_report(state: RunState) -> list[ConvergenceRow]:
-    """One row per method, read from that method's metric rows of rounds 0..T."""
-    spec, rounds = state.spec, state.spec.rounds
-    if not state.task.rate_bounds:
-        return []
-    estimator = DELTA_ESTIMATOR_ITERATE if state._grid is None else DELTA_ESTIMATOR_GRID
-    rows = []
-    for slot, rule in enumerate(state.rules):
-        history = state.metrics[slot :: len(state.rules)]
-        # A plain += in round order, a blank as 0: builtin sum compensates
-        # float sums from Python 3.12 on, which would move delta_bar's bits.
-        delta_sum = 0.0
-        for row in history[:rounds]:
-            delta_sum += row.delta or 0.0
-        measured = dict(
-            rounds=rounds,
-            group_size=spec.group_counts[0],
-            sigma_sq=state.task.gradient_variance(spec),
-            delta_bar=delta_sum / rounds,
-            initial_gap=history[0].loss_gap,
-            avg_grad_norm_sq=float(np.mean([row.grad_norm_sq for row in history[:rounds]])),
-            final_gap=history[rounds].loss_gap,
-        )
-        rows.append(
-            ConvergenceRow(
-                method=rule.label,
-                delta_estimator=estimator,
-                applies=spec.byzantine_count == 0 or rule.bound_holds_under_attack,
-                **measured,
-                **check_convergence_bounds(model_step=spec.model_step, **measured),
-            )
-        )
-    return rows
 
 
 def run_experiment(
@@ -315,7 +242,7 @@ def run_experiment(
             run_round(state, t, observer=observer)
         for slot in range(len(state.rules)):
             state.metrics.append(state.state_metrics(slot, spec.rounds, None))
-        convergence = _convergence_report(state)
+        convergence = state.task.convergence_report(spec, state.rules, state.metrics)
     return ExperimentResult(
         spec=spec,
         metrics=state.metrics,

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Annotated, Callable, ClassVar, Literal, Optional
+from typing import Annotated, Callable, Literal, Optional
 
 import numpy as np
 
 from .errors import ConfigError, MeritFedError, PositiveInt, check_fields
+from .simplex_opt import simplex_grid
 from . import streams
 
 MODE_EXTRA = "extra-validation"
@@ -35,6 +36,11 @@ CLASS_CENTER_DISTANCE = 4.0
 
 MEAN_SMOOTHNESS = 2.0
 MEAN_PL_CONSTANT = 2.0
+# A mean run of at most MAX_GRID_CLIENTS clients scores its deltas on a simplex grid.
+DELTA_ESTIMATOR_ITERATE = "iterate-gap"
+DELTA_ESTIMATOR_GRID = "grid-gap"
+GRID_RESOLUTION = 0.01
+MAX_GRID_CLIENTS = 3
 
 # Values per block of `fold_mean`: its buffer holds at most this many, plus one row.
 FOLD_BLOCK_VALUES = 2**14
@@ -261,7 +267,7 @@ class SampleOracle:
 
 
 class MeanValidationOracle(SampleOracle):
-    """Empirical mean-estimation objective over a held-out sample set.
+    """Mean-estimation objective over a held-out sample set, or over the whole distribution.
 
     f_hat(x) = mean_i ||x - xi_i||^2 evaluated in O(d) through the precomputed
     sample mean and mean squared norm. Both come from one pass of
@@ -300,9 +306,20 @@ class MeanValidationOracle(SampleOracle):
             return cls(rng.standard_normal((size, dim)))
         return cls(None, (size, dim), lambda block, start: rng.standard_normal(out=block))
 
+    @classmethod
+    def population(cls, center: np.ndarray) -> MeanValidationOracle:
+        """The true loss over N(center, I), ||x - center||^2 + d; it has size 0 and no rows."""
+        oracle = cls.__new__(cls)
+        oracle.size, oracle.samples, oracle.mean = 0, None, center
+        oracle.mean_sq_norm = float(center @ center) + center.size
+        return oracle
+
     def value(self, x: np.ndarray) -> float:
+        """The loss at x: inf, not an overflow's nan (inf - inf, inf * 0), if x holds no nan."""
         x = np.asarray(x, dtype=float)
-        return float(x.dot(x) - 2.0 * x.dot(self.mean) + self.mean_sq_norm)
+        sq = x.dot(x)
+        loss = float(sq - 2.0 * x.dot(self.mean) + self.mean_sq_norm)
+        return loss if loss == loss or sq != sq else math.inf
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -347,26 +364,28 @@ class SoftmaxValidationOracle(SampleOracle):
         return np.asarray(x, dtype=float).reshape(self.n_classes, -1)
 
 
-class PopulationMeanOracle:
-    """Noise-free mean-estimation objective from the known distribution center.
+@dataclass
+class ConvergenceRow:
+    """Measured quantities of one method against the closed-form rate bounds.
 
-    Evaluates the true expected loss ||x - center||^2 + d; used by
-    verification runs that need an exact validation gradient. It holds no
-    rows, so it has no gradient_rows and no minibatch can be drawn from it.
+    The field order is the column order of theorem.csv.
     """
 
-    size = 0
-
-    def __init__(self, center: np.ndarray) -> None:
-        self.center = np.asarray(center, dtype=float)
-
-    def value(self, x: np.ndarray) -> float:
-        r = np.asarray(x, dtype=float) - self.center
-        return float(r @ r) + float(self.center.size)
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        return self.value(x), 2.0 * (x - self.center)
+    method: str
+    rounds: int
+    group_size: int
+    sigma_sq: float
+    delta_bar: float
+    delta_estimator: str
+    initial_gap: float
+    avg_grad_norm_sq: float
+    noncvx_rhs: float
+    noncvx_holds: bool
+    final_gap: float
+    pl_rhs: float
+    pl_holds: bool
+    step_size_ok: bool
+    applies: bool
 
 
 def check_convergence_bounds(
@@ -436,16 +455,15 @@ class Task:
     gradients), the validation oracle and the start point. Each round it
     takes `round_basis(rows)` once (rows None under exact gradients),
     then per method `honest_gradients(x, basis)`, the (n, model_dim) array
-    at the method's point, and `metric_fields(x)` for the metrics row. A
-    task with rate_bounds also gives gradient_variance and the loss_gap and
-    grad_norm_sq metric fields.
+    at the method's point, `delta_estimate` of the weights the method picked
+    and `metric_fields(x)` for the metrics row. After the final rows the run
+    takes `convergence_report`.
     """
 
     samples: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     oracle: object = field(default=None, init=False, repr=False, compare=False)
     start: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     mixture_direction: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    rate_bounds: ClassVar[bool] = False  # the closed-form rate bounds and the grid gap apply
 
     __post_init__ = check_fields  # every task checks its settings when it is built
 
@@ -467,6 +485,14 @@ class Task:
         _, shard_size, d = self.samples.shape
         return self.samples.reshape(-1, d), rows + np.arange(len(rows))[:, None] * shard_size
 
+    def delta_estimate(self, objective, w: np.ndarray, delta: Optional[float]) -> Optional[float]:
+        """The metrics row's delta for the weights w a rule picked, given the rule's own."""
+        return delta
+
+    def convergence_report(self, spec, rules: list, metrics: list) -> list[ConvergenceRow]:
+        """theorem.csv's rows, from the run's rules and metrics rows: none without rate bounds."""
+        return []
+
 
 @dataclass
 class MeanTask(Task):
@@ -480,7 +506,7 @@ class MeanTask(Task):
 
     group2_shift: float = 0.1
     centers: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    rate_bounds: ClassVar[bool] = True
+    grid: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def build(self, spec) -> None:
         n, d, seed = spec.n_clients, spec.dim, spec.master_seed
@@ -494,7 +520,7 @@ class MeanTask(Task):
         if not spec.exact_gradients:
             self.samples = generate_mean_shards(seed, self.centers, spec.shard_size)
         if spec.validation_mode == MODE_POPULATION:
-            self.oracle = PopulationMeanOracle(np.zeros(d))
+            self.oracle = MeanValidationOracle.population(np.zeros(d))
         elif spec.validation_mode == MODE_REUSE_TRAIN:
             self.oracle = MeanValidationOracle(self.samples[0])
         else:
@@ -502,6 +528,7 @@ class MeanTask(Task):
             keep_rows = any(rule.reads_validation_rows(validation_rows(spec)) for rule in spec.methods)
             self.oracle = MeanValidationOracle.streamed(rng, spec.validation_size, d, keep_rows)
         self.start = np.ones(d)
+        self.grid = simplex_grid(n, GRID_RESOLUTION) if n <= MAX_GRID_CLIENTS else None
 
     def round_basis(self, rows: Optional[np.ndarray]) -> np.ndarray:
         """Batch means of the clients rows covers, then client 0's for an unread Byzantine block.
@@ -530,9 +557,44 @@ class MeanTask(Task):
         gap = float(x @ x)  # squared distance to the target optimum, zero
         return {"dist_sq": gap, "loss_gap": gap, "grad_norm_sq": 4.0 * gap}
 
-    def gradient_variance(self, spec) -> float:
-        """E||g - grad f||^2 of one client's gradient: 4d/b, zero under exact gradients."""
-        return 0.0 if spec.exact_gradients else 4.0 * spec.dim / spec.batch_size
+    def delta_estimate(self, objective, w: np.ndarray, delta: Optional[float]) -> Optional[float]:
+        """w's loss gap to the best grid point, scored with the loss alone, if the run takes a grid."""
+        if delta is None or self.grid is None:
+            return delta
+        losses = [self.oracle.value(objective.candidate(p)) for p in (w, *self.grid)]
+        return max(losses[0] - min(losses[1:]), 0.0)
+
+    def convergence_report(self, spec, rules: list, metrics: list) -> list[ConvergenceRow]:
+        """One row per rule, read from its metrics rows of rounds 0..T."""
+        rounds = spec.rounds
+        estimator = DELTA_ESTIMATOR_ITERATE if self.grid is None else DELTA_ESTIMATOR_GRID
+        report = []
+        for slot, rule in enumerate(rules):
+            history = metrics[slot :: len(rules)]
+            # A plain += in round order, a blank as 0: builtin sum compensates
+            # float sums from Python 3.12 on, which would move delta_bar's bits.
+            delta_sum = 0.0
+            for row in history[:rounds]:
+                delta_sum += row.delta or 0.0
+            measured = dict(
+                rounds=rounds,
+                group_size=spec.group_counts[0],
+                sigma_sq=0.0 if spec.exact_gradients else 4.0 * spec.dim / spec.batch_size,
+                delta_bar=delta_sum / rounds,
+                initial_gap=history[0].loss_gap,
+                avg_grad_norm_sq=float(np.mean([row.grad_norm_sq for row in history[:rounds]])),
+                final_gap=history[rounds].loss_gap,
+            )
+            report.append(
+                ConvergenceRow(
+                    method=rule.label,
+                    delta_estimator=estimator,
+                    applies=spec.byzantine_count == 0 or rule.bound_holds_under_attack,
+                    **measured,
+                    **check_convergence_bounds(model_step=spec.model_step, **measured),
+                )
+            )
+        return report
 
 
 @dataclass

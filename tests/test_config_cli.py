@@ -408,7 +408,8 @@ class TestRunOutputs:
         # Each metrics.csv and theorem.csv cell, read by its header name, is
         # its record's field: blank for None, true/false for a bool, .17g for
         # a float.
-        from meritfed.engine import ConvergenceRow, RoundMetrics, run_experiment
+        from meritfed.engine import RoundMetrics, run_experiment
+        from meritfed.tasks import ConvergenceRow
 
         config = parse_config("", preset=preset, overrides=overrides)
         run_config(config, out_dir)
@@ -691,6 +692,20 @@ class TestMainEntryPoint:
             header, row = handle.read().splitlines()
         report = dict(zip(header.split(","), row.split(",")))
         assert (report["final_gap"], report["pl_rhs"], report["pl_holds"]) == ("inf", "inf", "false")
+
+    def test_diverged_final_row_is_the_same_in_every_validation_mode(self, tmp_path):
+        # The last iterate has infinite entries, so its loss is inf whatever
+        # the validation set; a sample set's mean no longer turns it into nan.
+        finals = set()
+        for mode in ("extra-validation", "reuse-train", "population"):
+            out = tmp_path / mode
+            args = ["run", "--preset", "theorem-mean", "--out", str(out)]
+            for item in ("seeds=1", "rounds=2", "methods=sgd-ideal", "model_step=1e155", f"validation_mode={mode}"):
+                args += ["--set", item]
+            assert main(args) == 0
+            with open(out / "metrics.csv", encoding="utf-8") as handle:
+                finals.add(handle.read().splitlines()[-1])
+        assert finals == {"0,2,sgd-ideal,inf,inf,inf,inf,,"}
 
     def test_softmax_reuse_train_draws_no_validation_set(self, tmp_path):
         # Reuse-train validates on client 0's shard, so validation_size is

@@ -26,24 +26,18 @@ from meritfed.clients import (
     ATTACK_RANDOM_NOISE,
     AttackSpec,
 )
-from meritfed.engine import (
-    DELTA_ESTIMATOR_GRID,
-    DELTA_ESTIMATOR_ITERATE,
-    GRID_RESOLUTION,
-    ExperimentSpec,
-    RunState,
-    run_experiment,
-    run_round,
-)
+from meritfed.engine import ExperimentSpec, RunState, run_experiment, run_round
 from meritfed.errors import ConfigError
 from meritfed.simplex_opt import ESTIMATOR_EXACT, ESTIMATOR_ZO, MdConfig, WeightObjective, simplex_grid
 from meritfed.tasks import (
+    DELTA_ESTIMATOR_GRID,
+    DELTA_ESTIMATOR_ITERATE,
+    GRID_RESOLUTION,
     MODE_EXTRA,
     MODE_POPULATION,
     MODE_REUSE_TRAIN,
     MeanTask,
     MeanValidationOracle,
-    PopulationMeanOracle,
     SoftmaxRows,
     SoftmaxTask,
     check_convergence_bounds,
@@ -471,7 +465,7 @@ class TestObserverAndDominance:
         )
         result = run_experiment(spec, observer=observer)
         oracle = result.oracle
-        assert isinstance(oracle, PopulationMeanOracle)
+        assert isinstance(oracle, MeanValidationOracle) and oracle.size == 0
         assert len(rows) == 6
         for x_before, gradients, delta, x_after in rows:
             assert delta is not None and delta >= 0.0
@@ -702,10 +696,8 @@ class TestConvergenceReport:
         assert result.convergence[0].delta_estimator == DELTA_ESTIMATOR_GRID
 
     @pytest.mark.parametrize("group_counts", [(2, 0, 0), (2, 1, 0)])
-    @pytest.mark.parametrize(
-        "validation_mode, oracle_type", [(MODE_EXTRA, MeanValidationOracle), (MODE_POPULATION, PopulationMeanOracle)]
-    )
-    def test_grid_gap_is_the_brute_force_minimum(self, group_counts, validation_mode, oracle_type):
+    @pytest.mark.parametrize("validation_mode", [MODE_EXTRA, MODE_POPULATION])
+    def test_grid_gap_is_the_brute_force_minimum(self, group_counts, validation_mode):
         rows = []
 
         def observer(t, label, x, gradients, w, delta, x_after):
@@ -718,7 +710,7 @@ class TestConvergenceReport:
             validation_mode=validation_mode,
         )
         result = run_experiment(spec, observer=observer)
-        assert isinstance(result.oracle, oracle_type)
+        assert isinstance(result.oracle, MeanValidationOracle)
         assert len(rows) == spec.rounds
         grid = simplex_grid(spec.n_clients, GRID_RESOLUTION)
         for x, gradients, w, delta in rows:

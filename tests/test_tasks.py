@@ -8,6 +8,7 @@ kernel must match bit for bit on a single row set and on every member of a
 stack.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -29,7 +30,6 @@ from meritfed.tasks import (
     MODE_REUSE_TRAIN,
     MeanTask,
     MeanValidationOracle,
-    PopulationMeanOracle,
     SoftmaxRows,
     SoftmaxTask,
     SoftmaxValidationOracle,
@@ -123,13 +123,13 @@ class TestTrueOptimum:
     # The population objective is minimized at the center with value d.
 
     def test_standard_normal_group(self):
-        f_star, grad = PopulationMeanOracle(np.zeros(10)).evaluate(np.zeros(10))
+        f_star, grad = MeanValidationOracle.population(np.zeros(10)).evaluate(np.zeros(10))
         np.testing.assert_array_equal(grad, np.zeros(10))
         assert f_star == 10.0
 
     def test_shifted_group(self):
         center = 0.1 * np.ones(10)
-        f_star, grad = PopulationMeanOracle(center).evaluate(center)
+        f_star, grad = MeanValidationOracle.population(center).evaluate(center)
         np.testing.assert_array_equal(grad, np.zeros(10))
         assert f_star == 10.0
 
@@ -158,7 +158,7 @@ class TestQuadraticConstants:
     def test_smoothness_and_pl_hold_with_equality(self):
         rng = np.random.default_rng(5)
         center = rng.standard_normal(10)
-        oracle = PopulationMeanOracle(center)
+        oracle = MeanValidationOracle.population(center)
         f_star = 10.0
         for _ in range(50):
             x = rng.standard_normal(10) * 3
@@ -267,7 +267,7 @@ class TestValidationOracles:
         features, labels = rng.standard_normal((300, 6)), rng.integers(0, 4, size=300)
         cases = [
             (MeanValidationOracle(rng.standard_normal((500, 6))), 6),
-            (PopulationMeanOracle(rng.standard_normal(6)), 6),
+            (MeanValidationOracle.population(rng.standard_normal(6)), 6),
             (SoftmaxValidationOracle(features, labels, 4), 24),
         ]
         for oracle, size in cases:
@@ -306,10 +306,70 @@ class TestValidationOracles:
 
     def test_population_oracle_is_true_loss(self):
         center = np.array([1.0, -1.0])
-        oracle = PopulationMeanOracle(center)
+        oracle = MeanValidationOracle.population(center)
         value, grad = oracle.evaluate(np.zeros(2))
         assert value == 2.0 + 2.0  # squared distance plus dimension
         np.testing.assert_array_equal(grad, -2.0 * center)
+
+
+def mean_run_oracle(construction):
+    """The validation oracle a small mean run builds: kept or streamed rows, the reuse-train shard, or population."""
+    mode, methods = {
+        "kept-rows": ("extra-validation", "meritfed-smd"),
+        "streamed-rows": ("extra-validation", "meritfed-md"),
+        "reuse-train": ("reuse-train", "meritfed-md"),
+        "population": ("population", "meritfed-md"),
+    }[construction]
+    overrides = [
+        "seeds=1", "rounds=1", "dim=4", "group1_count=2", "group2_count=1", "group3_count=1", "shard_size=40",
+        "batch_size=10", "validation_size=50", "smd_minibatch=10", f"validation_mode={mode}", f"methods={methods}",
+    ]
+    return RunState(build_experiment(parse_config("", preset="mean-mu-0.1", overrides=overrides))).task.oracle
+
+
+class TestOneMeanOracle:
+    # One class serves every mean validation mode. Its population instance
+    # gives the bits of the population formula ||x - 0||^2 + d at every finite
+    # point, and every instance gives the loss inf at a point with an
+    # infinite entry and nan at a point with a nan entry.
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        dim=st.integers(1, 57),
+        exponent=st.floats(-300, 150),
+        seed=st.integers(0, 2**32 - 1),
+        negative_zeros=st.floats(0, 1),
+    )
+    def test_population_instance_is_the_population_formula(self, dim, exponent, seed, negative_zeros):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(dim) * 10.0**exponent
+        x[rng.random(dim) < negative_zeros] = -0.0
+        center = np.zeros(dim)
+        r = x - center
+        value, grad = MeanValidationOracle.population(center).evaluate(x)
+        assert MeanValidationOracle.population(center).value(x) == value == float(r @ r) + float(center.size)
+        assert grad.tobytes() == (2.0 * (x - center)).tobytes()
+
+    @pytest.mark.parametrize("construction", ["kept-rows", "streamed-rows", "reuse-train", "population"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.floats(allow_nan=False), min_size=4, max_size=4),
+        infinite=st.sets(st.integers(0, 3), min_size=1),
+        negative=st.booleans(),
+        nan_at=st.integers(0, 3),
+    )
+    def test_infinite_entry_gives_inf_and_nan_entry_nan(self, construction, entries, infinite, negative, nan_at):
+        oracle = mean_run_oracle(construction)
+        assert (oracle.size, oracle.samples is None) == {
+            "kept-rows": (50, False), "streamed-rows": (50, True), "reuse-train": (40, False), "population": (0, True)
+        }[construction]
+        x = np.array(entries)
+        x[sorted(infinite)] = -math.inf if negative else math.inf
+        with np.errstate(over="ignore", invalid="ignore"):  # as a run's rounds are
+            assert oracle.value(x) == math.inf
+            assert oracle.evaluate(x)[0] == oracle.value(x)
+            x[nan_at] = math.nan
+            assert math.isnan(oracle.value(x)) and math.isnan(oracle.evaluate(x)[0])
 
 
 class TestMeanRoundBasis:
